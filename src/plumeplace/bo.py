@@ -10,7 +10,7 @@ local coordinate search. Everything is deterministic for a fixed seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -171,14 +171,7 @@ def maximize(objective, cfg: BoConfig) -> BoTrace:
             np.asarray(points), np.asarray(values), seed=int(fit_seeds[it]), warm_start=warm
         )
         warm = surrogate.log_params
-        step_cfg = BoConfig(
-            domain=box,
-            init_count=cfg.init_count,
-            iter_count=cfg.iter_count,
-            acq_candidates=cfg.acq_candidates,
-            seed=int(acq_seeds[it]),
-        )
-        x = propose_next(surrogate, step_cfg, max(values))
+        x = propose_next(surrogate, replace(cfg, seed=int(acq_seeds[it])), max(values))
         points.append(x)
         values.append(_evaluate(objective, x))
     return BoTrace(points=np.asarray(points), values=np.asarray(values))

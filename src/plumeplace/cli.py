@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,7 +38,7 @@ def _add_common(parser):
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config).with_profile(args.profile)
     if args.seed is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "seed": args.seed})
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 from scipy.spatial import cKDTree
 
@@ -35,10 +36,10 @@ class KnnConfig:
     jitter_scale: float = 1e-10
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.jitter_scale < 0:
-            raise ValueError("jitter_scale must be >= 0")
+        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        if not np.isfinite(self.jitter_scale) or self.jitter_scale < 0:
+            raise ValueError(f"jitter_scale must be finite and >= 0, got {self.jitter_scale!r}")
 
 
 def digamma(n):
@@ -72,58 +73,66 @@ def _jittered(x: np.ndarray, scale: float) -> np.ndarray:
     return x * (1.0 + scale * g)
 
 
+def _knn_radii(block: np.ndarray, k: int) -> np.ndarray:
+    """Max-norm distance from each row to its k-th nearest other row.
+
+    In 1D, fl(s_j - s_i) is monotone in s_j, so the k nearest neighbors lie
+    within k places in sorted order; the k-th smallest distance in that
+    window comes from the same subtraction as the k-d tree's, bit for bit.
+    """
+    if len(block) < k + 1:
+        raise ValueError(f"need at least k+1={k + 1} samples, got {len(block)}")
+    if block.shape[1] == 1:
+        order = np.argsort(block[:, 0])
+        s = block[order, 0]
+        window = sliding_window_view(np.pad(s, k, constant_values=(-np.inf, np.inf)), 2 * k + 1)
+        radii = np.empty_like(s)
+        radii[order] = np.partition(np.abs(window - s[:, None]), k, axis=1)[:, k]
+    else:
+        radii = cKDTree(block).query(block, k=k + 1, p=np.inf)[0][:, k]
+    if np.any(radii <= 0):
+        raise ValueError("duplicate-saturated input: k-th neighbor at distance 0 after jitter")
+    return radii
+
+
 def knn_entropy(x, cfg: KnnConfig = KnnConfig()) -> float:
     """Kozachenko-Leonenko differential entropy estimate in nats.
 
     Under the max norm the estimator reads
         psi(N) - psi(k) + d*log 2 + (d/N) * sum_i log r_i
-    with r_i the Chebyshev distance from sample i to its k-th neighbor.
+    with r_i the Chebyshev distance from sample i to its k-th neighbor,
+    from a sorted window in 1D and a k-d tree otherwise (see _knn_radii).
     """
     x = _as_matrix(x)
     n, dim = x.shape
-    if n < cfg.k + 1:
-        raise ValueError(f"need at least k+1={cfg.k + 1} samples, got {n}")
-    xj = _jittered(x, cfg.jitter_scale)
-    dist, _ = cKDTree(xj).query(xj, k=cfg.k + 1, p=np.inf)
-    radii = dist[:, cfg.k]
-    if np.any(radii <= 0):
-        raise ValueError(
-            "duplicate-saturated input: k-th neighbor at distance 0 after jitter"
-        )
+    radii = _knn_radii(_jittered(x, cfg.jitter_scale), cfg.k)
     return float(
         digamma(n) - digamma(cfg.k) + dim * np.log(2.0) + dim * np.mean(np.log(radii))
     )
 
 
-def _strict_counts_1d(values: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Number of points strictly inside (v_i - r_i, v_i + r_i), self excluded.
-
-    The sorted-array window is widened by one ulp before slicing because
-    v +- r rounds, and the k-th neighbor sits exactly on the boundary;
-    the strict comparison on the slice is exact.
-    """
-    sorted_vals = np.sort(values)
-    n = len(sorted_vals)
-    hi = np.searchsorted(sorted_vals, np.nextafter(values + radii, np.inf), side="right")
-    lo = np.searchsorted(sorted_vals, np.nextafter(values - radii, -np.inf), side="left")
-    counts = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        segment = sorted_vals[lo[i] : hi[i]]
-        counts[i] = int(np.sum(np.abs(segment - values[i]) < radii[i])) - 1
-    return counts
-
-
 def _strict_counts(block: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    if block.shape[1] == 1:
-        return _strict_counts_1d(block[:, 0], radii)
-    tree = cKDTree(block)
-    counts = np.empty(len(block), dtype=np.int64)
-    neighborhoods = tree.query_ball_point(block, radii, p=np.inf)
-    for i, idx in enumerate(neighborhoods):
-        # query_ball_point returns the closed ball; re-check for strictness
-        d = np.max(np.abs(block[idx] - block[i]), axis=1)
-        counts[i] = int(np.sum(d < radii[i])) - 1
-    return counts
+    """Per-row count of other rows at max-norm distance strictly below radii.
+
+    For floats d <= nextafter(r, 0) iff d < r, so the tree's closed ball at
+    nextafter(r, 0) is the strict ball. In 1D fl(s - v_i) is monotone in s,
+    so the passing rows are contiguous in sorted order: the searchsorted
+    window, one ulp wider than v +- r, holds them, and its edges step
+    inwards, for all rows at once, until both pass. Self always passes.
+    """
+    if block.shape[1] > 1:
+        r = np.nextafter(radii, 0)
+        return cKDTree(block).query_ball_point(block, r, p=np.inf, return_length=True) - 1
+    v = block[:, 0]
+    s = np.sort(v)
+    lo = np.searchsorted(s, np.nextafter(v - radii, -np.inf), side="left")
+    hi = np.searchsorted(s, np.nextafter(v + radii, np.inf), side="right") - 1
+    for edge, step in ((lo, 1), (hi, -1)):
+        idx = np.arange(len(s))
+        while idx.size:
+            idx = idx[np.abs(s[edge[idx]] - v[idx]) >= radii[idx]]
+            edge[idx] += step
+    return hi - lo
 
 
 def ksg_mi(x, y, cfg: KnnConfig = KnnConfig()) -> float:
@@ -137,19 +146,9 @@ def ksg_mi(x, y, cfg: KnnConfig = KnnConfig()) -> float:
     y = _as_matrix(y)
     if x.shape[0] != y.shape[0]:
         raise ValueError("x and y must hold the same number of samples")
-    n = x.shape[0]
-    if n < cfg.k + 1:
-        raise ValueError(f"need at least k+1={cfg.k + 1} samples, got {n}")
     xj = _jittered(x, cfg.jitter_scale)
     yj = _jittered(y, cfg.jitter_scale)
-    joint = np.hstack([xj, yj])
-    dist, _ = cKDTree(joint).query(joint, k=cfg.k + 1, p=np.inf)
-    radii = dist[:, cfg.k]
-    if np.any(radii <= 0):
-        raise ValueError(
-            "duplicate-saturated input: k-th neighbor at distance 0 after jitter"
-        )
-    n_x = _strict_counts(xj, radii)
-    n_y = _strict_counts(yj, radii)
+    radii = _knn_radii(np.hstack([xj, yj]), cfg.k)
+    n_x, n_y = _strict_counts(xj, radii), _strict_counts(yj, radii)
     mean_psi = np.mean(special.digamma(n_x + 1) + special.digamma(n_y + 1))
-    return float(-mean_psi + digamma(cfg.k) + digamma(n))
+    return float(-mean_psi + digamma(cfg.k) + digamma(len(x)))

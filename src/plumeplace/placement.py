@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -166,13 +166,7 @@ def greedy_place(
     traces: list[bo.BoTrace] = []
     step_seeds = np.random.SeedSequence([ens.seed, bo_cfg.seed]).generate_state(n_sensors)
     for i in range(n_sensors):
-        step_cfg = bo.BoConfig(
-            domain=bo_cfg.domain,
-            init_count=bo_cfg.init_count,
-            iter_count=bo_cfg.iter_count,
-            acq_candidates=bo_cfg.acq_candidates,
-            seed=int(step_seeds[i]),
-        )
+        step_cfg = replace(bo_cfg, seed=int(step_seeds[i]))
         trace = bo.maximize(lambda p: objective(ens, selected, p), step_cfg)
         pick = None
         for j in np.argsort(trace.values)[::-1]:

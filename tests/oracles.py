@@ -20,13 +20,25 @@ def chebyshev_all_pairs(x):
     return np.max(np.abs(x[:, None, :] - x[None, :, :]), axis=-1)
 
 
+def brute_knn_radii(x, k):
+    """Max-norm distance from each row to its k-th nearest other row."""
+    d = chebyshev_all_pairs(x)
+    np.fill_diagonal(d, np.inf)
+    return np.sort(d, axis=1)[:, k - 1]
+
+
+def brute_strict_counts(x, radii):
+    """Per-row count of other rows at max-norm distance strictly below radii."""
+    d = chebyshev_all_pairs(x)
+    np.fill_diagonal(d, np.inf)
+    return np.sum(d < np.asarray(radii)[:, None], axis=1)
+
+
 def brute_knn_entropy(x, k):
     """Kozachenko-Leonenko entropy via a full pairwise scan."""
     x = _as2d(x)
     n, dim = x.shape
-    d = chebyshev_all_pairs(x)
-    np.fill_diagonal(d, np.inf)
-    radii = np.sort(d, axis=1)[:, k - 1]
+    radii = brute_knn_radii(x, k)
     return float(
         _digamma(n) - _digamma(k) + dim * np.log(2.0) + dim * np.mean(np.log(radii))
     )

@@ -3,9 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plumeplace.mi import KnnConfig, digamma, knn_entropy, ksg_mi
+from plumeplace.mi import KnnConfig, _knn_radii, _strict_counts, digamma, knn_entropy, ksg_mi
 
-from oracles import brute_knn_entropy, brute_ksg_mi
+from oracles import (
+    brute_knn_entropy,
+    brute_knn_radii,
+    brute_ksg_mi,
+    brute_strict_counts,
+    chebyshev_all_pairs,
+)
 
 GAUSS_ENTROPY = 1.4189385332046727  # 0.5 * ln(2*pi*e)
 
@@ -40,6 +46,19 @@ class TestKnnConfig:
         with pytest.raises(ValueError):
             KnnConfig(k=0)
 
+    @pytest.mark.parametrize("k", [2.5, 6.0, "6", None])
+    def test_rejects_non_integer_k(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            KnnConfig(k=k)
+
+    def test_accepts_numpy_integer_k(self):
+        assert KnnConfig(k=np.int64(4)).k == 4
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, -1e-10])
+    def test_rejects_bad_jitter_scale(self, scale):
+        with pytest.raises(ValueError, match="jitter_scale must be finite"):
+            KnnConfig(jitter_scale=scale)
+
 
 class TestKnnEntropy:
     def test_uniform_close_to_zero(self):
@@ -69,6 +88,11 @@ class TestKnnEntropy:
 
     def test_matches_brute_force(self):
         x = np.random.default_rng(3).standard_normal((300, 2))
+        cfg = KnnConfig(k=4, jitter_scale=0.0)
+        assert knn_entropy(x, cfg) == pytest.approx(brute_knn_entropy(x, 4), abs=1e-12)
+
+    def test_matches_brute_force_1d(self):
+        x = np.random.default_rng(3).standard_normal(300)
         cfg = KnnConfig(k=4, jitter_scale=0.0)
         assert knn_entropy(x, cfg) == pytest.approx(brute_knn_entropy(x, 4), abs=1e-12)
 
@@ -105,6 +129,13 @@ class TestKsgMi:
         cfg = KnnConfig(k=5, jitter_scale=0.0)
         assert ksg_mi(x, y, cfg) == pytest.approx(brute_ksg_mi(x, y, 5), abs=1e-12)
 
+    def test_matches_brute_force_1d_by_1d(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(300)
+        y = x + 0.3 * rng.standard_normal(300)
+        cfg = KnnConfig(k=5, jitter_scale=0.0)
+        assert ksg_mi(x, y, cfg) == pytest.approx(brute_ksg_mi(x, y, 5), abs=1e-12)
+
     def test_sample_count_mismatch(self):
         with pytest.raises(ValueError):
             ksg_mi(np.arange(10.0), np.arange(11.0))
@@ -119,3 +150,37 @@ class TestKsgMi:
 def test_entropy_deterministic_per_input(seed):
     x = np.random.default_rng(seed).standard_normal(64)
     assert knn_entropy(x) == knn_entropy(x)
+
+
+def _tie_heavy(data, max_dim):
+    """Rounded samples, many duplicates, and radii of which about half equal
+    an exact pairwise distance, so boundary cases are common."""
+    n = data.draw(st.integers(min_value=8, max_value=80), label="n")
+    dim = data.draw(st.integers(min_value=1, max_value=max_dim), label="dim")
+    decimals = data.draw(st.integers(min_value=0, max_value=3), label="decimals")
+    offset = data.draw(st.sampled_from([0.0, 1e3, -7.3e5]), label="offset")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    block = np.round(3.0 * rng.standard_normal((n, dim)), decimals) + offset
+    pairs = chebyshev_all_pairs(block)[np.arange(n), rng.integers(0, n, n)]
+    radii = np.where(rng.uniform(size=n) < 0.5, pairs, rng.uniform(0.0, 3.0, n))
+    return block, np.where(radii > 0, radii, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_strict_counts_match_brute_force(data):
+    block, radii = _tie_heavy(data, max_dim=4)
+    np.testing.assert_array_equal(_strict_counts(block, radii), brute_strict_counts(block, radii))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_1d_knn_radii_match_brute_force(data):
+    block, _ = _tie_heavy(data, max_dim=1)
+    k = data.draw(st.integers(min_value=1, max_value=7), label="k")
+    expected = brute_knn_radii(block, k)
+    if np.any(expected == 0):
+        with pytest.raises(ValueError, match="duplicate"):
+            _knn_radii(block, k)
+    else:
+        np.testing.assert_array_equal(_knn_radii(block, k), expected)
