@@ -20,7 +20,7 @@ from .dispersion import (
 )
 from .enkf import AugmentedEnsemble, ObsOperator, analysis, assimilate_run, forecast
 from .evaluate import EvaluationReport, compare_placements, conditional_entropy
-from .gp import GpSurrogate, fit, predict, se_kernel
+from .gp import GpSurrogate, fit, predict
 from .mi import KnnConfig, digamma, knn_entropy, ksg_mi
 from .placement import (
     GridSpec,

@@ -9,7 +9,6 @@ local coordinate search. Everything is deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -75,18 +74,6 @@ class BoTrace:
     def incumbent_value(self) -> float:
         return float(self.values[self.incumbent_index])
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            dim = self.points.shape[1]
-            writer.writerow(
-                ["iteration"] + [f"x{j}" for j in range(dim)] + ["objective", "incumbent"]
-            )
-            best = -np.inf
-            for i, (p, v) in enumerate(zip(self.points, self.values)):
-                best = max(best, v)
-                writer.writerow([i] + [repr(float(c)) for c in p] + [repr(float(v)), repr(best)])
-
 
 def expected_improvement(mu, sigma, f_best: float):
     """Closed-form EI of a Gaussian belief over the incumbent f_best.
@@ -150,7 +137,7 @@ def maximize(objective, cfg: BoConfig) -> BoTrace:
 
     The incumbent is the best of all init_count + iter_count
     evaluations. Objective exceptions surface as ObjectiveError with the
-    failing point attached.
+    failing point attached, and so does a non-finite objective value.
     """
     box = cfg.domain
     dim = box.shape[0]
@@ -179,6 +166,9 @@ def maximize(objective, cfg: BoConfig) -> BoTrace:
 
 def _evaluate(objective, point) -> float:
     try:
-        return float(objective(point))
+        value = float(objective(point))
     except Exception as exc:  # noqa: BLE001 - re-raised with context
         raise ObjectiveError(point, exc) from exc
+    if not np.isfinite(value):
+        raise ObjectiveError(point, f"non-finite value {value}")
+    return value

@@ -117,16 +117,17 @@ def _strict_counts(block: np.ndarray, radii: np.ndarray) -> np.ndarray:
     For floats d <= nextafter(r, 0) iff d < r, so the tree's closed ball at
     nextafter(r, 0) is the strict ball. In 1D fl(s - v_i) is monotone in s,
     so the passing rows are contiguous in sorted order: the searchsorted
-    window, one ulp wider than v +- r, holds them, and its edges step
-    inwards, for all rows at once, until both pass. Self always passes.
+    window [fl(v - r), fl(v + r)] holds them, since rounding is monotone
+    too, and its edges step inwards, for all rows at once, until both
+    pass. Self always passes.
     """
     if block.shape[1] > 1:
         r = np.nextafter(radii, 0)
         return cKDTree(block).query_ball_point(block, r, p=np.inf, return_length=True) - 1
     v = block[:, 0]
     s = np.sort(v)
-    lo = np.searchsorted(s, np.nextafter(v - radii, -np.inf), side="left")
-    hi = np.searchsorted(s, np.nextafter(v + radii, np.inf), side="right") - 1
+    lo = np.searchsorted(s, v - radii, side="left")
+    hi = np.searchsorted(s, v + radii, side="right") - 1
     for edge, step in ((lo, 1), (hi, -1)):
         idx = np.arange(len(s))
         while idx.size:

@@ -1,11 +1,13 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately naive (quadratic scans, dense solves,
-adaptive quadrature) and shares no code with the library paths it checks.
+the checked scipy.linalg wrappers, adaptive quadrature) and shares no
+code with the library paths it checks.
 """
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import cho_factor, cho_solve
 from scipy.special import digamma as _digamma
 
 
@@ -63,14 +65,30 @@ def brute_ksg_mi(x, y, k):
     )
 
 
+def se_kernel(x, x2, ls, signal_var: float = 1.0) -> float:
+    """Squared-exponential covariance between two points."""
+    x = np.asarray(x, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    ls = np.asarray(ls, dtype=float)
+    if x.shape != x2.shape:
+        raise ValueError("point dimensions must match")
+    if np.any(ls <= 0):
+        raise ValueError("lengthscales must be > 0")
+    return float(signal_var * np.exp(-np.sum((x - x2) ** 2 / ls)))
+
+
+def _se_matrix(a, b, lengthscales, signal_var):
+    d2 = (a[:, None, :] - b[None, :, :]) ** 2
+    return signal_var * np.exp(-np.sum(d2 / lengthscales, axis=-1))
+
+
 def dense_gp_predict(train_x, train_f, lengthscales, signal_var, noise_var, mean_offset, x_new):
     """GP prediction by direct dense solve, no factorization reuse."""
     train_x = _as2d(train_x)
     x_new = _as2d(x_new)
 
     def kmat(a, b):
-        d2 = (a[:, None, :] - b[None, :, :]) ** 2
-        return signal_var * np.exp(-np.sum(d2 / lengthscales, axis=-1))
+        return _se_matrix(a, b, lengthscales, signal_var)
 
     k_tt = kmat(train_x, train_x) + noise_var * np.eye(len(train_x))
     k_nt = kmat(x_new, train_x)
@@ -78,6 +96,21 @@ def dense_gp_predict(train_x, train_f, lengthscales, signal_var, noise_var, mean
     mean = mean_offset + k_nt @ np.linalg.solve(k_tt, centered)
     cov = kmat(x_new, x_new) - k_nt @ np.linalg.solve(k_tt, k_nt.T)
     return mean, np.maximum(np.diag(cov), 0.0)
+
+
+def cho_solve_gp_predict(
+    train_x, train_f, lengthscales, signal_var, noise_var, mean_offset, x_new
+):
+    """GP prediction through the checked scipy.linalg Cholesky wrappers."""
+    train_x = _as2d(train_x)
+    x_new = _as2d(x_new)
+    k_tt = _se_matrix(train_x, train_x, lengthscales, signal_var)
+    k_tt[np.diag_indices(len(train_x))] += noise_var
+    chol = cho_factor(k_tt, lower=True)
+    k_nt = _se_matrix(x_new, train_x, lengthscales, signal_var)
+    mean = mean_offset + k_nt @ cho_solve(chol, np.asarray(train_f, dtype=float) - mean_offset)
+    var = signal_var - np.sum(k_nt * cho_solve(chol, k_nt.T).T, axis=1)
+    return mean, np.maximum(var, 0.0)
 
 
 def quad_expected_improvement(mu, sigma, f_best):

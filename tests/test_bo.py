@@ -131,6 +131,13 @@ class TestMaximize:
         assert err.value.point.shape == (1,)
         assert 0.0 <= err.value.point[0] <= 1.0
 
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_carries_point(self, bad_value):
+        cfg = BoConfig(domain=[[0.0, 1.0]], init_count=6, iter_count=2, seed=0)
+        with pytest.raises(ObjectiveError, match="non-finite") as err:
+            maximize(lambda p: bad_value if p[0] > 0.5 else p[0], cfg)
+        assert 0.5 < err.value.point[0] <= 1.0
+
 
 class TestConfigAndTrace:
     def test_rejects_degenerate_box(self):
@@ -145,11 +152,3 @@ class TestConfigAndTrace:
         trace = BoTrace(points=[[0.0], [1.0], [2.0]], values=[0.5, 2.0, 1.0])
         assert trace.incumbent_index == 1
         assert trace.incumbent_value == 2.0
-
-    def test_trace_csv(self, tmp_path):
-        trace = BoTrace(points=[[0.0, 1.0], [1.0, 2.0]], values=[0.5, 2.0])
-        path = tmp_path / "trace.csv"
-        trace.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,x0,x1,objective,incumbent"
-        assert len(lines) == 3

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from plumeplace import gp
-from plumeplace.gp import GpSurrogate, fit, predict, se_kernel
+from plumeplace.gp import GpSurrogate, fit, predict
 
-from oracles import dense_gp_predict
+from oracles import cho_solve_gp_predict, dense_gp_predict, se_kernel
 
 
 class TestSeKernel:
@@ -21,6 +22,33 @@ class TestSeKernel:
     def test_rejects_nonpositive_lengthscale(self):
         with pytest.raises(ValueError):
             se_kernel([0.0], [1.0], [0.0])
+
+    def test_library_kernel_matrix_agrees_elementwise(self):
+        rng = np.random.default_rng(6)
+        xa, xb = rng.uniform(-3, 3, (6, 3)), rng.uniform(-3, 3, (9, 3))
+        ls = np.array([0.7, 2.0, 5.5])
+        k = gp._kernel_matrix(xa, xb, ls, 1.9)
+        expected = [[se_kernel(a, b, ls, signal_var=1.9) for b in xb] for a in xa]
+        np.testing.assert_allclose(k, expected, rtol=1e-14, atol=0)
+
+
+class TestChoFactor:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 39, 40])
+    def test_matches_scipy_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            m = rng.standard_normal((n, n))
+            a = m @ m.T + rng.uniform(1e-6, 1.0) * np.eye(n)
+            expected, lower = scipy.linalg.cho_factor(a, lower=True)
+            before = a.copy()
+            c, flag = gp.cho_factor(a)
+            assert lower is True and flag is True
+            np.testing.assert_array_equal(c, expected)
+            np.testing.assert_array_equal(a, before)
+
+    def test_rejects_non_positive_definite(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            gp.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def toy_surrogate(noise_var=1e-10):
@@ -71,6 +99,24 @@ class TestPredict:
         mean_o, var_o = dense_gp_predict(x, f, g.lengthscales, 1.7, 1e-4, f.mean(), x_new)
         np.testing.assert_allclose(mean, mean_o, rtol=1e-8)
         np.testing.assert_allclose(var, var_o, rtol=1e-8, atol=1e-12)
+
+    def test_matches_cho_solve_reference_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-3, 3, (30, 2))
+        f = np.cos(x[:, 0]) * x[:, 1]
+        g = GpSurrogate(
+            train_x=x,
+            train_f=f,
+            lengthscales=np.array([0.8, 3.1]),
+            signal_var=2.3,
+            noise_var=1e-5,
+            mean_offset=f.mean(),
+        )
+        x_new = rng.uniform(-4, 4, (60, 2))
+        mean, var = predict(g, x_new)
+        mean_o, var_o = cho_solve_gp_predict(x, f, g.lengthscales, 2.3, 1e-5, f.mean(), x_new)
+        np.testing.assert_array_equal(mean, mean_o)
+        np.testing.assert_array_equal(var, var_o)
 
     def test_variance_never_exceeds_prior(self):
         rng = np.random.default_rng(1)
@@ -161,6 +207,27 @@ class TestFit:
         assert len(set(visited)) < len(visited)
         # one factorisation per distinct point, plus the fitted surrogate's
         assert len(factored) == len(set(visited)) + 1
+
+    def test_golden_log_params_and_signal_var(self):
+        # recorded from the scipy.linalg.cho_factor/cho_solve implementation
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.0, 5.0, (18, 2))
+        g = fit(x, np.sin(x[:, 0]) * x[:, 1] + 0.1 * x[:, 0], seed=3)
+        assert [float(v).hex() for v in g.log_params] == [
+            "0x1.12463324ef2a0p+1",
+            "0x1.399fc517b2317p+2",
+            "-0x1.26bb1bbb55516p+4",
+        ]
+        assert float(g.signal_var).hex() == "0x1.25f3575e7b1d7p+5"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["train_x", "train_f"])
+    def test_rejects_non_finite_training_data(self, name, bad):
+        rng = np.random.default_rng(8)
+        data = {"train_x": rng.uniform(0, 5, (10, 2)), "train_f": rng.standard_normal(10)}
+        data[name].flat[3] = bad
+        with pytest.raises(ValueError, match=name):
+            fit(data["train_x"], data["train_f"])
 
     def test_rejects_insufficient_points(self):
         with pytest.raises(ValueError):
