@@ -9,19 +9,11 @@ from .cca import (
     mi_lower_bound,
 )
 from .config import ExperimentConfig, load_config, save_config
-from .dispersion import (
-    MeteoConfig,
-    ObservationModel,
-    PuffState,
-    ScenarioParams,
-    concentration,
-    simulate_observations,
-    step_puff,
-)
+from .dispersion import MeteoConfig, ObservationModel, ScenarioParams, simulate_observations
 from .enkf import AugmentedEnsemble, ObsOperator, analysis, assimilate_run, forecast
 from .evaluate import EvaluationReport, compare_placements, conditional_entropy
 from .gp import GpSurrogate, fit, predict
-from .mi import KnnConfig, digamma, knn_entropy, ksg_mi
+from .mi import KnnConfig, knn_entropy, ksg_mi
 from .placement import (
     GridSpec,
     PlacementResult,

@@ -1,11 +1,14 @@
 """Gaussian-puff dispersion model with noisy log-concentration sensing.
 
-Released mass travels as circular puffs advected by a uniform wind. A
-puff's concentration footprint is an isotropic 2D Gaussian whose
-standard deviation (the puff radius) grows with travelled distance as
-r = p_y * s**q_y. Sensors report ln(concentration) with additive
-Gaussian noise; concentrations are clamped to a small positive floor
-before the logarithm so readings stay finite ahead of plume arrival.
+Released mass travels as circular puffs advected by a uniform wind. The
+model is the closed form of that transport: at time t a puff released
+at time t_r from (0, release_y) has age t - t_r, has travelled
+s = wind_speed * age along the wind direction, and has radius
+r = p_y * s**q_y. Its concentration footprint is an isotropic 2D
+Gaussian of standard deviation r. Sensors report ln(concentration) with
+additive Gaussian noise; concentrations are clamped to a small positive
+floor before the logarithm so readings stay finite ahead of plume
+arrival.
 
 Everything here is in meters, seconds and radians. Wind angle 0 points
 east (+x), pi/2 north (+y).
@@ -13,34 +16,11 @@ east (+x), pi/2 north (+y).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 ReleaseSchedule = list[tuple[float, float]]  # (release time s, mass)
-
-
-@dataclass(frozen=True)
-class PuffState:
-    """One puff: center (x, y), travelled distance s, radius r, mass.
-
-    r is tied to s through r = p_y * s**q_y once the puff has moved;
-    a freshly released puff has s = r = 0 and must receive a transport
-    step before it can contribute concentration. Mass never changes.
-    """
-
-    x: float
-    y: float
-    s: float
-    r: float
-    mass: float
-
-    def __post_init__(self):
-        if self.s < 0 or self.r < 0:
-            raise ValueError("puff distance and radius must be >= 0")
-        if self.mass < 0:
-            raise ValueError("puff mass must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -88,34 +68,6 @@ class ObservationModel:
             raise ValueError("conc_floor must be > 0")
 
 
-def step_puff(p: PuffState, m: MeteoConfig) -> PuffState:
-    """Advance one puff by one transport step of m.dt seconds."""
-    s = p.s + m.wind_speed * m.dt
-    return PuffState(
-        x=p.x + m.wind_speed * math.cos(m.wind_dir) * m.dt,
-        y=p.y + m.wind_speed * math.sin(m.wind_dir) * m.dt,
-        s=s,
-        r=m.p_y * s**m.q_y,
-        mass=p.mass,
-    )
-
-
-def concentration(puffs: list[PuffState], at) -> float:
-    """Total concentration at a point: sum of all puff Gaussians.
-
-    Rejects puffs with r = 0, which signals a puff queried before its
-    first transport step; callers filter those out instead.
-    """
-    x, y = float(at[0]), float(at[1])
-    total = 0.0
-    for p in puffs:
-        if p.r <= 0:
-            raise ValueError("puff with r=0 queried before its first step")
-        d2 = (p.x - x) ** 2 + (p.y - y) ** 2
-        total += p.mass / (2 * math.pi * p.r**2) * math.exp(-d2 / (2 * p.r**2))
-    return total
-
-
 def simulate_observations(
     params: ScenarioParams,
     meteo: MeteoConfig,
@@ -127,37 +79,21 @@ def simulate_observations(
 ) -> np.ndarray:
     """Noisy log-concentration trajectories, one row per sensor.
 
-    At each observation instant all active puffs take one transport
-    step, puffs scheduled up to that instant spawn at (0, release_y)
-    with s = 0, and every sensor reads ln(max(c, conc_floor)) plus a
-    Gaussian noise draw from the seeded stream. The scenario's wind
-    direction overrides the meteo default.
+    The noise-free part is log_concentrations_at for the single member
+    (release_y, wind_dir) at each time: every puff released before t
+    contributes with age t - release time. Each sensor reads
+    ln(max(c, conc_floor)) plus a Gaussian noise draw from the seeded
+    stream. The scenario's wind direction overrides the meteo default.
     """
     times = np.asarray(times, dtype=float)
     if len(sensors) == 0:
         raise ValueError("need at least one sensor")
     if times.ndim != 1 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    met = replace(meteo, wind_dir=params.wind_dir)
-    pending = sorted(release_schedule)
-    puffs: list[PuffState] = []
-
-    def spawn_through(t: float):
-        while pending and pending[0][0] <= t:
-            _, mass = pending.pop(0)
-            puffs.append(PuffState(x=0.0, y=params.release_y, s=0.0, r=0.0, mass=mass))
-
-    spawn_through(times[0] - met.dt)
-    log_c = np.empty((len(sensors), len(times)))
-    for j, t in enumerate(times):
-        puffs = [step_puff(p, met) for p in puffs]
-        spawn_through(t)
-        live = [p for p in puffs if p.r > 0]
-        for i, sensor in enumerate(sensors):
-            c = concentration(live, sensor)
-            log_c[i, j] = math.log(max(c, obs.conc_floor))
-    rng = np.random.default_rng(rng_seed)
-    return log_c + rng.normal(obs.noise_mean, obs.noise_std, log_c.shape)
+    return _noisy_trajectories(
+        [params.release_y], [params.wind_dir], sensors, times, meteo, release_schedule, obs,
+        rng_seed,
+    )
 
 
 def log_concentrations_at(
@@ -171,10 +107,10 @@ def log_concentrations_at(
 ) -> np.ndarray:
     """Clamped log-concentrations for a whole parameter ensemble at time t.
 
-    Vectorized over members, shape (n_members, n_sensors). With a
-    uniform constant wind the stepped puff position reduces to the
-    closed form spawn + speed * age * (cos w, sin w), which this uses.
-    Noise-free: this is the model prediction, not a measurement.
+    Vectorized over members, shape (n_members, n_sensors). A puff sits
+    at spawn + speed * age * (cos w, sin w), the closed form of the
+    module docstring. Noise-free: this is the model prediction, not a
+    measurement.
     """
     release_y = np.asarray(release_y, dtype=float)
     wind_dir = np.asarray(wind_dir, dtype=float)
@@ -209,17 +145,31 @@ def simulate_ensemble(
     """Noisy log-observation trajectories for an ensemble at one sensor.
 
     params is an (n_members, 2) array of (release_y, wind_dir); the
-    result is (n_members, n_times). Results match per-member
-    simulate_observations up to floating-point associativity. The noise
-    matrix comes from a single stream keyed by rng_seed, so rebuilding
-    the same location reproduces the observations bit for bit.
+    result is (n_members, n_times). The noise matrix comes from a single
+    stream keyed by rng_seed, so rebuilding the same location reproduces
+    the observations bit for bit.
     """
     params = np.asarray(params, dtype=float)
+    return _noisy_trajectories(
+        params[:, 0], params[:, 1], [sensor], times, meteo, release_schedule, obs, rng_seed
+    )
+
+
+def _noisy_trajectories(
+    release_y, wind_dir, sensors, times, meteo, release_schedule, obs, rng_seed
+) -> np.ndarray:
+    """log_concentrations_at over all times plus one seeded noise draw.
+
+    Either the members or the sensors must be a single one; the result
+    is (n_members or n_sensors, n_times).
+    """
     times = np.asarray(times, dtype=float)
-    out = np.empty((params.shape[0], len(times)))
-    for j, t in enumerate(times):
-        out[:, j] = log_concentrations_at(
-            params[:, 0], params[:, 1], [sensor], t, meteo, release_schedule, obs
-        )[:, 0]
+    clean = np.stack(
+        [
+            log_concentrations_at(release_y, wind_dir, sensors, t, meteo, release_schedule, obs)
+            for t in times
+        ],
+        axis=-1,
+    ).reshape(-1, len(times))
     rng = np.random.default_rng(rng_seed)
-    return out + rng.normal(obs.noise_mean, obs.noise_std, out.shape)
+    return clean + rng.normal(obs.noise_mean, obs.noise_std, clean.shape)

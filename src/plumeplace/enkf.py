@@ -24,12 +24,12 @@ THETA_DIM = 2  # release_y, wind_dir
 
 @dataclass(frozen=True)
 class ObsOperator:
-    """Selection of the log-concentration block plus noise description.
+    """Observation of the log-concentration block plus noise description.
 
-    h_matrix is [0_{S,2} I_S]: observations see exactly the ln-u block.
-    bias is the mean of the log-space measurement noise; the analysis
-    perturbs with zero-mean noise of variance noise_var and subtracts
-    the bias from every residual.
+    Observations see exactly the ln-u block, the member columns after
+    the THETA_DIM parameters. bias is the mean of the log-space
+    measurement noise; the analysis perturbs with zero-mean noise of
+    variance noise_var and subtracts the bias from every residual.
     """
 
     n_sensors: int
@@ -41,12 +41,6 @@ class ObsOperator:
             raise ValueError("n_sensors must be >= 1")
         if self.noise_var <= 0:
             raise ValueError("noise_var must be > 0")
-
-    @property
-    def h_matrix(self) -> np.ndarray:
-        return np.hstack(
-            [np.zeros((self.n_sensors, THETA_DIM)), np.eye(self.n_sensors)]
-        )
 
 
 @dataclass
@@ -111,9 +105,10 @@ def analysis(
     """Perturbed-observation Kalman update of the augmented state.
 
     The gain is S_e H^T [H S_e H^T + R_e]^{-1} with S_e the ensemble
-    sample covariance and R_e the empirical covariance of the actually
-    drawn perturbations. Each member sees its own perturbed observation
-    and a bias-corrected residual. Deterministic per seed.
+    sample covariance, R_e the empirical covariance of the actually
+    drawn perturbations and H the selection of the ln-u block, applied
+    by slicing. Each member sees its own perturbed observation and a
+    bias-corrected residual. Deterministic per seed.
     """
     obs = np.asarray(obs, dtype=float)
     if obs.shape != (op.n_sensors,):
@@ -126,8 +121,7 @@ def analysis(
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, np.sqrt(op.noise_var), (n, op.n_sensors))
     r_e = np.atleast_2d(np.cov(eps.T, ddof=1))
-    h = op.h_matrix
-    innov_cov = h @ cov @ h.T + r_e
+    innov_cov = cov[THETA_DIM:, THETA_DIM:] + r_e
     # reject a collapsed ensemble instead of amplifying roundoff;
     # covariance inflation is the documented remedy
     if np.linalg.cond(innov_cov) > 1e12:
@@ -135,8 +129,8 @@ def analysis(
             "analysis innovation covariance is singular (collapsed ensemble); "
             "consider covariance inflation"
         )
-    gain = cov @ h.T @ np.linalg.inv(innov_cov)
-    residual = (obs[None, :] + eps) - a @ h.T - op.bias
+    gain = cov[:, THETA_DIM:] @ np.linalg.inv(innov_cov)
+    residual = (obs[None, :] + eps) - a[:, THETA_DIM:] - op.bias
     return replace(ens, members=a + residual @ gain.T)
 
 
@@ -173,6 +167,11 @@ def assimilate_run(
     analysis.
     """
     sensors = np.atleast_2d(np.asarray(placement, dtype=float))
+    if sensors.ndim != 2 or sensors.shape[0] < 1 or sensors.shape[1] != 2:
+        raise ValueError(
+            f"placement must be an (S, 2) array of sensor locations with S >= 1, "
+            f"got shape {np.shape(placement)}"
+        )
     times = cfg.times()
     meteo = cfg.meteo()
     observation = cfg.observation()

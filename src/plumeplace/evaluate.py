@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,14 +140,6 @@ class EvaluationReport:
                         writer.writerow([name, repr(float(t)), col, repr(float(agg[ti, ci]))])
 
 
-def _n_workers() -> int:
-    raw = os.environ.get("PLUMEPLACE_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def compare_placements(
     cfg: ExperimentConfig,
     placements: dict,
@@ -159,12 +149,12 @@ def compare_placements(
     """Assimilate every (placement, condition) pair and aggregate.
 
     Per-condition seeds are shared across placements, so a placement
-    listed twice under different names produces identical traces. Jobs
-    run concurrently when PLUMEPLACE_WORKERS is set above 1; the result
-    layout is independent of completion order.
+    listed twice under different names produces identical traces.
     """
     if len(placements) < 2:
         raise ValueError("need at least two placements to compare")
+    if n_conditions < 1:
+        raise ValueError(f"n_conditions must be >= 1, got {n_conditions}")
     conditions = draw_conditions(cfg, n_conditions, seed)
     knn = cfg.knn()
     run_seeds = np.random.SeedSequence([seed, 0x3A55]).generate_state(n_conditions)
@@ -179,27 +169,13 @@ def compare_placements(
     )
     prior_entropy = _entropy_triplet(prior_theta, knn)
 
-    jobs = [
-        (name, ci)
-        for name in placements
-        for ci in range(n_conditions)
-    ]
-
-    def run_job(job):
-        name, ci = job
+    def run_job(name, ci):
         trace = assimilate_run(cfg, placements[name], conditions[ci], int(run_seeds[ci]))
         return np.array([_entropy_triplet(theta, knn) for theta in trace.thetas])
 
-    workers = _n_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(jobs, pool.map(run_job, jobs)))
-    else:
-        results = {job: run_job(job) for job in jobs}
-
     n_steps = len(cfg.times())
     traces = {
-        name: np.stack([results[(name, ci)] for ci in range(n_conditions)])
+        name: np.stack([run_job(name, ci) for ci in range(n_conditions)])
         for name in placements
     }
     assert all(t.shape == (n_conditions, n_steps, 3) for t in traces.values())

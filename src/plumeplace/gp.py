@@ -37,6 +37,14 @@ def cho_factor(a, overwrite_a=False):
     return c, True
 
 
+def _check_rows(x: np.ndarray, f: np.ndarray) -> None:
+    if f.shape != (x.shape[0],):
+        raise ValueError(
+            f"train_f must hold one value per train_x row: train_x has {x.shape[0]} rows, "
+            f"train_f has shape {f.shape}"
+        )
+
+
 def _kernel_matrix(xa: np.ndarray, xb: np.ndarray, ls, signal_var) -> np.ndarray:
     d2 = (xa[:, None, :] - xb[None, :, :]) ** 2
     return signal_var * np.exp(-np.sum(d2 / ls, axis=-1))
@@ -62,6 +70,7 @@ class GpSurrogate:
     def __post_init__(self):
         self.train_x = np.atleast_2d(np.asarray(self.train_x, dtype=float))
         self.train_f = np.asarray(self.train_f, dtype=float)
+        _check_rows(self.train_x, self.train_f)
         self.lengthscales = np.asarray(self.lengthscales, dtype=float)
         if np.any(self.lengthscales <= 0):
             raise ValueError("lengthscales must be > 0")
@@ -144,6 +153,7 @@ def fit(
     """
     x = np.atleast_2d(np.asarray(train_x, dtype=float))
     f = np.asarray(train_f, dtype=float)
+    _check_rows(x, f)
     for name, arr in (("train_x", x), ("train_f", f)):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{name} contains non-finite values")

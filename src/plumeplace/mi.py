@@ -42,19 +42,6 @@ class KnnConfig:
             raise ValueError(f"jitter_scale must be finite and >= 0, got {self.jitter_scale!r}")
 
 
-def digamma(n):
-    """Digamma at positive integer arguments.
-
-    Satisfies psi(1) = -C (Euler-Mascheroni) and psi(n+1) = psi(n) + 1/n.
-    Accepts scalars or integer arrays; rejects arguments below 1.
-    """
-    arr = np.asarray(n)
-    if np.any(arr < 1):
-        raise ValueError("digamma requires n >= 1")
-    out = special.digamma(arr)
-    return float(out) if np.isscalar(n) or arr.ndim == 0 else out
-
-
 def _as_matrix(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -107,7 +94,8 @@ def knn_entropy(x, cfg: KnnConfig = KnnConfig()) -> float:
     n, dim = x.shape
     radii = _knn_radii(_jittered(x, cfg.jitter_scale), cfg.k)
     return float(
-        digamma(n) - digamma(cfg.k) + dim * np.log(2.0) + dim * np.mean(np.log(radii))
+        special.digamma(n) - special.digamma(cfg.k)
+        + dim * np.log(2.0) + dim * np.mean(np.log(radii))
     )
 
 
@@ -152,4 +140,4 @@ def ksg_mi(x, y, cfg: KnnConfig = KnnConfig()) -> float:
     radii = _knn_radii(np.hstack([xj, yj]), cfg.k)
     n_x, n_y = _strict_counts(xj, radii), _strict_counts(yj, radii)
     mean_psi = np.mean(special.digamma(n_x + 1) + special.digamma(n_y + 1))
-    return float(-mean_psi + digamma(cfg.k) + digamma(len(x)))
+    return float(-mean_psi + special.digamma(cfg.k) + special.digamma(len(x)))

@@ -213,6 +213,8 @@ def grid_place(ens: PriorEnsemble, n_sensors: int, grid: GridSpec) -> PlacementR
     result's traces as (x, y, value) arrays.
     """
     nodes = grid.nodes()
+    if not 1 <= n_sensors <= len(nodes):
+        raise ValueError(f"n_sensors must be in [1, {len(nodes)}] for this grid, got {n_sensors}")
     selected: list[tuple[float, float]] = []
     bounds: list[float] = []
     surfaces: list[np.ndarray] = []

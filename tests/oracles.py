@@ -1,9 +1,12 @@
 """Independent reference implementations used only by the tests.
 
 Everything here is deliberately naive (quadratic scans, dense solves,
-the checked scipy.linalg wrappers, adaptive quadrature) and shares no
-code with the library paths it checks.
+the checked scipy.linalg wrappers, adaptive quadrature, scalar puff
+stepping) and shares no code with the library paths it checks.
 """
+
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -132,3 +135,83 @@ def sweep_first_correlation(q, d, n_angles=20001):
         proj = d @ np.array([np.cos(theta), np.sin(theta)])
         best = max(best, abs(np.corrcoef(q, proj)[0, 1]))
     return best
+
+
+@dataclass(frozen=True)
+class PuffState:
+    """One puff: center (x, y), travelled distance s, radius r, mass.
+
+    r is tied to s through r = p_y * s**q_y once the puff has moved;
+    a freshly released puff has s = r = 0 and must receive a transport
+    step before it can contribute concentration. Mass never changes.
+    """
+
+    x: float
+    y: float
+    s: float
+    r: float
+    mass: float
+
+    def __post_init__(self):
+        if self.s < 0 or self.r < 0:
+            raise ValueError("puff distance and radius must be >= 0")
+        if self.mass < 0:
+            raise ValueError("puff mass must be >= 0")
+
+
+def step_puff(p, m):
+    """Advance one puff by one transport step of m.dt seconds."""
+    s = p.s + m.wind_speed * m.dt
+    return PuffState(
+        x=p.x + m.wind_speed * math.cos(m.wind_dir) * m.dt,
+        y=p.y + m.wind_speed * math.sin(m.wind_dir) * m.dt,
+        s=s,
+        r=m.p_y * s**m.q_y,
+        mass=p.mass,
+    )
+
+
+def concentration(puffs, at) -> float:
+    """Total concentration at a point: sum of all puff Gaussians.
+
+    Rejects puffs with r = 0, which signals a puff queried before its
+    first transport step; callers filter those out instead.
+    """
+    x, y = float(at[0]), float(at[1])
+    total = 0.0
+    for p in puffs:
+        if p.r <= 0:
+            raise ValueError("puff with r=0 queried before its first step")
+        d2 = (p.x - x) ** 2 + (p.y - y) ** 2
+        total += p.mass / (2 * math.pi * p.r**2) * math.exp(-d2 / (2 * p.r**2))
+    return total
+
+
+def stepped_observations(params, meteo, sensors, times, release_schedule, obs, rng_seed):
+    """simulate_observations by stepping scalar puffs one dt per instant.
+
+    At each observation instant all active puffs take one transport
+    step, then puffs scheduled up to that instant spawn at (0, release_y)
+    with s = 0. On release schedules aligned to the observation grid
+    this is the closed form's transport; the noise stream is the same.
+    """
+    times = np.asarray(times, dtype=float)
+    met = replace(meteo, wind_dir=params.wind_dir)
+    pending = sorted(release_schedule)
+    puffs = []
+
+    def spawn_through(t):
+        while pending and pending[0][0] <= t:
+            _, mass = pending.pop(0)
+            puffs.append(PuffState(x=0.0, y=params.release_y, s=0.0, r=0.0, mass=mass))
+
+    spawn_through(times[0] - met.dt)
+    log_c = np.empty((len(sensors), len(times)))
+    for j, t in enumerate(times):
+        puffs[:] = [step_puff(p, met) for p in puffs]
+        spawn_through(t)
+        live = [p for p in puffs if p.r > 0]
+        for i, sensor in enumerate(sensors):
+            log_c[i, j] = math.log(max(concentration(live, sensor), obs.conc_floor))
+    rng = np.random.default_rng(rng_seed)
+    return log_c + rng.normal(obs.noise_mean, obs.noise_std, log_c.shape)

@@ -132,6 +132,25 @@ class TestErrors:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_grid_steps_beyond_node_count(self, config_path, tmp_path, capsys):
+        code = run(
+            ["grid-surface", "--config", config_path, "--out", tmp_path / "s.csv", "--steps", 36]
+        )
+        assert code == 1
+        assert "plumeplace: error: n_sensors must be in [1, 35]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compare", "assimilate"])
+    def test_placement_without_sensors(self, config_path, tmp_path, capsys, command):
+        placement = tmp_path / "empty.json"
+        placement.write_text(json.dumps({"locations_m": [], "bound_values_nats": []}))
+        if command == "compare":
+            extra = ["--placements", placement, "--random", 1, "--conditions", 1]
+        else:
+            extra = ["--placement", placement]
+        code = run([command, "--config", config_path, *extra, "--out", tmp_path / "o"])
+        assert code == 1
+        assert "plumeplace: error: placement must be an (S, 2) array" in capsys.readouterr().err
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from plumeplace.dispersion import (
     MeteoConfig,
     ObservationModel,
-    PuffState,
     ScenarioParams,
-    concentration,
     simulate_ensemble,
     simulate_observations,
-    step_puff,
 )
+
+from oracles import PuffState, concentration, step_puff, stepped_observations
 
 METEO = MeteoConfig(wind_speed=4.0, wind_dir=0.0, p_y=0.466, q_y=0.866, dt=60.0)
 QUIET = ObservationModel(noise_mean=0.0, noise_std=1e-30, conc_floor=1e-12)
@@ -153,20 +152,34 @@ class TestSimulateObservations:
         params = ScenarioParams(release_y=0.0, wind_dir=0.0)
         schedule = [(0.0, 1.5), (60.0, 2.5), (120.0, 3.0)]
         times = 60.0 * np.arange(1, 8)
-        # run the loop manually to inspect the puff list
-        from plumeplace import dispersion as disp
-
+        # run the oracle's stepping loop manually to inspect the puff list
         puffs = []
         pending = sorted(schedule)
         while pending and pending[0][0] <= times[0] - METEO.dt:
             _, mass = pending.pop(0)
             puffs.append(PuffState(0.0, params.release_y, 0.0, 0.0, mass))
         for t in times:
-            puffs = [disp.step_puff(p, METEO) for p in puffs]
+            puffs = [step_puff(p, METEO) for p in puffs]
             while pending and pending[0][0] <= t:
                 _, mass = pending.pop(0)
                 puffs.append(PuffState(0.0, params.release_y, 0.0, 0.0, mass))
         assert sum(p.mass for p in puffs) == pytest.approx(7.0)
+
+    def test_matches_stepped_oracle_on_config_schedule(self, desk_config):
+        # the schedules ExperimentConfig makes release on the observation grid
+        params = ScenarioParams(release_y=-700.0, wind_dir=0.05)
+        sensors = [(1200.0, -500.0), (2400.0, 0.0), (600.0, 300.0)]
+        args = (
+            params,
+            desk_config.meteo(),
+            sensors,
+            desk_config.times(),
+            desk_config.release_schedule(),
+            QUIET,
+        )
+        np.testing.assert_allclose(
+            simulate_observations(*args, 0), stepped_observations(*args, 0), rtol=1e-9, atol=1e-9
+        )
 
     def test_validates_times_and_sensors(self):
         params = ScenarioParams(release_y=0.0, wind_dir=0.0)
@@ -180,7 +193,24 @@ class TestSimulateObservations:
 
 class TestSimulateEnsemble:
     def test_matches_scalar_path(self):
+        # closed form against the oracle's scalar stepper, on a release
+        # schedule aligned to the observation grid
         rng = np.random.default_rng(11)
+        params = np.column_stack(
+            [rng.uniform(-2000, 2000, 8), rng.normal(0.0, 0.17, 8)]
+        )
+        schedule = [(0.0, 1.0), (60.0, 1.0)]
+        sensor = (700.0, 150.0)
+        batch = simulate_ensemble(params, METEO, sensor, TIMES, schedule, QUIET, rng_seed=3)
+        for i in range(len(params)):
+            row = stepped_observations(
+                ScenarioParams(*params[i]), METEO, [sensor], TIMES, schedule, QUIET, rng_seed=4
+            )[0]
+            np.testing.assert_allclose(batch[i], row, rtol=1e-9, atol=1e-9)
+
+    def test_member_rows_equal_simulate_observations(self):
+        # one forward model: each ensemble row is the single-member truth
+        rng = np.random.default_rng(12)
         params = np.column_stack(
             [rng.uniform(-2000, 2000, 8), rng.normal(0.0, 0.17, 8)]
         )
@@ -191,7 +221,7 @@ class TestSimulateEnsemble:
             row = simulate_observations(
                 ScenarioParams(*params[i]), METEO, [sensor], TIMES, schedule, QUIET, rng_seed=4
             )[0]
-            np.testing.assert_allclose(batch[i], row, rtol=1e-9, atol=1e-9)
+            np.testing.assert_array_equal(batch[i], row)
 
     def test_noise_reproducible_per_seed(self):
         params = np.array([[0.0, 0.0], [500.0, 0.1]])

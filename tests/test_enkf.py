@@ -33,12 +33,6 @@ def scenario_ensemble(theta, sensors, cfg=None):
 
 
 class TestObsOperator:
-    def test_h_matrix_selects_log_block(self):
-        op = ObsOperator(n_sensors=3, bias=-0.005, noise_var=0.01)
-        h = op.h_matrix
-        np.testing.assert_array_equal(h[:, :2], np.zeros((3, 2)))
-        np.testing.assert_array_equal(h[:, 2:], np.eye(3))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ObsOperator(n_sensors=0, bias=0.0, noise_var=0.01)
@@ -81,7 +75,7 @@ class TestForecast:
         )
         for j, t in enumerate(times):
             ens = forecast(ens, t - ens.time)
-            np.testing.assert_allclose(ens.log_obs[0], reference[:, j], rtol=1e-9, atol=1e-9)
+            np.testing.assert_array_equal(ens.log_obs[0], reference[:, j])
 
 
 class TestAnalysis:
@@ -208,6 +202,14 @@ class TestAssimilateRun:
         b = assimilate_run(desk_config, placement, truth, seed=6)
         for ta, tb in zip(a.thetas, b.thetas):
             assert np.array_equal(ta, tb)
+
+    @pytest.mark.parametrize(
+        "placement", [[], np.empty((0, 2)), [(1.0, 2.0, 3.0)], np.zeros((2, 2, 2))]
+    )
+    def test_rejects_placement_without_sensor_rows(self, desk_config, placement):
+        truth = dispersion.ScenarioParams(release_y=0.0, wind_dir=0.0)
+        with pytest.raises(ValueError, match=r"placement must be an \(S, 2\) array"):
+            assimilate_run(desk_config, placement, truth, seed=1)
 
     def test_trace_shapes(self, desk_config):
         truth = dispersion.ScenarioParams(release_y=0.0, wind_dir=0.0)

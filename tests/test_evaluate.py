@@ -117,13 +117,7 @@ class TestComparePlacements:
         with pytest.raises(ValueError):
             compare_placements(mini_cfg, {"only": [(0.0, 0.0)]}, 2, seed=0)
 
-    def test_workers_env_gives_same_result(self, mini_cfg, monkeypatch):
-        named = {
-            "a": [(1500.0, 1000.0), (1500.0, -1000.0)],
-            "b": [(2500.0, 2000.0), (2500.0, -2000.0)],
-        }
-        serial = compare_placements(mini_cfg, named, n_conditions=2, seed=6)
-        monkeypatch.setenv("PLUMEPLACE_WORKERS", "4")
-        parallel = compare_placements(mini_cfg, named, n_conditions=2, seed=6)
-        for name in named:
-            np.testing.assert_array_equal(serial.traces[name], parallel.traces[name])
+    def test_requires_a_condition(self, mini_cfg):
+        named = {"a": [(1500.0, 1000.0)], "b": [(2500.0, 2000.0)]}
+        with pytest.raises(ValueError, match="n_conditions must be >= 1"):
+            compare_placements(mini_cfg, named, n_conditions=0, seed=0)

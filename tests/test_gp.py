@@ -229,11 +229,27 @@ class TestFit:
         with pytest.raises(ValueError, match=name):
             fit(data["train_x"], data["train_f"])
 
+    def test_rejects_row_count_mismatch(self):
+        rng = np.random.default_rng(9)
+        with pytest.raises(ValueError, match=r"train_x has 10 rows, train_f has shape \(9,\)"):
+            fit(rng.uniform(0, 5, (10, 2)), rng.standard_normal(9))
+
     def test_rejects_insufficient_points(self):
         with pytest.raises(ValueError):
             fit(np.array([[0.0]]), np.array([1.0]))
         with pytest.raises(ValueError):
             fit(np.array([[1.0], [1.0]]), np.array([0.0, 5.0]))
+
+    def test_surrogate_rejects_row_count_mismatch(self):
+        rng = np.random.default_rng(9)
+        with pytest.raises(ValueError, match=r"train_x has 10 rows, train_f has shape \(9,\)"):
+            GpSurrogate(
+                train_x=rng.uniform(0, 5, (10, 2)),
+                train_f=rng.standard_normal(9),
+                lengthscales=np.array([1.0, 1.0]),
+                signal_var=1.0,
+                noise_var=1e-2,
+            )
 
     def test_duplicate_points_with_conflict_rejected_at_floor(self):
         x = np.array([[0.0], [0.0], [1.0]])

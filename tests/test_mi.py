@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plumeplace.mi import KnnConfig, _knn_radii, _strict_counts, digamma, knn_entropy, ksg_mi
+from plumeplace.mi import KnnConfig, _knn_radii, _strict_counts, knn_entropy, ksg_mi
 
 from oracles import (
     brute_knn_entropy,
@@ -14,31 +14,6 @@ from oracles import (
 )
 
 GAUSS_ENTROPY = 1.4189385332046727  # 0.5 * ln(2*pi*e)
-
-
-class TestDigamma:
-    def test_psi_one_is_minus_euler_mascheroni(self):
-        assert digamma(1) == pytest.approx(-0.5772156649015329, abs=1e-9)
-
-    def test_psi_two(self):
-        assert digamma(2) == pytest.approx(0.4227843350984671, abs=1e-9)
-
-    def test_psi_five_by_recursion(self):
-        # psi(5) = psi(1) + 1 + 1/2 + 1/3 + 1/4
-        assert digamma(5) == pytest.approx(1.5061176684318005, abs=1e-9)
-
-    def test_rejects_below_one(self):
-        with pytest.raises(ValueError):
-            digamma(0)
-
-    @given(st.integers(min_value=1, max_value=500))
-    def test_recursion_identity(self, n):
-        assert digamma(n + 1) - digamma(n) == pytest.approx(1.0 / n, rel=1e-10)
-
-    def test_vectorized(self):
-        out = digamma(np.array([1, 2, 5]))
-        assert out.shape == (3,)
-        assert out[0] == pytest.approx(-0.5772156649, abs=1e-9)
 
 
 class TestKnnConfig:

@@ -143,6 +143,12 @@ class TestGridPlace:
         assert result.locations[0] == (0.0, 0.0)
         assert result.locations[1] == (0.0, 0.5)
 
+    @pytest.mark.parametrize("n_sensors", [0, -1, 10])
+    def test_rejects_bad_sensor_count(self, small_ensemble, n_sensors):
+        grid = pl.GridSpec(nx=3, ny=3, domain=np.array([[0.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match=r"n_sensors must be in \[1, 9\]"):
+            pl.grid_place(small_ensemble, n_sensors, grid)
+
     def test_upwind_edge_near_zero(self, small_ensemble):
         grid = pl.GridSpec(nx=11, ny=21, domain=np.array([[0.0, 10000.0], [-10000.0, 10000.0]]))
         result = pl.grid_place(small_ensemble, 1, grid)
