@@ -10,7 +10,7 @@ from .cca import (
 )
 from .config import ExperimentConfig, load_config, save_config
 from .dispersion import MeteoConfig, ObservationModel, ScenarioParams, simulate_observations
-from .enkf import AugmentedEnsemble, ObsOperator, analysis, assimilate_run, forecast
+from .enkf import AugmentedEnsemble, analysis, assimilate_run, forecast
 from .evaluate import EvaluationReport, compare_placements, conditional_entropy
 from .gp import GpSurrogate, fit, predict
 from .mi import KnnConfig, knn_entropy, ksg_mi

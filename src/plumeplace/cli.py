@@ -66,7 +66,7 @@ def _cmd_grid_surface(args) -> int:
     cfg = _load(args)
     ens = pl.build_ensemble(cfg, cfg.placement_members, cfg.seed)
     grid = pl.GridSpec(nx=cfg.grid_nx, ny=cfg.grid_ny, domain=cfg.domain_m())
-    result = pl.grid_place(ens, args.steps if args.steps else cfg.n_sensors, grid)
+    result = pl.grid_place(ens, cfg.n_sensors if args.steps is None else args.steps, grid)
     result.config_digest = cfg.digest()
     pl.write_surface_csv(result, args.out)
     if args.placement_out:
@@ -97,7 +97,9 @@ def _cmd_compare(args) -> int:
 def _cmd_assimilate(args) -> int:
     cfg = _load(args)
     result = pl.load_placement(args.placement)
-    if args.truth_release_km is not None and args.truth_wind_deg is not None:
+    if (args.truth_release_km is None) != (args.truth_wind_deg is None):
+        raise ValueError("--truth-release-km and --truth-wind-deg must be given together")
+    if args.truth_release_km is not None:
         truth = ScenarioParams(
             release_y=args.truth_release_km * 1000.0,
             wind_dir=np.deg2rad(args.truth_wind_deg),

@@ -114,7 +114,6 @@ class ExperimentConfig:
             wind_dir=math.radians(self.wind_dir_deg),
             p_y=self.p_y,
             q_y=self.q_y,
-            dt=self.interval_min * 60.0,
         )
 
     def observation(self) -> ObservationModel:
@@ -140,6 +139,15 @@ class ExperimentConfig:
 
     def wind_dir_std_rad(self) -> float:
         return math.radians(self.wind_dir_std_deg)
+
+    def draw_prior(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """(n, 2) prior draws: release_y uniform over the pipeline, then
+        wind_dir Gaussian around the meteo heading. Size-1 draws equal
+        the scalar draws of the same stream."""
+        lo, hi = self.pipeline_y_m()
+        return np.column_stack(
+            [rng.uniform(lo, hi, n), rng.normal(self.meteo().wind_dir, self.wind_dir_std_rad(), n)]
+        )
 
     def bo_config(self, seed: int | None = None) -> BoConfig:
         return BoConfig(

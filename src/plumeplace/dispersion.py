@@ -25,19 +25,17 @@ ReleaseSchedule = list[tuple[float, float]]  # (release time s, mass)
 
 @dataclass(frozen=True)
 class MeteoConfig:
-    """Wind and diffusion constants, uniform in space and time."""
+    """Wind and diffusion constants, uniform in space and time. The
+    transport is in closed form, so there is no time step."""
 
     wind_speed: float  # m/s
     wind_dir: float  # rad, 0 = toward +x
     p_y: float  # diffusion coefficient
     q_y: float  # diffusion exponent
-    dt: float  # transport step, s
 
     def __post_init__(self):
         if self.wind_speed <= 0:
             raise ValueError("wind_speed must be > 0")
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
         if self.p_y <= 0:
             raise ValueError("p_y must be > 0")
         if not 0 < self.q_y <= 1:

@@ -2,12 +2,13 @@
 
 Each member carries [release_y, wind_dir, ln u_1 .. ln u_S]: the static
 parameters augmented with the member's predicted log-concentrations at
-the sensors. The forecast advances every member's puffs to the next
-observation instant using the member's own current parameters (so a
-parameter update propagates into the member's subsequent predictions),
-and the analysis applies the perturbed-observation Kalman update with a
-bias-corrected residual, since the log-space measurement noise has a
-nonzero mean.
+the sensors. The forecast predicts every member's readings at the next
+observation instant from the member's own current parameters (so a
+parameter update propagates into the member's subsequent predictions);
+the transport is in closed form, so it needs the instant only, not a
+step. The analysis applies the perturbed-observation Kalman update with
+a bias-corrected residual, since the log-space measurement noise has a
+nonzero mean; the noise is the ensemble's own ObservationModel.
 """
 
 from __future__ import annotations
@@ -22,31 +23,24 @@ from .config import ExperimentConfig
 THETA_DIM = 2  # release_y, wind_dir
 
 
-@dataclass(frozen=True)
-class ObsOperator:
-    """Observation of the log-concentration block plus noise description.
-
-    Observations see exactly the ln-u block, the member columns after
-    the THETA_DIM parameters. bias is the mean of the log-space
-    measurement noise; the analysis perturbs with zero-mean noise of
-    variance noise_var and subtracts the bias from every residual.
-    """
-
-    n_sensors: int
-    bias: float
-    noise_var: float
-
-    def __post_init__(self):
-        if self.n_sensors < 1:
-            raise ValueError("n_sensors must be >= 1")
-        if self.noise_var <= 0:
-            raise ValueError("noise_var must be > 0")
+def _sensor_rows(value, name: str) -> np.ndarray:
+    sensors = np.atleast_2d(np.asarray(value, dtype=float))
+    if sensors.ndim != 2 or sensors.shape[0] < 1 or sensors.shape[1] != 2:
+        raise ValueError(
+            f"{name} must be an (S, 2) array of sensor locations with S >= 1, "
+            f"got shape {np.shape(value)}"
+        )
+    return sensors
 
 
 @dataclass
 class AugmentedEnsemble:
     """Member matrix [release_y, wind_dir, ln u_1..ln u_S] plus the
-    scenario context needed to propagate the members' puffs."""
+    scenario context needed to predict the members' readings.
+
+    `time` is the instant the ln-u block predicts; the default 0.0 is
+    release onset, where every reading is the floor.
+    """
 
     members: np.ndarray
     sensors: np.ndarray
@@ -57,7 +51,7 @@ class AugmentedEnsemble:
 
     def __post_init__(self):
         self.members = np.asarray(self.members, dtype=float)
-        self.sensors = np.atleast_2d(np.asarray(self.sensors, dtype=float))
+        self.sensors = _sensor_rows(self.sensors, "sensors")
         expected = THETA_DIM + self.sensors.shape[0]
         if self.members.shape[1] != expected:
             raise ValueError(
@@ -77,49 +71,49 @@ class AugmentedEnsemble:
         return self.members[:, THETA_DIM:]
 
 
-def forecast(ens: AugmentedEnsemble, dt: float) -> AugmentedEnsemble:
-    """Advance members to time + dt and refresh predicted observations.
+def forecast(ens: AugmentedEnsemble, t: float) -> AugmentedEnsemble:
+    """Predict every member's readings at the absolute time t.
 
-    Every member's puffs are advanced under its own current wind
-    direction and release position; the parameter columns pass through
-    unchanged. Predicted log-concentrations are clamped like real
-    readings.
+    Each member's puffs are placed under its own current wind direction
+    and release position; the parameter columns pass through unchanged.
+    Predicted log-concentrations are clamped like real readings.
     """
-    t_next = ens.time + dt
     lnu = dispersion.log_concentrations_at(
         ens.members[:, 0],
         ens.members[:, 1],
         ens.sensors,
-        t_next,
+        t,
         ens.meteo,
         ens.release_schedule,
         ens.observation,
     )
     members = np.hstack([ens.members[:, :THETA_DIM], lnu])
-    return replace(ens, members=members, time=t_next)
+    return replace(ens, members=members, time=t)
 
 
-def analysis(
-    ens: AugmentedEnsemble, obs, op: ObsOperator, seed: int
-) -> AugmentedEnsemble:
+def analysis(ens: AugmentedEnsemble, obs, seed: int) -> AugmentedEnsemble:
     """Perturbed-observation Kalman update of the augmented state.
 
     The gain is S_e H^T [H S_e H^T + R_e]^{-1} with S_e the ensemble
     sample covariance, R_e the empirical covariance of the actually
     drawn perturbations and H the selection of the ln-u block, applied
-    by slicing. Each member sees its own perturbed observation and a
-    bias-corrected residual. Deterministic per seed.
+    by slicing. Each member sees its own perturbed observation: zero-mean
+    noise with the ensemble observation model's noise_std, and a residual
+    corrected by its noise_mean. Deterministic per seed.
     """
+    n_sensors = ens.sensors.shape[0]
     obs = np.asarray(obs, dtype=float)
-    if obs.shape != (op.n_sensors,):
-        raise ValueError(f"expected {op.n_sensors} observations, got shape {obs.shape}")
+    if obs.shape != (n_sensors,):
+        raise ValueError(f"expected {n_sensors} observations, got shape {obs.shape}")
     if not np.all(np.isfinite(obs)):
         raise ValueError("observations must be finite")
     a = ens.members
     n = ens.n_members
+    if n < 2:
+        raise ValueError(f"analysis needs at least 2 ensemble members, got {n}")
     cov = np.cov(a.T, ddof=1)
     rng = np.random.default_rng(seed)
-    eps = rng.normal(0.0, np.sqrt(op.noise_var), (n, op.n_sensors))
+    eps = rng.normal(0.0, ens.observation.noise_std, (n, n_sensors))
     r_e = np.atleast_2d(np.cov(eps.T, ddof=1))
     innov_cov = cov[THETA_DIM:, THETA_DIM:] + r_e
     # reject a collapsed ensemble instead of amplifying roundoff;
@@ -130,7 +124,7 @@ def analysis(
             "consider covariance inflation"
         )
     gain = cov[:, THETA_DIM:] @ np.linalg.inv(innov_cov)
-    residual = (obs[None, :] + eps) - a[:, THETA_DIM:] - op.bias
+    residual = (obs[None, :] + eps) - a[:, THETA_DIM:] - ens.observation.noise_mean
     return replace(ens, members=a + residual @ gain.T)
 
 
@@ -166,12 +160,7 @@ def assimilate_run(
     observation instant, recording the parameter ensemble after each
     analysis.
     """
-    sensors = np.atleast_2d(np.asarray(placement, dtype=float))
-    if sensors.ndim != 2 or sensors.shape[0] < 1 or sensors.shape[1] != 2:
-        raise ValueError(
-            f"placement must be an (S, 2) array of sensor locations with S >= 1, "
-            f"got shape {np.shape(placement)}"
-        )
+    sensors = _sensor_rows(placement, "placement")
     times = cfg.times()
     meteo = cfg.meteo()
     observation = cfg.observation()
@@ -189,37 +178,22 @@ def assimilate_run(
         ss_truth,
     )
 
-    rng = np.random.default_rng(ss_init)
-    lo, hi = cfg.pipeline_y_m()
-    n = cfg.enkf_members
-    theta = np.column_stack(
-        [
-            rng.uniform(lo, hi, n),
-            rng.normal(meteo.wind_dir, cfg.wind_dir_std_rad(), n),
-        ]
-    )
-    prior_theta = theta.copy()
-    members = np.hstack([theta, np.full((n, sensors.shape[0]), np.log(observation.conc_floor))])
+    prior_theta = cfg.draw_prior(cfg.enkf_members, np.random.default_rng(ss_init))
+    floor = np.full((cfg.enkf_members, sensors.shape[0]), np.log(observation.conc_floor))
     ens = AugmentedEnsemble(
-        members=members,
+        members=np.hstack([prior_theta, floor]),
         sensors=sensors,
         meteo=meteo,
         observation=observation,
         release_schedule=schedule,
-        time=times[0] - meteo.dt,
-    )
-    op = ObsOperator(
-        n_sensors=sensors.shape[0],
-        bias=observation.noise_mean,
-        noise_var=observation.noise_std**2,
     )
 
     analysis_seeds = ss_analysis.generate_state(len(times))
     thetas = []
     for i, t in enumerate(times):
-        ens = forecast(ens, t - ens.time)
+        ens = forecast(ens, t)
         ens = inflate(ens, cfg.inflation)
-        ens = analysis(ens, truth_obs[:, i], op, int(analysis_seeds[i]))
+        ens = analysis(ens, truth_obs[:, i], int(analysis_seeds[i]))
         thetas.append(ens.theta.copy())
     return PosteriorTrace(
         times=times,

@@ -49,19 +49,15 @@ def _entropy_triplet(theta: np.ndarray, knn: KnnConfig) -> tuple[float, float, f
 
 
 def draw_conditions(cfg: ExperimentConfig, n_conditions: int, seed: int) -> list[ScenarioParams]:
+    """Simulated accidents: one prior draw per condition."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC04D]))
-    lo, hi = cfg.pipeline_y_m()
-    return [
-        ScenarioParams(
-            release_y=float(rng.uniform(lo, hi)),
-            wind_dir=float(rng.normal(cfg.meteo().wind_dir, cfg.wind_dir_std_rad())),
-        )
-        for _ in range(n_conditions)
-    ]
+    return [ScenarioParams(*map(float, cfg.draw_prior(1, rng)[0])) for _ in range(n_conditions)]
 
 
 def random_placements(cfg: ExperimentConfig, count: int, seed: int) -> dict:
     """Uniformly random sensor sets over the domain, for comparison."""
+    if count < 0:
+        raise ValueError(f"random placement count must be >= 0, got {count}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A4D]))
     box = cfg.domain_m()
     out = {}
@@ -160,14 +156,7 @@ def compare_placements(
     run_seeds = np.random.SeedSequence([seed, 0x3A55]).generate_state(n_conditions)
 
     prior_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9910]))
-    lo, hi = cfg.pipeline_y_m()
-    prior_theta = np.column_stack(
-        [
-            prior_rng.uniform(lo, hi, cfg.enkf_members),
-            prior_rng.normal(cfg.meteo().wind_dir, cfg.wind_dir_std_rad(), cfg.enkf_members),
-        ]
-    )
-    prior_entropy = _entropy_triplet(prior_theta, knn)
+    prior_entropy = _entropy_triplet(cfg.draw_prior(cfg.enkf_members, prior_rng), knn)
 
     def run_job(name, ci):
         trace = assimilate_run(cfg, placements[name], conditions[ci], int(run_seeds[ci]))

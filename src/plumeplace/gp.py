@@ -21,6 +21,8 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 NOISE_RATIO_FLOOR = 1e-8
+FIT_RESTARTS = 8  # coordinate searches per fit
+FIT_BUDGET = 200  # likelihood steps per search
 
 
 def cho_factor(a, overwrite_a=False):
@@ -135,17 +137,15 @@ def _coordinate_search(objective, p0, lo, hi, budget):
 def fit(
     train_x,
     train_f,
-    restarts: int = 8,
-    budget: int = 200,
     seed: int = 0,
     warm_start=None,
 ) -> GpSurrogate:
     """Maximum-likelihood surrogate fit.
 
-    Runs `restarts` coordinate searches of at most `budget` steps each
-    over (log lengthscales, log noise ratio); the signal variance
+    Runs FIT_RESTARTS coordinate searches of at most FIT_BUDGET steps
+    each over (log lengthscales, log noise ratio); the signal variance
     maximizing the likelihood is computed in closed form at every step.
-    Every step counts against `budget`, but a point visited before in
+    Every step counts against the budget, but a point visited before in
     the same fit (by any restart) is looked up, not refactorised.
     Deterministic for a fixed seed. `warm_start`
     optionally seeds one restart with a previous solution's log
@@ -209,12 +209,12 @@ def fit(
     if warm_start is not None:
         starts.append(np.asarray(warm_start, dtype=float))
     rng = np.random.default_rng(seed)
-    while len(starts) < max(restarts, 1):
+    while len(starts) < FIT_RESTARTS:
         starts.append(lo + rng.uniform(0.0, 1.0, dim + 1) * (hi - lo))
 
     best_val, best_p, best_sv = np.inf, None, 1.0
     for p0 in starts:
-        p, val, sv = _coordinate_search(neg_loglik, p0, lo, hi, budget)
+        p, val, sv = _coordinate_search(neg_loglik, p0, lo, hi, FIT_BUDGET)
         if val < best_val:
             best_val, best_p, best_sv = val, p, sv
     if best_p is None or not np.isfinite(best_val):

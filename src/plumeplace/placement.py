@@ -75,19 +75,12 @@ class PriorEnsemble:
 
 
 def build_ensemble(cfg: ExperimentConfig, n_members: int, seed: int) -> PriorEnsemble:
-    """Draw parameter members from the priors; trajectories fill lazily.
-
-    release_y is uniform over the pipeline extent, wind direction is
-    Gaussian around the meteo heading.
-    """
+    """Draw parameter members from cfg.draw_prior, seeded by `seed`;
+    trajectories fill lazily."""
     if n_members < 50:
         raise ValueError("need at least 50 ensemble members")
-    rng = np.random.default_rng(seed)
-    lo, hi = cfg.pipeline_y_m()
-    release_y = rng.uniform(lo, hi, n_members)
-    wind_dir = rng.normal(cfg.meteo().wind_dir, cfg.wind_dir_std_rad(), n_members)
     return PriorEnsemble(
-        params=np.column_stack([release_y, wind_dir]),
+        params=cfg.draw_prior(n_members, np.random.default_rng(seed)),
         meteo=cfg.meteo(),
         observation=cfg.observation(),
         times=cfg.times(),
@@ -137,13 +130,16 @@ class PlacementResult:
 def load_placement(path) -> PlacementResult:
     with open(path) as fh:
         doc = json.load(fh)
-    return PlacementResult(
-        locations=[tuple(loc) for loc in doc["locations_m"]],
-        bound_values=list(doc["bound_values_nats"]),
-        seed=int(doc.get("seed", 0)),
-        config_digest=doc.get("config_digest", ""),
-        method=doc.get("method", ""),
-    )
+    try:
+        return PlacementResult(
+            locations=[tuple(loc) for loc in doc["locations_m"]],
+            bound_values=list(doc["bound_values_nats"]),
+            seed=int(doc.get("seed", 0)),
+            config_digest=doc.get("config_digest", ""),
+            method=doc.get("method", ""),
+        )
+    except KeyError as exc:
+        raise ValueError(f"placement file {path} is missing required key: {exc}") from exc
 
 
 def greedy_place(

@@ -159,12 +159,12 @@ class PuffState:
             raise ValueError("puff mass must be >= 0")
 
 
-def step_puff(p, m):
-    """Advance one puff by one transport step of m.dt seconds."""
-    s = p.s + m.wind_speed * m.dt
+def step_puff(p, m, dt):
+    """Advance one puff by one transport step of dt seconds."""
+    s = p.s + m.wind_speed * dt
     return PuffState(
-        x=p.x + m.wind_speed * math.cos(m.wind_dir) * m.dt,
-        y=p.y + m.wind_speed * math.sin(m.wind_dir) * m.dt,
+        x=p.x + m.wind_speed * math.cos(m.wind_dir) * dt,
+        y=p.y + m.wind_speed * math.sin(m.wind_dir) * dt,
         s=s,
         r=m.p_y * s**m.q_y,
         mass=p.mass,
@@ -187,13 +187,14 @@ def concentration(puffs, at) -> float:
     return total
 
 
-def stepped_observations(params, meteo, sensors, times, release_schedule, obs, rng_seed):
+def stepped_observations(params, meteo, sensors, times, release_schedule, obs, rng_seed, dt):
     """simulate_observations by stepping scalar puffs one dt per instant.
 
     At each observation instant all active puffs take one transport
-    step, then puffs scheduled up to that instant spawn at (0, release_y)
-    with s = 0. On release schedules aligned to the observation grid
-    this is the closed form's transport; the noise stream is the same.
+    step of dt seconds, then puffs scheduled up to that instant spawn at
+    (0, release_y) with s = 0. On release schedules aligned to an
+    observation grid of spacing dt this is the closed form's transport;
+    the noise stream is the same.
     """
     times = np.asarray(times, dtype=float)
     met = replace(meteo, wind_dir=params.wind_dir)
@@ -205,10 +206,10 @@ def stepped_observations(params, meteo, sensors, times, release_schedule, obs, r
             _, mass = pending.pop(0)
             puffs.append(PuffState(x=0.0, y=params.release_y, s=0.0, r=0.0, mass=mass))
 
-    spawn_through(times[0] - met.dt)
+    spawn_through(times[0] - dt)
     log_c = np.empty((len(sensors), len(times)))
     for j, t in enumerate(times):
-        puffs[:] = [step_puff(p, met) for p in puffs]
+        puffs[:] = [step_puff(p, met, dt) for p in puffs]
         spawn_through(t)
         live = [p for p in puffs if p.r > 0]
         for i, sensor in enumerate(sensors):

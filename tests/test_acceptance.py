@@ -12,8 +12,8 @@ from plumeplace import bo, gp, placement as pl
 from plumeplace.cca import mi_lower_bound
 from plumeplace.cli import main as cli_main
 from plumeplace.config import ExperimentConfig, save_config
-from plumeplace.dispersion import ScenarioParams
-from plumeplace.enkf import AugmentedEnsemble, ObsOperator, analysis
+from plumeplace.dispersion import ObservationModel, ScenarioParams
+from plumeplace.enkf import AugmentedEnsemble, analysis
 from plumeplace.evaluate import compare_placements, random_placements
 from plumeplace.mi import KnnConfig, ksg_mi
 
@@ -179,11 +179,10 @@ def test_criterion_5_enkf_linear_gaussian_oracle():
         members=members,
         sensors=np.array([[0.0, 0.0]]),
         meteo=cfg.meteo(),
-        observation=cfg.observation(),
+        observation=ObservationModel(noise_mean=0.0, noise_std=np.sqrt(noise_var)),
         release_schedule=cfg.release_schedule(),
     )
-    op = ObsOperator(n_sensors=1, bias=0.0, noise_var=noise_var)
-    out = analysis(ens, np.array([obs_value]), op, seed=11)
+    out = analysis(ens, np.array([obs_value]), seed=11)
 
     gain = prior_var / (prior_var + noise_var)
     post_mean = prior_mean + gain * (obs_value - prior_mean)

@@ -13,6 +13,13 @@ def config_path(tiny_config, tmp_path):
     return path
 
 
+@pytest.fixture
+def one_sensor(tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"locations_m": [[600.0, 0.0]], "bound_values_nats": [0.0]}))
+    return path
+
+
 def run(argv):
     return main([str(a) for a in argv])
 
@@ -150,6 +157,57 @@ class TestErrors:
         code = run([command, "--config", config_path, *extra, "--out", tmp_path / "o"])
         assert code == 1
         assert "plumeplace: error: placement must be an (S, 2) array" in capsys.readouterr().err
+
+    def test_assimilate_needs_both_truth_flags(self, config_path, one_sensor, tmp_path, capsys):
+        for flag, value in (("--truth-release-km", -1.2), ("--truth-wind-deg", 3.0)):
+            code = run(
+                ["assimilate", "--config", config_path, "--placement", one_sensor,
+                 flag, value, "--out", tmp_path / "o.csv"]
+            )
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "plumeplace: error: --truth-release-km and --truth-wind-deg" in err
+
+    def test_grid_zero_steps(self, config_path, tmp_path, capsys):
+        code = run(
+            ["grid-surface", "--config", config_path, "--out", tmp_path / "s.csv", "--steps", 0]
+        )
+        assert code == 1
+        assert "plumeplace: error: n_sensors must be in [1, 35]" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_compare_negative_random(self, config_path, one_sensor, tmp_path, capsys):
+        code = run(
+            ["compare", "--config", config_path, "--placements", one_sensor, one_sensor,
+             "--random", -3, "--conditions", 1, "--out", tmp_path / "r.json"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "plumeplace: error: random placement count must be >= 0, got -3" in err
+
+    def test_placement_file_without_locations(self, config_path, tmp_path, capsys):
+        placement = tmp_path / "p.json"
+        placement.write_text(json.dumps({"bound_values_nats": []}))
+        code = run(
+            ["assimilate", "--config", config_path, "--placement", placement,
+             "--out", tmp_path / "o.csv"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "plumeplace: error: placement file" in err
+        assert "is missing required key: 'locations_m'" in err
+
+    def test_assimilate_single_member(self, tiny_config, one_sensor, tmp_path, capsys):
+        from dataclasses import replace
+
+        path = tmp_path / "c.json"
+        save_config(replace(tiny_config, enkf_members=1), path)
+        code = run(
+            ["assimilate", "--config", path, "--placement", one_sensor, "--out", tmp_path / "o.csv"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "plumeplace: error: analysis needs at least 2 ensemble members, got 1" in err
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from plumeplace import evaluate, placement
 from plumeplace.config import (
     ExperimentConfig,
     config_from_dict,
@@ -10,6 +11,8 @@ from plumeplace.config import (
     load_config,
     save_config,
 )
+from plumeplace.dispersion import ScenarioParams
+from plumeplace.enkf import assimilate_run
 
 
 class TestDefaults:
@@ -46,7 +49,7 @@ class TestDefaults:
             cfg.domain_m(), [[0.0, 10000.0], [-10000.0, 10000.0]]
         )
         assert cfg.wind_dir_std_rad() == pytest.approx(np.deg2rad(10.0))
-        assert cfg.meteo().dt == 60.0
+        assert ExperimentConfig(wind_dir_deg=90.0).meteo().wind_dir == pytest.approx(np.pi / 2)
 
     def test_desk_profile(self):
         desk = ExperimentConfig().with_profile("desk")
@@ -57,6 +60,40 @@ class TestDefaults:
     def test_unknown_profile(self):
         with pytest.raises(ValueError):
             ExperimentConfig().with_profile("galactic")
+
+
+class TestDrawPrior:
+    def test_shape_and_support(self):
+        cfg = ExperimentConfig()
+        theta = cfg.draw_prior(2000, np.random.default_rng(0))
+        assert theta.shape == (2000, 2)
+        assert np.all((theta[:, 0] >= -3000.0) & (theta[:, 0] < 3000.0))
+        assert theta[:, 1].mean() == pytest.approx(0.0, abs=0.02)
+        assert theta[:, 1].std() == pytest.approx(np.deg2rad(10.0), rel=0.05)
+
+    def test_prior_stream_golden(self):
+        # every prior consumer draws these exact floats (float.hex), so a
+        # change to the prior stream or its seeding fails here
+        cfg = ExperimentConfig(placement_members=60, enkf_members=4, n_steps=2)
+        ens = placement.build_ensemble(cfg, 60, 5)
+        assert [[v.hex() for v in row] for row in ens.params[:3].tolist()] == [
+            ["0x1.c9811f6a762f4p+10", "0x1.2e097f800da65p-3"],
+            ["0x1.cde94364edfacp+10", "0x1.2c7f1f4f8d918p-3"],
+            ["0x1.6fd03f3e34700p+6", "-0x1.b1a89b21ccef5p-4"],
+        ]
+        trace = assimilate_run(cfg, [(2000.0, 0.0)], ScenarioParams(100.0, 0.01), 3)
+        assert [[v.hex() for v in row] for row in trace.prior_theta.tolist()] == [
+            ["0x1.011d475663cd8p+9", "-0x1.3acfb98273363p-5"],
+            ["-0x1.95d023f291998p+10", "-0x1.fb2b56d1269a7p-3"],
+            ["-0x1.328008adeea7ap+11", "0x1.d630c36a3e237p-3"],
+            ["-0x1.6804dd622a826p+11", "0x1.d55b1571edccep-4"],
+        ]
+        conditions = evaluate.draw_conditions(cfg, 3, 2)
+        assert [(c.release_y.hex(), c.wind_dir.hex()) for c in conditions] == [
+            ("-0x1.17c8e7cee6ee0p+9", "-0x1.74eea7afaae0cp-7"),
+            ("0x1.16145bfec8250p+8", "-0x1.86414f9f18b62p-3"),
+            ("0x1.0c3129228dc6ep+10", "0x1.68e3ff538502bp-3"),
+        ]
 
 
 class TestRoundTrip:

@@ -15,7 +15,8 @@ from plumeplace.dispersion import (
 
 from oracles import PuffState, concentration, step_puff, stepped_observations
 
-METEO = MeteoConfig(wind_speed=4.0, wind_dir=0.0, p_y=0.466, q_y=0.866, dt=60.0)
+METEO = MeteoConfig(wind_speed=4.0, wind_dir=0.0, p_y=0.466, q_y=0.866)
+DT = 60.0  # the oracle's transport step, one observation interval
 QUIET = ObservationModel(noise_mean=0.0, noise_std=1e-30, conc_floor=1e-12)
 
 
@@ -25,19 +26,19 @@ def fresh_puff(mass=1.0):
 
 class TestStepPuff:
     def test_straight_east_transport(self):
-        p = step_puff(fresh_puff(), METEO)
+        p = step_puff(fresh_puff(), METEO, DT)
         assert p.x == pytest.approx(240.0)
         assert p.y == pytest.approx(0.0)
         assert p.s == pytest.approx(240.0)
 
     def test_radius_growth_law(self):
-        p = step_puff(fresh_puff(), METEO)
+        p = step_puff(fresh_puff(), METEO, DT)
         assert p.r == pytest.approx(0.466 * 240.0**0.866, rel=1e-12)
         assert p.r == pytest.approx(53.6598, abs=1e-3)
 
     def test_northward_wind(self):
-        meteo = MeteoConfig(wind_speed=4.0, wind_dir=math.pi / 2, p_y=0.466, q_y=0.866, dt=60.0)
-        p = step_puff(fresh_puff(), meteo)
+        meteo = MeteoConfig(wind_speed=4.0, wind_dir=math.pi / 2, p_y=0.466, q_y=0.866)
+        p = step_puff(fresh_puff(), meteo, DT)
         assert p.x == pytest.approx(0.0, abs=1e-9)
         assert p.y == pytest.approx(240.0)
 
@@ -45,24 +46,24 @@ class TestStepPuff:
         p = fresh_puff(mass=2.5)
         travelled = [0.0]
         for _ in range(20):
-            p = step_puff(p, METEO)
+            p = step_puff(p, METEO, DT)
             travelled.append(p.s)
             assert p.mass == 2.5
             assert p.r == pytest.approx(METEO.p_y * p.s**METEO.q_y, rel=1e-12)
         assert all(b > a for a, b in zip(travelled, travelled[1:]))
 
     def test_peak_concentration_decreases(self):
-        p = step_puff(fresh_puff(), METEO)
+        p = step_puff(fresh_puff(), METEO, DT)
         peaks = []
         for _ in range(10):
             peaks.append(concentration([p], (p.x, p.y)))
-            p = step_puff(p, METEO)
+            p = step_puff(p, METEO, DT)
         assert all(b < a for a, b in zip(peaks, peaks[1:]))
 
 
 class TestConcentration:
     def test_center_value(self):
-        p = step_puff(fresh_puff(mass=3.0), METEO)
+        p = step_puff(fresh_puff(mass=3.0), METEO, DT)
         assert concentration([p], (p.x, p.y)) == pytest.approx(
             3.0 / (2 * math.pi * p.r**2), rel=1e-12
         )
@@ -71,7 +72,7 @@ class TestConcentration:
         assert concentration([], (0.0, 0.0)) == 0.0
 
     def test_two_colocated_puffs_double(self):
-        p = step_puff(fresh_puff(), METEO)
+        p = step_puff(fresh_puff(), METEO, DT)
         single = concentration([p], (100.0, 50.0))
         assert concentration([p, p], (100.0, 50.0)) == pytest.approx(2 * single, rel=1e-12)
 
@@ -80,7 +81,7 @@ class TestConcentration:
             concentration([fresh_puff()], (0.0, 0.0))
 
     def test_plane_integral_equals_mass(self):
-        p = step_puff(step_puff(fresh_puff(mass=2.0), METEO), METEO)
+        p = step_puff(step_puff(fresh_puff(mass=2.0), METEO, DT), METEO, DT)
         half = 8 * p.r
         xs = np.linspace(p.x - half, p.x + half, 401)
         ys = np.linspace(p.y - half, p.y + half, 401)
@@ -92,7 +93,7 @@ class TestConcentration:
     @given(st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=20, deadline=None)
     def test_linear_in_mass(self, scale):
-        p = step_puff(fresh_puff(), METEO)
+        p = step_puff(fresh_puff(), METEO, DT)
         boosted = PuffState(x=p.x, y=p.y, s=p.s, r=p.r, mass=p.mass * scale)
         at = (200.0, 30.0)
         assert concentration([boosted], at) == pytest.approx(
@@ -125,7 +126,7 @@ class TestSimulateObservations:
     def test_single_puff_center_reading(self):
         # sensor sits exactly where the first transport step puts the puff
         params = ScenarioParams(release_y=0.0, wind_dir=0.0)
-        p = step_puff(fresh_puff(), METEO)
+        p = step_puff(fresh_puff(), METEO, DT)
         out = simulate_observations(
             params, METEO, [(p.x, p.y)], TIMES[:1], SCHEDULE, QUIET, rng_seed=0
         )
@@ -155,11 +156,11 @@ class TestSimulateObservations:
         # run the oracle's stepping loop manually to inspect the puff list
         puffs = []
         pending = sorted(schedule)
-        while pending and pending[0][0] <= times[0] - METEO.dt:
+        while pending and pending[0][0] <= times[0] - DT:
             _, mass = pending.pop(0)
             puffs.append(PuffState(0.0, params.release_y, 0.0, 0.0, mass))
         for t in times:
-            puffs = [step_puff(p, METEO) for p in puffs]
+            puffs = [step_puff(p, METEO, DT) for p in puffs]
             while pending and pending[0][0] <= t:
                 _, mass = pending.pop(0)
                 puffs.append(PuffState(0.0, params.release_y, 0.0, 0.0, mass))
@@ -177,8 +178,12 @@ class TestSimulateObservations:
             desk_config.release_schedule(),
             QUIET,
         )
+        dt = desk_config.interval_min * 60.0
         np.testing.assert_allclose(
-            simulate_observations(*args, 0), stepped_observations(*args, 0), rtol=1e-9, atol=1e-9
+            simulate_observations(*args, 0),
+            stepped_observations(*args, 0, dt),
+            rtol=1e-9,
+            atol=1e-9,
         )
 
     def test_validates_times_and_sensors(self):
@@ -204,7 +209,7 @@ class TestSimulateEnsemble:
         batch = simulate_ensemble(params, METEO, sensor, TIMES, schedule, QUIET, rng_seed=3)
         for i in range(len(params)):
             row = stepped_observations(
-                ScenarioParams(*params[i]), METEO, [sensor], TIMES, schedule, QUIET, rng_seed=4
+                ScenarioParams(*params[i]), METEO, [sensor], TIMES, schedule, QUIET, 4, DT
             )[0]
             np.testing.assert_allclose(batch[i], row, rtol=1e-9, atol=1e-9)
 
@@ -234,9 +239,9 @@ class TestSimulateEnsemble:
 class TestValidation:
     def test_meteo_invariants(self):
         with pytest.raises(ValueError):
-            MeteoConfig(wind_speed=0.0, wind_dir=0.0, p_y=0.466, q_y=0.866, dt=60.0)
+            MeteoConfig(wind_speed=0.0, wind_dir=0.0, p_y=0.466, q_y=0.866)
         with pytest.raises(ValueError):
-            MeteoConfig(wind_speed=4.0, wind_dir=0.0, p_y=0.466, q_y=1.5, dt=60.0)
+            MeteoConfig(wind_speed=4.0, wind_dir=0.0, p_y=0.466, q_y=1.5)
 
     def test_observation_invariants(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ from plumeplace import dispersion
 from plumeplace.config import ExperimentConfig
 from plumeplace.enkf import (
     AugmentedEnsemble,
-    ObsOperator,
     analysis,
     assimilate_run,
     forecast,
@@ -16,8 +15,15 @@ from plumeplace.enkf import (
 from plumeplace.mi import knn_entropy
 
 
-def scenario_ensemble(theta, sensors, cfg=None):
+def scenario_ensemble(theta, sensors, cfg=None, bias=None, noise_var=None):
+    """Ensemble at release onset; bias and noise_var, when given, set the
+    observation model's noise_mean and noise_std = sqrt(noise_var)."""
     cfg = cfg or ExperimentConfig().with_profile("desk")
+    observation = cfg.observation()
+    if bias is not None:
+        observation = dispersion.ObservationModel(
+            noise_mean=bias, noise_std=math.sqrt(noise_var), conc_floor=cfg.conc_floor
+        )
     n = theta.shape[0]
     members = np.hstack(
         [theta, np.full((n, len(sensors)), np.log(cfg.conc_floor))]
@@ -26,18 +32,17 @@ def scenario_ensemble(theta, sensors, cfg=None):
         members=members,
         sensors=np.asarray(sensors, dtype=float),
         meteo=cfg.meteo(),
-        observation=cfg.observation(),
+        observation=observation,
         release_schedule=cfg.release_schedule(),
         time=0.0,
     )
 
 
-class TestObsOperator:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ObsOperator(n_sensors=0, bias=0.0, noise_var=0.01)
-        with pytest.raises(ValueError):
-            ObsOperator(n_sensors=1, bias=0.0, noise_var=0.0)
+class TestAugmentedEnsemble:
+    @pytest.mark.parametrize("sensors", [np.empty((0, 2)), [], [(1.0, 2.0, 3.0)]])
+    def test_rejects_sensors_without_rows(self, sensors):
+        with pytest.raises(ValueError, match=r"sensors must be an \(S, 2\) array"):
+            scenario_ensemble(np.zeros((3, 2)), sensors)
 
 
 class TestForecast:
@@ -64,27 +69,20 @@ class TestForecast:
             truth, cfg.meteo(), sensors, cfg.times(), cfg.release_schedule(), quiet, 0
         )
         ens = scenario_ensemble(np.array([[truth.release_y, truth.wind_dir]]), sensors, cfg)
-        times = cfg.times()
-        ens = AugmentedEnsemble(
-            members=ens.members,
-            sensors=ens.sensors,
-            meteo=ens.meteo,
-            observation=ens.observation,
-            release_schedule=ens.release_schedule,
-            time=times[0] - cfg.meteo().dt,
-        )
-        for j, t in enumerate(times):
-            ens = forecast(ens, t - ens.time)
+        for j, t in enumerate(cfg.times()):
+            ens = forecast(ens, t)
+            assert ens.time == t
             np.testing.assert_array_equal(ens.log_obs[0], reference[:, j])
 
 
 class TestAnalysis:
     def test_identical_members_unchanged(self):
         members = np.tile([100.0, 0.05, -3.0, -5.0], (200, 1))
-        ens = scenario_ensemble(members[:, :2], [(1000.0, 0.0), (2000.0, 0.0)])
+        ens = scenario_ensemble(
+            members[:, :2], [(1000.0, 0.0), (2000.0, 0.0)], bias=-0.005, noise_var=0.01
+        )
         ens.members = members.copy()
-        op = ObsOperator(n_sensors=2, bias=-0.005, noise_var=0.01)
-        out = analysis(ens, np.array([-2.0, -4.0]), op, seed=1)
+        out = analysis(ens, np.array([-2.0, -4.0]), seed=1)
         np.testing.assert_array_equal(out.members, members)
 
     def test_linear_gaussian_toy_matches_kalman(self):
@@ -96,10 +94,9 @@ class TestAnalysis:
         rng = np.random.default_rng(123)
         theta = rng.normal(prior_mean, np.sqrt(prior_var), n)
         members = np.column_stack([theta, np.zeros(n), theta])
-        ens = scenario_ensemble(members[:, :2], [(0.0, 0.0)])
+        ens = scenario_ensemble(members[:, :2], [(0.0, 0.0)], bias=0.0, noise_var=noise_var)
         ens.members = members.copy()
-        op = ObsOperator(n_sensors=1, bias=0.0, noise_var=noise_var)
-        out = analysis(ens, np.array([obs_value]), op, seed=5)
+        out = analysis(ens, np.array([obs_value]), seed=5)
 
         gain = prior_var / (prior_var + noise_var)
         post_mean = prior_mean + gain * (obs_value - prior_mean)
@@ -116,13 +113,12 @@ class TestAnalysis:
         lnu = theta[:, :1] * 0.8 + rng.normal(0, 0.3, (n, 1))
         members = np.hstack([theta, lnu])
         bias = -0.005
-        op = ObsOperator(n_sensors=1, bias=bias, noise_var=0.01)
         obs = np.array([lnu[0, 0] + bias])
         updates = []
         for seed in range(300):
-            ens = scenario_ensemble(theta, [(1000.0, 0.0)])
+            ens = scenario_ensemble(theta, [(1000.0, 0.0)], bias=bias, noise_var=0.01)
             ens.members = members.copy()
-            out = analysis(ens, obs, op, seed=seed)
+            out = analysis(ens, obs, seed=seed)
             updates.append(out.members[0, 0] - members[0, 0])
         assert abs(np.mean(updates)) < 0.02
 
@@ -132,30 +128,34 @@ class TestAnalysis:
         theta = np.array([[a, a], [a, a], [-a, -a], [-a, -a]])
         lnu = np.array([[b], [-b], [b], [-b]])
         members = np.hstack([theta, lnu])
-        ens = scenario_ensemble(theta, [(1000.0, 0.0)])
+        ens = scenario_ensemble(theta, [(1000.0, 0.0)], bias=0.0, noise_var=0.01)
         ens.members = members.copy()
-        op = ObsOperator(n_sensors=1, bias=0.0, noise_var=0.01)
-        out = analysis(ens, np.array([0.7]), op, seed=3)
+        out = analysis(ens, np.array([0.7]), seed=3)
         np.testing.assert_array_equal(out.members[:, :2], theta)
         assert not np.array_equal(out.members[:, 2], members[:, 2])
 
     def test_collapsed_ensemble_with_rank_deficient_noise_rejected(self):
         members = np.tile([0.0, 0.0, -1.0, -2.0, -3.0], (2, 1))
-        ens = scenario_ensemble(members[:, :2], [(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)])
+        ens = scenario_ensemble(
+            members[:, :2], [(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], bias=0.0, noise_var=0.01
+        )
         ens.members = members.copy()
-        op = ObsOperator(n_sensors=3, bias=0.0, noise_var=0.01)
         with pytest.raises(np.linalg.LinAlgError, match="inflation"):
-            analysis(ens, np.array([-1.0, -2.0, -3.0]), op, seed=0)
+            analysis(ens, np.array([-1.0, -2.0, -3.0]), seed=0)
+
+    def test_rejects_single_member(self):
+        ens = scenario_ensemble(np.array([[0.0, 0.0]]), [(1000.0, 0.0)])
+        with pytest.raises(ValueError, match="at least 2 ensemble members, got 1"):
+            analysis(ens, np.array([-1.0]), seed=0)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(11)
         theta = np.column_stack([rng.normal(0, 1000, 100), rng.normal(0, 0.17, 100)])
         lnu = rng.normal(-10, 2, (100, 2))
-        ens = scenario_ensemble(theta, [(1.0, 0.0), (2.0, 0.0)])
+        ens = scenario_ensemble(theta, [(1.0, 0.0), (2.0, 0.0)], bias=-0.005, noise_var=0.01)
         ens.members = np.hstack([theta, lnu])
-        op = ObsOperator(n_sensors=2, bias=-0.005, noise_var=0.01)
-        a = analysis(ens, np.array([-9.0, -11.0]), op, seed=9)
-        b = analysis(ens, np.array([-9.0, -11.0]), op, seed=9)
+        a = analysis(ens, np.array([-9.0, -11.0]), seed=9)
+        b = analysis(ens, np.array([-9.0, -11.0]), seed=9)
         assert np.array_equal(a.members, b.members)
 
 
