@@ -2,12 +2,7 @@
 inference, verified by ensemble Kalman assimilation."""
 
 from .bo import BoConfig, BoTrace, expected_improvement, maximize, propose_next
-from .cca import (
-    CanonicalPair,
-    first_canonical,
-    gaussian_mi_from_correlations,
-    mi_lower_bound,
-)
+from .cca import CanonicalPair, first_canonical, mi_lower_bound
 from .config import ExperimentConfig, load_config, save_config
 from .dispersion import MeteoConfig, ObservationModel, ScenarioParams, simulate_observations
 from .enkf import AugmentedEnsemble, analysis, assimilate_run, forecast

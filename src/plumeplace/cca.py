@@ -30,14 +30,12 @@ class CanonicalPair:
     """First canonical directions and correlation for two sample blocks.
 
     alpha projects the first block, beta the second; alpha is unit
-    normalized under the first block's sample covariance. rhos carries
-    the full canonical spectrum for the Gaussian-MI diagnostic.
+    normalized under the first block's sample covariance.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
     rho1: float
-    rhos: np.ndarray
 
 
 def _standardize_columns(x: np.ndarray, strict: bool):
@@ -88,7 +86,6 @@ def first_canonical(q, d, ridge: float | None = None) -> CanonicalPair:
     wq = _inv_sqrt(cqq, ridge, strict)
     wd = _inv_sqrt(cdd, ridge, strict)
     u, s, vt = np.linalg.svd(wq @ cqd @ wd)
-    rhos = np.clip(s, 0.0, 1.0)
 
     # map directions back to raw coordinates (standardization is affine)
     alpha = (wq @ u[:, 0]) / q_scale
@@ -96,15 +93,7 @@ def first_canonical(q, d, ridge: float | None = None) -> CanonicalPair:
     pivot = int(np.argmax(np.abs(alpha)))
     if alpha[pivot] < 0:
         alpha, beta = -alpha, -beta
-    return CanonicalPair(alpha=alpha, beta=beta, rho1=float(rhos[0]), rhos=rhos)
-
-
-def gaussian_mi_from_correlations(rhos) -> float:
-    """Closed-form Gaussian MI, -1/2 * sum log(1 - rho_i^2), in nats."""
-    rhos = np.asarray(rhos, dtype=float)
-    if np.any(rhos < 0) or np.any(rhos >= 1):
-        raise ValueError("correlations must lie in [0, 1)")
-    return float(-0.5 * np.sum(np.log1p(-rhos**2)))
+    return CanonicalPair(alpha=alpha, beta=beta, rho1=float(np.clip(s[0], 0.0, 1.0)))
 
 
 def _unit_variance(v: np.ndarray) -> np.ndarray:

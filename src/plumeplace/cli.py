@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import evaluate, placement as pl
+from .bo import ObjectiveError
 from .config import PROFILES, ExperimentConfig, load_config
 from .dispersion import ScenarioParams
 from .enkf import assimilate_run
@@ -178,7 +178,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError, ObjectiveError, np.linalg.LinAlgError) as exc:
         print(f"plumeplace: error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,6 +5,17 @@ internal is meters, radians, seconds. Values are stored exactly as
 parsed so a parse -> serialize -> parse round trip is the identity, and
 unit conversion happens in the derived accessors.
 
+The file layout is declared once, in LAYOUT, and drives both
+config_to_dict and config_from_dict. A malformed document raises a
+ValueError that names the key.
+
+Every setting has one owner. The sub-configs check their own values and
+hold the defaults ExperimentConfig shares with them: MeteoConfig the
+wind speed and diffusion constants, ObservationModel the noise and the
+concentration floor, KnnConfig the neighbour settings and BoConfig the
+domain box and the loop sizes. ExperimentConfig rejects non-finite
+floats, builds the four, and checks only what none of them covers.
+
 Defaults encode the reference scenario: a 10 x 20 km domain with the
 pipeline on the y axis from -3 to 3 km, westerly wind at 4 m/s with a
 10 degree directional spread, puffs released every minute for the first
@@ -16,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -29,6 +40,10 @@ PROFILES = ("full", "desk")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Every experiment setting, in file units. A default shared with a
+    sub-config is read from that class, and each sub-config checks the
+    values it owns when __post_init__ builds it."""
+
     # geometry (km)
     domain_x_km: tuple[float, float] = (0.0, 10.0)
     domain_y_km: tuple[float, float] = (-10.0, 10.0)
@@ -46,19 +61,19 @@ class ExperimentConfig:
     n_steps: int | None = None
     release_mass: float = 1.0
     # observation model
-    noise_mean: float = -0.005
-    noise_std: float = 0.1
-    conc_floor: float = 1e-12
+    noise_mean: float = ObservationModel.noise_mean
+    noise_std: float = ObservationModel.noise_std
+    conc_floor: float = ObservationModel.conc_floor
     # ensemble sizes
     placement_members: int = 1000
     enkf_members: int = 1000
     # estimators
-    knn_k: int = 6
-    knn_jitter: float = 1e-10
+    knn_k: int = KnnConfig.k
+    knn_jitter: float = KnnConfig.jitter_scale
     # optimization
-    bo_init: int = 10
-    bo_iters: int = 30
-    bo_candidates: int = 2048
+    bo_init: int = BoConfig.init_count
+    bo_iters: int = BoConfig.iter_count
+    bo_candidates: int = BoConfig.acq_candidates
     grid_nx: int = 11
     grid_ny: int = 21
     n_sensors: int = 3
@@ -68,19 +83,19 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.domain_x_km[1] <= self.domain_x_km[0]:
-            raise ValueError("domain x bounds are degenerate")
-        if self.domain_y_km[1] <= self.domain_y_km[0]:
-            raise ValueError("domain y bounds are degenerate")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (float, tuple)) and not np.all(np.isfinite(value)):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        # the sub-configs check the settings they own
+        self.meteo(), self.observation(), self.knn(), self.bo_config()
         if self.pipeline_y_km[1] <= self.pipeline_y_km[0]:
             raise ValueError("pipeline extent is degenerate")
-        for name in ("wind_speed_m_s", "wind_dir_std_deg", "total_min", "interval_min",
-                     "release_duration_min", "release_mass", "noise_std", "conc_floor",
-                     "p_y", "q_y", "min_sep_m", "inflation"):
+        for name in ("wind_dir_std_deg", "total_min", "interval_min", "release_duration_min",
+                     "release_mass", "min_sep_m", "inflation"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        for name in ("placement_members", "enkf_members", "knn_k", "bo_init",
-                     "bo_iters", "bo_candidates", "grid_nx", "grid_ny", "n_sensors"):
+        for name in ("placement_members", "enkf_members", "grid_nx", "grid_ny", "n_sensors"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.n_steps is not None and self.n_steps < 1:
@@ -172,87 +187,75 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _tuple2(value, name: str) -> tuple[float, float]:
-    if len(value) != 2:
-        raise ValueError(f"{name} must have exactly two entries")
+def _pair(value) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError("must be a list of two numbers")
     return (float(value[0]), float(value[1]))
 
 
+def _optional_int(value) -> int | None:
+    return None if value is None else int(value)
+
+
+# The file layout, once: (section, key, field) in file order. Section None
+# is the top level. Field None is pipeline_km.x, written as 0.0 and never
+# read: the pipeline lies on the y axis.
+LAYOUT = (
+    ("domain_km", "x", "domain_x_km"), ("domain_km", "y", "domain_y_km"),
+    ("pipeline_km", "x", None), ("pipeline_km", "y", "pipeline_y_km"),
+    ("meteo", "wind_speed_m_s", "wind_speed_m_s"), ("meteo", "wind_dir_deg", "wind_dir_deg"),
+    ("meteo", "wind_dir_std_deg", "wind_dir_std_deg"),
+    ("meteo", "p_y", "p_y"), ("meteo", "q_y", "q_y"),
+    ("time", "total_min", "total_min"), ("time", "interval_min", "interval_min"),
+    ("time", "release_duration_min", "release_duration_min"), ("time", "n_steps", "n_steps"),
+    (None, "release_mass", "release_mass"),
+    ("observation", "noise_mean", "noise_mean"), ("observation", "noise_std", "noise_std"),
+    ("observation", "conc_floor", "conc_floor"),
+    ("ensemble", "placement_members", "placement_members"),
+    ("ensemble", "enkf_members", "enkf_members"),
+    ("knn", "k", "knn_k"), ("knn", "jitter_scale", "knn_jitter"),
+    ("bo", "init_count", "bo_init"), ("bo", "iter_count", "bo_iters"),
+    ("bo", "acq_candidates", "bo_candidates"),
+    ("grid", "nx", "grid_nx"), ("grid", "ny", "grid_ny"),
+    ("placement", "n_sensors", "n_sensors"), ("placement", "min_sep_m", "min_sep_m"),
+    ("enkf", "inflation", "inflation"),
+    (None, "seed", "seed"),
+)
+# a field's parser follows the type of its default; a field that defaults
+# to None (n_steps) may be absent or null
+_PARSERS = {tuple: _pair, float: float, int: int, type(None): _optional_int}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "domain_km": {"x": list(cfg.domain_x_km), "y": list(cfg.domain_y_km)},
-        "pipeline_km": {"x": 0.0, "y": list(cfg.pipeline_y_km)},
-        "meteo": {
-            "wind_speed_m_s": cfg.wind_speed_m_s,
-            "wind_dir_deg": cfg.wind_dir_deg,
-            "wind_dir_std_deg": cfg.wind_dir_std_deg,
-            "p_y": cfg.p_y,
-            "q_y": cfg.q_y,
-        },
-        "time": {
-            "total_min": cfg.total_min,
-            "interval_min": cfg.interval_min,
-            "release_duration_min": cfg.release_duration_min,
-            "n_steps": cfg.n_steps,
-        },
-        "release_mass": cfg.release_mass,
-        "observation": {
-            "noise_mean": cfg.noise_mean,
-            "noise_std": cfg.noise_std,
-            "conc_floor": cfg.conc_floor,
-        },
-        "ensemble": {
-            "placement_members": cfg.placement_members,
-            "enkf_members": cfg.enkf_members,
-        },
-        "knn": {"k": cfg.knn_k, "jitter_scale": cfg.knn_jitter},
-        "bo": {
-            "init_count": cfg.bo_init,
-            "iter_count": cfg.bo_iters,
-            "acq_candidates": cfg.bo_candidates,
-        },
-        "grid": {"nx": cfg.grid_nx, "ny": cfg.grid_ny},
-        "placement": {"n_sensors": cfg.n_sensors, "min_sep_m": cfg.min_sep_m},
-        "enkf": {"inflation": cfg.inflation},
-        "seed": cfg.seed,
-    }
+    doc: dict = {}
+    for section, key, name in LAYOUT:
+        value = 0.0 if name is None else getattr(cfg, name)
+        part = doc if section is None else doc.setdefault(section, {})
+        part[key] = list(value) if isinstance(value, tuple) else value
+    return doc
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    try:
-        return ExperimentConfig(
-            domain_x_km=_tuple2(doc["domain_km"]["x"], "domain_km.x"),
-            domain_y_km=_tuple2(doc["domain_km"]["y"], "domain_km.y"),
-            pipeline_y_km=_tuple2(doc["pipeline_km"]["y"], "pipeline_km.y"),
-            wind_speed_m_s=float(doc["meteo"]["wind_speed_m_s"]),
-            wind_dir_deg=float(doc["meteo"]["wind_dir_deg"]),
-            wind_dir_std_deg=float(doc["meteo"]["wind_dir_std_deg"]),
-            p_y=float(doc["meteo"]["p_y"]),
-            q_y=float(doc["meteo"]["q_y"]),
-            total_min=float(doc["time"]["total_min"]),
-            interval_min=float(doc["time"]["interval_min"]),
-            release_duration_min=float(doc["time"]["release_duration_min"]),
-            n_steps=None if doc["time"].get("n_steps") is None else int(doc["time"]["n_steps"]),
-            release_mass=float(doc["release_mass"]),
-            noise_mean=float(doc["observation"]["noise_mean"]),
-            noise_std=float(doc["observation"]["noise_std"]),
-            conc_floor=float(doc["observation"]["conc_floor"]),
-            placement_members=int(doc["ensemble"]["placement_members"]),
-            enkf_members=int(doc["ensemble"]["enkf_members"]),
-            knn_k=int(doc["knn"]["k"]),
-            knn_jitter=float(doc["knn"]["jitter_scale"]),
-            bo_init=int(doc["bo"]["init_count"]),
-            bo_iters=int(doc["bo"]["iter_count"]),
-            bo_candidates=int(doc["bo"]["acq_candidates"]),
-            grid_nx=int(doc["grid"]["nx"]),
-            grid_ny=int(doc["grid"]["ny"]),
-            n_sensors=int(doc["placement"]["n_sensors"]),
-            min_sep_m=float(doc["placement"]["min_sep_m"]),
-            inflation=float(doc["enkf"]["inflation"]),
-            seed=int(doc["seed"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"config is missing required key: {exc}") from exc
+def config_from_dict(doc) -> ExperimentConfig:
+    """Parse a config document; a malformed one raises a ValueError that
+    names the offending key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
+    values = {}
+    for section, key, name in LAYOUT:
+        part = doc if section is None else doc.get(section, {})
+        if not isinstance(part, dict):
+            raise ValueError(f"config key {section!r} must be an object, got {part!r}")
+        if name is None:
+            continue
+        where = key if section is None else f"{section}.{key}"
+        if key not in part and _DEFAULTS[name] is not None:
+            raise ValueError(f"config is missing required key: {where!r}")
+        try:
+            values[name] = _PARSERS[type(_DEFAULTS[name])](part.get(key))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"config key {where!r} has invalid value {part.get(key)!r}") from exc
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -142,8 +142,6 @@ class PosteriorTrace:
 
     times: np.ndarray
     thetas: list[np.ndarray]  # one (n_members, 2) array per time
-    sensors: np.ndarray
-    truth: dispersion.ScenarioParams
     prior_theta: np.ndarray
 
 
@@ -195,10 +193,4 @@ def assimilate_run(
         ens = inflate(ens, cfg.inflation)
         ens = analysis(ens, truth_obs[:, i], int(analysis_seeds[i]))
         thetas.append(ens.theta.copy())
-    return PosteriorTrace(
-        times=times,
-        thetas=thetas,
-        sensors=sensors,
-        truth=truth,
-        prior_theta=prior_theta,
-    )
+    return PosteriorTrace(times=times, thetas=thetas, prior_theta=prior_theta)

@@ -67,7 +67,7 @@ class GpSurrogate:
     signal_var: float
     noise_var: float
     mean_offset: float = 0.0
-    chol: object = field(default=None, repr=False)
+    chol: object = field(init=False, repr=False)
 
     def __post_init__(self):
         self.train_x = np.atleast_2d(np.asarray(self.train_x, dtype=float))

@@ -21,7 +21,6 @@ import numpy as np
 from . import bo, dispersion
 from .cca import mi_lower_bound
 from .config import ExperimentConfig
-from .mi import KnnConfig
 
 _NOISE_TAG = 0x6F62  # distinguishes the observation-noise stream
 
@@ -39,37 +38,31 @@ def _location_seed(seed: int, key: tuple[float, float]) -> np.random.SeedSequenc
 class PriorEnsemble:
     """Prior parameter draws plus lazily cached observation trajectories.
 
-    Cache entries are reproducible from (location, seed): the noise
-    stream is keyed by the location's coordinate bits, so rebuilding a
-    location yields a bit-identical matrix.
+    The config owns every model setting; the ensemble holds only its
+    draws, the seed of its noise streams and the cache. Cache entries
+    are reproducible from (location, seed): the noise stream is keyed by
+    the location's coordinate bits, so rebuilding a location yields a
+    bit-identical matrix.
     """
 
+    cfg: ExperimentConfig
     params: np.ndarray  # (n_members, 2): release_y, wind_dir
-    meteo: dispersion.MeteoConfig
-    observation: dispersion.ObservationModel
-    times: np.ndarray
-    release_schedule: dispersion.ReleaseSchedule
-    knn: KnnConfig
     seed: int
     obs_cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def n_members(self) -> int:
-        return self.params.shape[0]
 
     def trajectories(self, location) -> np.ndarray:
         """(n_members, n_times) noisy log-observations at one location."""
         key = _location_key(location)
         if key not in self.obs_cache:
-            rng_seed = _location_seed(self.seed, key)
+            cfg = self.cfg
             self.obs_cache[key] = dispersion.simulate_ensemble(
                 self.params,
-                self.meteo,
+                cfg.meteo(),
                 key,
-                self.times,
-                self.release_schedule,
-                self.observation,
-                rng_seed,
+                cfg.times(),
+                cfg.release_schedule(),
+                cfg.observation(),
+                _location_seed(self.seed, key),
             )
         return self.obs_cache[key]
 
@@ -79,15 +72,7 @@ def build_ensemble(cfg: ExperimentConfig, n_members: int, seed: int) -> PriorEns
     trajectories fill lazily."""
     if n_members < 50:
         raise ValueError("need at least 50 ensemble members")
-    return PriorEnsemble(
-        params=cfg.draw_prior(n_members, np.random.default_rng(seed)),
-        meteo=cfg.meteo(),
-        observation=cfg.observation(),
-        times=cfg.times(),
-        release_schedule=cfg.release_schedule(),
-        knn=cfg.knn(),
-        seed=seed,
-    )
+    return PriorEnsemble(cfg, cfg.draw_prior(n_members, np.random.default_rng(seed)), seed)
 
 
 def objective(ens: PriorEnsemble, fixed, candidate) -> float:
@@ -98,7 +83,7 @@ def objective(ens: PriorEnsemble, fixed, candidate) -> float:
     """
     blocks = [ens.trajectories(s) for s in fixed]
     blocks.append(ens.trajectories(candidate))
-    return mi_lower_bound(ens.params, np.hstack(blocks), ens.knn)
+    return mi_lower_bound(ens.params, np.hstack(blocks), ens.cfg.knn())
 
 
 @dataclass
@@ -140,13 +125,15 @@ def load_placement(path) -> PlacementResult:
         )
     except KeyError as exc:
         raise ValueError(f"placement file {path} is missing required key: {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"placement file {path} is malformed: {exc}") from exc
 
 
 def greedy_place(
     ens: PriorEnsemble,
     n_sensors: int,
     bo_cfg: bo.BoConfig,
-    min_sep: float = 500.0,
+    min_sep: float,
 ) -> PlacementResult:
     """Algorithmic placement: one Bayesian optimization per greedy step.
 
@@ -171,7 +158,7 @@ def greedy_place(
                 pick = (trace.points[j], float(trace.values[j]))
                 break
         if pick is None:
-            raise RuntimeError(
+            raise ValueError(
                 f"no trace point at step {i + 1} satisfies min_sep={min_sep}; "
                 "lower the separation or enlarge the domain"
             )

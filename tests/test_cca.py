@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from plumeplace.cca import (
-    first_canonical,
-    gaussian_mi_from_correlations,
-    mi_lower_bound,
-)
+from plumeplace.cca import first_canonical, mi_lower_bound
 from plumeplace.mi import KnnConfig, ksg_mi
 
 from oracles import sweep_first_correlation
@@ -71,27 +67,6 @@ class TestFirstCanonical:
     def test_rejects_too_few_samples(self):
         with pytest.raises(ValueError):
             first_canonical(np.eye(3), np.eye(3))
-
-
-class TestGaussianMi:
-    def test_zero_correlation(self):
-        assert gaussian_mi_from_correlations([0.0]) == 0.0
-
-    def test_single_09(self):
-        assert gaussian_mi_from_correlations([0.9]) == pytest.approx(0.8303656034108255, abs=1e-12)
-
-    def test_additive(self):
-        assert gaussian_mi_from_correlations([0.5, 0.5]) == pytest.approx(
-            2 * 0.14384103622589045, abs=1e-12
-        )
-
-    def test_rejects_rho_one(self):
-        with pytest.raises(ValueError):
-            gaussian_mi_from_correlations([1.0])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            gaussian_mi_from_correlations([-0.2])
 
 
 class TestMiLowerBound:

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from plumeplace.cli import main
-from plumeplace.config import save_config
+from plumeplace.config import config_to_dict, save_config
 
 
 @pytest.fixture
@@ -22,6 +23,23 @@ def one_sensor(tmp_path):
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("plumeplace: error: "), err
+    return err
+
+
+def edited(doc, keys, value):
+    """doc with the entry at the key path replaced; () replaces the whole document."""
+    if not keys:
+        return value
+    part = doc
+    for key in keys[:-1]:
+        part = part[key]
+    part[keys[-1]] = value
+    return doc
 
 
 class TestPlace:
@@ -213,3 +231,59 @@ class TestErrors:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert run(["place", "--config", path, "--out", tmp_path / "o.json"]) == 1
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            ((), [], "config must be a JSON object, got list"),
+            (("meteo",), 5, "config key 'meteo' must be an object, got 5"),
+            (("meteo", "p_y"), None, "config key 'meteo.p_y' has invalid value None"),
+            (("domain_km",), {"x": 5}, "config key 'domain_km.x' has invalid value 5"),
+            (("seed",), [1], "config key 'seed' has invalid value [1]"),
+        ],
+        ids=["list", "scalar-section", "null-value", "scalar-pair", "list-seed"],
+    )
+    def test_malformed_config_document(self, tiny_config, tmp_path, capsys, keys, value, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(edited(config_to_dict(tiny_config), keys, value)))
+        assert run(["place", "--config", path, "--out", tmp_path / "o.json"]) == 1
+        assert one_error_line(capsys) == f"plumeplace: error: {message}\n"
+
+    def test_nan_interval(self, tiny_config, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        doc = edited(config_to_dict(tiny_config), ("time", "interval_min"), float("nan"))
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o.json"
+        assert run(["place", "--config", path, "--out", out]) == 1
+        assert one_error_line(capsys) == "plumeplace: error: interval_min must be finite, got nan\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc", [[], {"locations_m": 5, "bound_values_nats": []}], ids=["list", "scalar-locations"]
+    )
+    def test_malformed_placement_file(self, config_path, tmp_path, capsys, doc):
+        placement = tmp_path / "p.json"
+        placement.write_text(json.dumps(doc))
+        code = run(
+            ["assimilate", "--config", config_path, "--placement", placement,
+             "--out", tmp_path / "o.csv"]
+        )
+        assert code == 1
+        err = one_error_line(capsys)
+        assert err.startswith(f"plumeplace: error: placement file {placement} is malformed")
+
+    def test_data_block_wider_than_ensemble(self, tiny_config, tmp_path, capsys):
+        # step 2 stacks 2 x 30 observation columns against 50 members
+        path = tmp_path / "c.json"
+        save_config(replace(tiny_config, placement_members=50, n_steps=30), path)
+        assert run(["place", "--config", path, "--out", tmp_path / "o.json"]) == 1
+        err = one_error_line(capsys)
+        assert err.startswith("plumeplace: error: objective failed at")
+        assert "need more samples than total dimensions" in err
+
+    def test_unsatisfiable_separation(self, tiny_config, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        save_config(replace(tiny_config, min_sep_m=1e9), path)
+        assert run(["place", "--config", path, "--out", tmp_path / "o.json"]) == 1
+        err = one_error_line(capsys)
+        assert err.startswith("plumeplace: error: no trace point at step 2 satisfies min_sep=")

@@ -1,18 +1,25 @@
 import json
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plumeplace import evaluate, placement
 from plumeplace.config import (
+    LAYOUT,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
     load_config,
     save_config,
 )
-from plumeplace.dispersion import ScenarioParams
+from plumeplace.dispersion import ObservationModel, ScenarioParams
 from plumeplace.enkf import assimilate_run
+from plumeplace.mi import KnnConfig
 
 
 class TestDefaults:
@@ -30,6 +37,8 @@ class TestDefaults:
         assert cfg.noise_mean == -0.005
         assert cfg.noise_std == 0.1
         assert (cfg.grid_nx, cfg.grid_ny) == (11, 21)
+        assert cfg.observation() == ObservationModel()
+        assert cfg.knn() == KnnConfig()
 
     def test_derived_times_and_schedule(self):
         cfg = ExperimentConfig()
@@ -118,6 +127,88 @@ class TestRoundTrip:
             config_from_dict(doc)
 
 
+def _positive(hi=1e4):
+    return st.floats(min_value=1e-3, max_value=hi)
+
+
+def _span():
+    pairs = st.tuples(st.floats(-50.0, 50.0), st.floats(0.5, 50.0))
+    return pairs.map(lambda p: (p[0], p[0] + p[1]))
+
+
+VALID_CONFIGS = st.builds(
+    ExperimentConfig,
+    domain_x_km=_span(),
+    domain_y_km=_span(),
+    pipeline_y_km=_span(),
+    wind_speed_m_s=_positive(),
+    wind_dir_deg=st.floats(-360.0, 360.0),
+    wind_dir_std_deg=_positive(),
+    p_y=_positive(),
+    q_y=st.floats(0.01, 1.0),
+    total_min=_positive(),
+    interval_min=_positive(),
+    release_duration_min=_positive(),
+    n_steps=st.none() | st.integers(1, 1000),
+    release_mass=_positive(),
+    noise_mean=st.floats(-1.0, 1.0),
+    noise_std=_positive(),
+    conc_floor=st.floats(1e-300, 1.0),
+    placement_members=st.integers(1, 10_000),
+    enkf_members=st.integers(1, 10_000),
+    knn_k=st.integers(1, 50),
+    knn_jitter=st.floats(0.0, 1e-3),
+    bo_init=st.integers(2, 100),
+    bo_iters=st.integers(0, 100),
+    bo_candidates=st.integers(1, 10_000),
+    grid_nx=st.integers(1, 100),
+    grid_ny=st.integers(1, 100),
+    n_sensors=st.integers(1, 10),
+    min_sep_m=_positive(),
+    inflation=_positive(10.0),
+    seed=st.integers(0, 2**63),
+)
+BAD_VALUES = (None, [], {}, "x", [1, 2, 3], float("nan"), float("inf"), float("-inf"), -1, 0)
+
+
+class TestLayout:
+    def test_names_every_field_once(self):
+        named = [name for _, _, name in LAYOUT if name is not None]
+        assert sorted(named) == sorted(f.name for f in fields(ExperimentConfig))
+
+    @settings(max_examples=50, deadline=None)
+    @given(VALID_CONFIGS)
+    def test_round_trip(self, cfg):
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp, "a.json"), Path(tmp, "b.json")
+            save_config(cfg, a)
+            save_config(load_config(a), b)
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_bad_values_give_a_config_or_value_error(self):
+        sections = {(section, None) for section, _, _ in LAYOUT if section is not None}
+        keys = [(section, key) for section, key, _ in LAYOUT] + sorted(sections)
+        for section, key in keys:
+            for bad in BAD_VALUES:
+                doc = config_to_dict(ExperimentConfig())
+                if key is None:
+                    doc[section] = bad
+                else:
+                    (doc if section is None else doc[section])[key] = bad
+                try:
+                    config_from_dict(doc)
+                except ValueError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - any other type fails the test
+                    pytest.fail(f"{section}.{key} = {bad!r} raised {exc!r}")
+
+    def test_n_steps_may_be_absent(self):
+        doc = config_to_dict(ExperimentConfig())
+        del doc["time"]["n_steps"]
+        assert config_from_dict(doc) == ExperimentConfig()
+
+
 class TestValidation:
     def test_degenerate_domain(self):
         with pytest.raises(ValueError):
@@ -130,6 +221,25 @@ class TestValidation:
     def test_bad_member_count(self):
         with pytest.raises(ValueError):
             ExperimentConfig(placement_members=0)
+
+    def test_sub_config_rules(self):
+        # BO with no iterations runs only its initial design
+        assert ExperimentConfig(bo_iters=0).bo_config().iter_count == 0
+        for bad in ({"bo_init": 1}, {"q_y": 1.5}, {"knn_k": 2.5}, {"knn_jitter": -1.0}):
+            with pytest.raises(ValueError):
+                ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_floats(self, value):
+        for f in fields(ExperimentConfig):
+            if isinstance(f.default, float):
+                bad = {f.name: value}
+            elif isinstance(f.default, tuple):
+                bad = {f.name: (f.default[0], value)}
+            else:
+                continue
+            with pytest.raises(ValueError, match=f"{f.name} must be finite"):
+                ExperimentConfig(**bad)
 
     def test_digest_stable_and_sensitive(self):
         a = ExperimentConfig()

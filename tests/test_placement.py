@@ -75,7 +75,7 @@ class TestObjective:
         candidates = [(450.0, 300.0), (850.0, 700.0), (9000.0, 9000.0)]
         bounds = [pl.objective(ens, [], c) for c in candidates]
         fulls = [
-            ksg_mi(ens.params, ens.trajectories(c), ens.knn) for c in candidates
+            ksg_mi(ens.params, ens.trajectories(c), cfg.knn()) for c in candidates
         ]
         assert np.argsort(bounds).tolist() == np.argsort(fulls).tolist()
 
@@ -104,10 +104,10 @@ class TestGreedyPlace:
             acq_candidates=64,
             seed=2,
         )
-        a = pl.greedy_place(small_ensemble, 2, bo_cfg)
+        a = pl.greedy_place(small_ensemble, 2, bo_cfg, min_sep=500.0)
         cfg = ExperimentConfig(placement_members=300, n_steps=8)
         fresh = pl.build_ensemble(cfg, 300, seed=42)
-        b = pl.greedy_place(fresh, 2, bo_cfg)
+        b = pl.greedy_place(fresh, 2, bo_cfg, min_sep=500.0)
         assert a.locations == b.locations
         assert a.bound_values == b.bound_values
 
@@ -119,7 +119,7 @@ class TestGreedyPlace:
             acq_candidates=64,
             seed=3,
         )
-        with pytest.raises(RuntimeError, match="min_sep"):
+        with pytest.raises(ValueError, match="min_sep"):
             pl.greedy_place(small_ensemble, 2, bo_cfg, min_sep=1e9)
 
 
