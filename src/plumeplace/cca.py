@@ -11,7 +11,9 @@ SVD of the whitened cross-covariance, which is numerically stabler than
 the equivalent generalized eigenproblem. Coordinates are standardized
 internally (canonical correlations are affine invariant, so this only
 affects conditioning) and the returned directions are mapped back so
-they apply to the raw data.
+they apply to the raw data. Each standardized block covariance carries
+a relative regularization of 1e-8 * trace/dim, so a block with a constant
+coordinate or a deficient rank still has a whitening.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .mi import KnnConfig, ksg_mi
 
-_RIDGE_REL_DEFAULT = 1e-8
+_REG_REL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -38,32 +40,24 @@ class CanonicalPair:
     rho1: float
 
 
-def _standardize_columns(x: np.ndarray, strict: bool):
+def _standardize_columns(x: np.ndarray):
     mean = x.mean(axis=0)
     std = x.std(axis=0, ddof=1)
-    if strict and np.any(std == 0):
-        raise ValueError("degenerate (constant) coordinate with ridge=0")
     std = np.where(std > 0, std, 1.0)
     return (x - mean) / std, std
 
 
-def _inv_sqrt(cov: np.ndarray, ridge, strict: bool) -> np.ndarray:
+def _inv_sqrt(cov: np.ndarray) -> np.ndarray:
     dim = cov.shape[0]
-    lam = _RIDGE_REL_DEFAULT * np.trace(cov) / dim if ridge is None else ridge
+    lam = _REG_REL * np.trace(cov) / dim
     w, v = np.linalg.eigh(cov + lam * np.eye(dim))
-    if w[-1] <= 0 or (strict and w[0] <= 1e-12 * w[-1]):
-        raise ValueError("rank-deficient covariance with ridge=0")
+    if w[-1] <= 0:
+        raise ValueError("block has no variance: every coordinate is constant")
     return (v / np.sqrt(w)) @ v.T
 
 
-def first_canonical(q, d, ridge: float | None = None) -> CanonicalPair:
-    """Top solution of the CCA problem on two paired sample blocks.
-
-    ridge=None applies a relative regularization of 1e-8 * trace/dim to
-    each block covariance (in standardized coordinates); ridge=0 is
-    strict and raises on rank-deficient blocks; any other value is added
-    to both standardized covariances as given.
-    """
+def first_canonical(q, d) -> CanonicalPair:
+    """Top solution of the CCA problem on two paired sample blocks."""
     q = np.asarray(q, dtype=float)
     d = np.asarray(d, dtype=float)
     q = q[:, None] if q.ndim == 1 else q
@@ -73,18 +67,15 @@ def first_canonical(q, d, ridge: float | None = None) -> CanonicalPair:
         raise ValueError("blocks must hold the same number of samples")
     if n <= q.shape[1] + d.shape[1]:
         raise ValueError("need more samples than total dimensions")
-    if ridge is not None and ridge < 0:
-        raise ValueError("ridge must be >= 0")
-    strict = ridge == 0
 
-    qs, q_scale = _standardize_columns(q, strict)
-    ds, d_scale = _standardize_columns(d, strict)
+    qs, q_scale = _standardize_columns(q)
+    ds, d_scale = _standardize_columns(d)
     cqq = qs.T @ qs / (n - 1)
     cdd = ds.T @ ds / (n - 1)
     cqd = qs.T @ ds / (n - 1)
 
-    wq = _inv_sqrt(cqq, ridge, strict)
-    wd = _inv_sqrt(cdd, ridge, strict)
+    wq = _inv_sqrt(cqq)
+    wd = _inv_sqrt(cdd)
     u, s, vt = np.linalg.svd(wq @ cqd @ wd)
 
     # map directions back to raw coordinates (standardization is affine)
@@ -101,9 +92,7 @@ def _unit_variance(v: np.ndarray) -> np.ndarray:
     return (v - v.mean()) / std if std > 0 else v - v.mean()
 
 
-def mi_lower_bound(
-    q, d, knn: KnnConfig = KnnConfig(), ridge: float | None = None
-) -> float:
+def mi_lower_bound(q, d, knn: KnnConfig = KnnConfig()) -> float:
     """kNN MI between the first canonical projections of q and d.
 
     A 1D q is used as-is (projecting a scalar is a monotone map and the
@@ -115,7 +104,7 @@ def mi_lower_bound(
     d = np.asarray(d, dtype=float)
     q2 = q[:, None] if q.ndim == 1 else q
     d2 = d[:, None] if d.ndim == 1 else d
-    pair = first_canonical(q2, d2, ridge)
+    pair = first_canonical(q2, d2)
     u = q2[:, 0] if q2.shape[1] == 1 else q2 @ pair.alpha
     v = d2[:, 0] if d2.shape[1] == 1 else d2 @ pair.beta
     return ksg_mi(_unit_variance(u), _unit_variance(v), knn)

@@ -7,7 +7,9 @@ unit conversion happens in the derived accessors.
 
 The file layout is declared once, in LAYOUT, and drives both
 config_to_dict and config_from_dict. A malformed document raises a
-ValueError that names the key.
+ValueError that names the key: an integer setting takes only a JSON
+integer, and a real setting or pair only JSON numbers, never a bool or
+a string.
 
 Every setting has one owner. The sub-configs check their own values and
 hold the defaults ExperimentConfig shares with them: MeteoConfig the
@@ -164,13 +166,13 @@ class ExperimentConfig:
             [rng.uniform(lo, hi, n), rng.normal(self.meteo().wind_dir, self.wind_dir_std_rad(), n)]
         )
 
-    def bo_config(self, seed: int | None = None) -> BoConfig:
+    def bo_config(self) -> BoConfig:
         return BoConfig(
             domain=self.domain_m(),
             init_count=self.bo_init,
             iter_count=self.bo_iters,
             acq_candidates=self.bo_candidates,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
         )
 
     def with_profile(self, profile: str) -> "ExperimentConfig":
@@ -187,14 +189,28 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _pair(value) -> tuple[float, float]:
+def json_int(value, key: str) -> int:
+    """value if it is a JSON integer; anything else, a bool or an integral
+    float such as 2.0 included, raises a ValueError that names key."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _pair(value, key: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError("must be a list of two numbers")
-    return (float(value[0]), float(value[1]))
+        raise ValueError(f"{key!r} must be a list of two numbers, got {value!r}")
+    return (_number(value[0], key), _number(value[1], key))
 
 
-def _optional_int(value) -> int | None:
-    return None if value is None else int(value)
+def _optional_int(value, key: str) -> int | None:
+    return None if value is None else json_int(value, key)
 
 
 # The file layout, once: (section, key, field) in file order. Section None
@@ -223,7 +239,7 @@ LAYOUT = (
 )
 # a field's parser follows the type of its default; a field that defaults
 # to None (n_steps) may be absent or null
-_PARSERS = {tuple: _pair, float: float, int: int, type(None): _optional_int}
+_PARSERS = {tuple: _pair, float: _number, int: json_int, type(None): _optional_int}
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
@@ -252,8 +268,8 @@ def config_from_dict(doc) -> ExperimentConfig:
         if key not in part and _DEFAULTS[name] is not None:
             raise ValueError(f"config is missing required key: {where!r}")
         try:
-            values[name] = _PARSERS[type(_DEFAULTS[name])](part.get(key))
-        except (TypeError, ValueError, OverflowError) as exc:
+            values[name] = _PARSERS[type(_DEFAULTS[name])](part.get(key), where)
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"config key {where!r} has invalid value {part.get(key)!r}") from exc
     return ExperimentConfig(**values)
 

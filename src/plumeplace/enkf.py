@@ -36,18 +36,13 @@ def _sensor_rows(value, name: str) -> np.ndarray:
 @dataclass
 class AugmentedEnsemble:
     """Member matrix [release_y, wind_dir, ln u_1..ln u_S] plus the
-    scenario context needed to predict the members' readings.
-
-    `time` is the instant the ln-u block predicts; the default 0.0 is
-    release onset, where every reading is the floor.
-    """
+    scenario context needed to predict the members' readings."""
 
     members: np.ndarray
     sensors: np.ndarray
     meteo: dispersion.MeteoConfig
     observation: dispersion.ObservationModel
     release_schedule: dispersion.ReleaseSchedule = field(default_factory=list)
-    time: float = 0.0
 
     def __post_init__(self):
         self.members = np.asarray(self.members, dtype=float)
@@ -88,7 +83,7 @@ def forecast(ens: AugmentedEnsemble, t: float) -> AugmentedEnsemble:
         ens.observation,
     )
     members = np.hstack([ens.members[:, :THETA_DIM], lnu])
-    return replace(ens, members=members, time=t)
+    return replace(ens, members=members)
 
 
 def analysis(ens: AugmentedEnsemble, obs, seed: int) -> AugmentedEnsemble:

@@ -3,9 +3,8 @@
 A placement is judged by the posterior uncertainty it leaves behind:
 for a set of initial conditions drawn from the prior, each placement
 assimilates the simulated data and the per-step entropy of the
-parameter ensemble is estimated. The prior-weighted average over
-conditions (uniform here, since conditions are prior draws) gives the
-conditional entropy used for ranking.
+parameter ensemble is estimated. The conditions are prior draws, so the
+conditional entropy used for ranking is their uniform average.
 """
 
 from __future__ import annotations
@@ -22,22 +21,6 @@ from .enkf import assimilate_run
 from .mi import KnnConfig, knn_entropy
 
 ENTROPY_COLUMNS = ("release_y", "wind_dir", "joint")
-
-
-def conditional_entropy(traces, weights) -> float:
-    """Weighted average of per-condition entropies.
-
-    weights must be nonnegative and sum to one, one weight per entropy.
-    """
-    traces = np.asarray(traces, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if traces.shape != weights.shape:
-        raise ValueError("one weight per entropy value is required")
-    if np.any(weights < 0):
-        raise ValueError("weights must be >= 0")
-    if not np.isclose(weights.sum(), 1.0, atol=1e-9):
-        raise ValueError("weights must sum to 1")
-    return float(np.sum(weights * traces))
 
 
 def _entropy_triplet(theta: np.ndarray, knn: KnnConfig) -> tuple[float, float, float]:
@@ -83,12 +66,13 @@ class EvaluationReport:
     prior_entropy: tuple[float, float, float]
 
     def conditional(self, name: str) -> np.ndarray:
-        """(n_steps, 3) uniform-weighted entropy trace for one placement."""
+        """(n_steps, 3) conditional entropy trace for one placement: the
+        uniform average over conditions, since they are prior draws."""
         runs = self.traces[name]
         weights = np.full(runs.shape[0], 1.0 / runs.shape[0])
         return np.array(
             [
-                [conditional_entropy(runs[:, t, c], weights) for c in range(3)]
+                [float(np.sum(weights * runs[:, t, c])) for c in range(3)]
                 for t in range(runs.shape[1])
             ]
         )

@@ -26,17 +26,17 @@ FIT_BUDGET = 200  # likelihood steps per search
 
 
 def cho_factor(a, overwrite_a=False):
-    """Lower Cholesky factor `(c, True)` of a symmetric positive-definite
-    matrix: the LAPACK call of `scipy.linalg.cho_factor(a, lower=True,
-    check_finite=False)` without its per-call checks, upper triangle of
-    `c` uncleaned. Callers resolve it as a module attribute at call time,
+    """Lower Cholesky factor of a symmetric positive-definite matrix: the
+    LAPACK call of `scipy.linalg.cho_factor(a, lower=True,
+    check_finite=False)` without its per-call checks, upper triangle
+    uncleaned. Callers resolve it as a module attribute at call time,
     so one wrapper sees every factorisation (the benchmark counts
     likelihood evaluations per fit that way).
     """
     c, info = dpotrf(a, lower=1, clean=0, overwrite_a=overwrite_a)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotrf failed with info={info}: not positive definite")
-    return c, True
+    return c
 
 
 def _check_rows(x: np.ndarray, f: np.ndarray) -> None:
@@ -54,11 +54,13 @@ def _kernel_matrix(xa: np.ndarray, xb: np.ndarray, ls, signal_var) -> np.ndarray
 
 @dataclass
 class GpSurrogate:
-    """Fitted surrogate; prediction uses the cached Cholesky factor.
+    """Fitted surrogate; prediction uses the cached lower Cholesky factor
+    `chol` of the training covariance.
 
-    An empty training set is allowed and yields the prior (mean 0,
-    variance signal_var). Instances are treated as immutable after
-    construction.
+    At least one training point is required. `log_params` is the fit's
+    optimum (log lengthscales, log noise ratio), which seeds the next
+    refit; it is None for a surrogate built by hand. Instances are
+    treated as immutable after construction.
     """
 
     train_x: np.ndarray
@@ -67,7 +69,8 @@ class GpSurrogate:
     signal_var: float
     noise_var: float
     mean_offset: float = 0.0
-    chol: object = field(init=False, repr=False)
+    log_params: np.ndarray | None = field(default=None, repr=False)
+    chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.train_x = np.atleast_2d(np.asarray(self.train_x, dtype=float))
@@ -80,8 +83,7 @@ class GpSurrogate:
             raise ValueError("signal_var and noise_var must be > 0")
         n = self.train_f.shape[0]
         if n == 0:
-            self.chol = None
-            return
+            raise ValueError("need at least 1 training point")
         k = _kernel_matrix(self.train_x, self.train_x, self.lengthscales, self.signal_var)
         k[np.diag_indices(n)] += self.noise_var
         try:
@@ -100,12 +102,9 @@ def predict(g: GpSurrogate, x_new):
     clamped at zero against roundoff; it never exceeds signal_var.
     """
     x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
-    m = x_new.shape[0]
-    if g.chol is None:
-        return np.zeros(m), np.full(m, g.signal_var)
     ks = _kernel_matrix(x_new, g.train_x, g.lengthscales, g.signal_var)
-    mean = g.mean_offset + ks @ dpotrs(g.chol[0], g.train_f - g.mean_offset, lower=1)[0]
-    var = g.signal_var - np.sum(ks * dpotrs(g.chol[0], ks.T, lower=1)[0].T, axis=1)
+    mean = g.mean_offset + ks @ dpotrs(g.chol, g.train_f - g.mean_offset, lower=1)[0]
+    var = g.signal_var - np.sum(ks * dpotrs(g.chol, ks.T, lower=1)[0].T, axis=1)
     return mean, np.maximum(var, 0.0)
 
 
@@ -192,7 +191,7 @@ def fit(
         b = kernels[key].copy()
         b[:: n + 1] += max(np.exp(logp[dim]), NOISE_RATIO_FLOOR)
         try:
-            c, _ = cho_factor(b.reshape(n, n), overwrite_a=True)
+            c = cho_factor(b.reshape(n, n), overwrite_a=True)
         except np.linalg.LinAlgError:
             return np.inf, 1.0
         alpha, info = dpotrs(c, g, lower=1)
@@ -226,13 +225,12 @@ def fit(
     if degenerate:
         sv = 1.0
         ratio = NOISE_RATIO_FLOOR
-    surrogate = GpSurrogate(
+    return GpSurrogate(
         train_x=x,
         train_f=f,
         lengthscales=ls,
         signal_var=sv,
         noise_var=ratio * sv,
         mean_offset=f_mean,
+        log_params=best_p,
     )
-    surrogate.log_params = best_p  # warm-start handle for refits
-    return surrogate

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bo, dispersion
 from .cca import mi_lower_bound
-from .config import ExperimentConfig
+from .config import ExperimentConfig, json_int
 
 _NOISE_TAG = 0x6F62  # distinguishes the observation-noise stream
 
@@ -119,13 +119,13 @@ def load_placement(path) -> PlacementResult:
         return PlacementResult(
             locations=[tuple(loc) for loc in doc["locations_m"]],
             bound_values=list(doc["bound_values_nats"]),
-            seed=int(doc.get("seed", 0)),
+            seed=json_int(doc.get("seed", 0), "seed"),
             config_digest=doc.get("config_digest", ""),
             method=doc.get("method", ""),
         )
     except KeyError as exc:
         raise ValueError(f"placement file {path} is missing required key: {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"placement file {path} is malformed: {exc}") from exc
 
 

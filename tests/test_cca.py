@@ -9,9 +9,12 @@ from oracles import sweep_first_correlation
 
 class TestFirstCanonical:
     def test_identical_blocks_give_rho_one(self):
+        # one short of 1 by exactly the regularization: the top eigenvalue
+        # lam of the sample correlation matrix whitens to lam / (lam + 1e-8)
         q = np.random.default_rng(0).standard_normal((500, 2))
-        pair = first_canonical(q, q.copy(), ridge=0.0)
-        assert pair.rho1 == pytest.approx(1.0, abs=1e-8)
+        pair = first_canonical(q, q.copy())
+        lam = np.linalg.eigvalsh(np.corrcoef(q.T))[-1]
+        assert pair.rho1 == pytest.approx(lam / (lam + 1e-8), abs=1e-12)
 
     def test_independent_blocks_small_rho(self):
         rng = np.random.default_rng(1)
@@ -46,8 +49,8 @@ class TestFirstCanonical:
         q = rng.standard_normal(1000)
         d = np.column_stack([q + rng.standard_normal(1000), q - 0.3 * rng.standard_normal(1000)])
         m = np.array([[1.3, -0.7], [0.4, 2.2]])
-        r_raw = first_canonical(q, d, ridge=0.0).rho1
-        r_map = first_canonical(q, d @ m + np.array([5.0, -2.0]), ridge=0.0).rho1
+        r_raw = first_canonical(q, d).rho1
+        r_map = first_canonical(q, d @ m + np.array([5.0, -2.0])).rho1
         assert r_map == pytest.approx(r_raw, abs=1e-6)
 
     def test_rho1_monotone_in_snr(self):
@@ -57,12 +60,18 @@ class TestFirstCanonical:
         rhos = [first_canonical(q, a * q + noise).rho1 for a in (0.2, 0.5, 1.0, 2.0)]
         assert all(b > a for a, b in zip(rhos, rhos[1:]))
 
-    def test_rejects_constant_coordinate_with_zero_ridge(self):
+    def test_constant_coordinate_is_regularized(self):
         rng = np.random.default_rng(7)
         q = rng.standard_normal(300)
-        d = np.column_stack([rng.standard_normal(300), np.ones(300)])
-        with pytest.raises(ValueError):
-            first_canonical(q, d, ridge=0.0)
+        d = np.column_stack([q + rng.standard_normal(300), np.ones(300)])
+        pair = first_canonical(q, d)
+        assert 0.5 < pair.rho1 < 1.0
+        assert np.all(np.isfinite(pair.beta))
+
+    def test_rejects_block_without_variance(self):
+        q = np.random.default_rng(7).standard_normal(300)
+        with pytest.raises(ValueError, match="every coordinate is constant"):
+            first_canonical(q, np.ones((300, 2)))
 
     def test_rejects_too_few_samples(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -240,8 +241,17 @@ class TestErrors:
             (("meteo", "p_y"), None, "config key 'meteo.p_y' has invalid value None"),
             (("domain_km",), {"x": 5}, "config key 'domain_km.x' has invalid value 5"),
             (("seed",), [1], "config key 'seed' has invalid value [1]"),
+            (("knn", "k"), 2.5, "config key 'knn.k' has invalid value 2.5"),
+            (("time", "n_steps"), 3.7, "config key 'time.n_steps' has invalid value 3.7"),
+            (("grid", "nx"), 1e300, "config key 'grid.nx' has invalid value 1e+300"),
+            (("ensemble", "enkf_members"), True,
+             "config key 'ensemble.enkf_members' has invalid value True"),
+            (("meteo", "wind_speed_m_s"), "4",
+             "config key 'meteo.wind_speed_m_s' has invalid value '4'"),
+            (("seed",), "7", "config key 'seed' has invalid value '7'"),
         ],
-        ids=["list", "scalar-section", "null-value", "scalar-pair", "list-seed"],
+        ids=["list", "scalar-section", "null-value", "scalar-pair", "list-seed", "float-k",
+             "float-n-steps", "huge-nx", "bool-members", "string-wind", "string-seed"],
     )
     def test_malformed_config_document(self, tiny_config, tmp_path, capsys, keys, value, message):
         path = tmp_path / "c.json"
@@ -259,7 +269,14 @@ class TestErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "doc", [[], {"locations_m": 5, "bound_values_nats": []}], ids=["list", "scalar-locations"]
+        "doc",
+        [
+            [],
+            {"locations_m": 5, "bound_values_nats": []},
+            {"locations_m": [[600.0, 0.0]], "bound_values_nats": [0.0], "seed": 2.5},
+            {"locations_m": [[600.0, 0.0]], "bound_values_nats": [0.0], "seed": "x"},
+        ],
+        ids=["list", "scalar-locations", "float-seed", "string-seed"],
     )
     def test_malformed_placement_file(self, config_path, tmp_path, capsys, doc):
         placement = tmp_path / "p.json"
@@ -287,3 +304,39 @@ class TestErrors:
         assert run(["place", "--config", path, "--out", tmp_path / "o.json"]) == 1
         err = one_error_line(capsys)
         assert err.startswith("plumeplace: error: no trace point at step 2 satisfies min_sep=")
+
+
+# sha256 of each tiny-config output, recorded at the commit before the
+# removal of unused options. A change that moves output bits on purpose
+# re-records them and logs old and new values with the reason.
+GOLDEN_SHA256 = {
+    "placement.json":
+        "030307cde9cd379ef4c70748689ccdcb73458ee53ba1cb409e6875fb613396d1",
+    "bo-traces.csv":
+        "028b425ce6ba623994ae276b32835f9697b59a405d6ddaaba4570de2b8886155",
+    "surface.csv":
+        "690d750e77019b38385e66dc11bb73c82c545f40f9df7b33d5d570a31668790b",
+    "report.json":
+        "779ec00319fab249a7ba7a0642af3e9a32ad65db61002784071586b616db4f2d",
+    "entropy-traces.csv":
+        "e88b517d103be40d38e9b7facc8471c9bdd101d4537e22e26f88acf777520876",
+    "posterior.csv":
+        "969a2b781939fc7deae2b62ab815d80b7e51542dc21dd12121de8caa0bd99211",
+    "summary.csv":
+        "63a0ac0b282ffde60efb1fe8edf02c15571e70ad0d3ecf7758f73cc819ca5a93",
+}
+
+
+def test_golden_outputs(config_path, tmp_path):
+    out = {name: tmp_path / name for name in GOLDEN_SHA256}
+    common = ["--config", config_path]
+    assert run(["place", *common, "--out", out["placement.json"],
+                "--traces-csv", out["bo-traces.csv"]]) == 0
+    assert run(["grid-surface", *common, "--out", out["surface.csv"], "--steps", 1]) == 0
+    assert run(["compare", *common, "--placements", out["placement.json"], "--random", 2,
+                "--conditions", 2, "--out", out["report.json"],
+                "--traces-csv", out["entropy-traces.csv"]]) == 0
+    assert run(["assimilate", *common, "--placement", out["placement.json"],
+                "--out", out["posterior.csv"], "--summary", out["summary.csv"]]) == 0
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in out.items()}
+    assert digests == GOLDEN_SHA256

@@ -203,6 +203,38 @@ class TestLayout:
                 except Exception as exc:  # noqa: BLE001 - any other type fails the test
                     pytest.fail(f"{section}.{key} = {bad!r} raised {exc!r}")
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("knn", "k", 2.5),
+            ("time", "n_steps", 3.7),
+            ("grid", "nx", 1e300),
+            ("grid", "ny", 21.0),
+            ("ensemble", "enkf_members", True),
+            ("meteo", "wind_speed_m_s", "4"),
+            ("meteo", "p_y", False),
+            ("domain_km", "y", [-10.0, "10"]),
+            (None, "seed", "7"),
+            (None, "seed", 7.0),
+        ],
+    )
+    def test_takes_json_numbers_only(self, section, key, value):
+        # integer keys take only JSON integers; real keys and pairs take
+        # JSON numbers, never bools or strings
+        doc = config_to_dict(ExperimentConfig())
+        (doc if section is None else doc[section])[key] = value
+        where = key if section is None else f"{section}.{key}"
+        with pytest.raises(ValueError, match=f"^config key '{where}' has invalid value "):
+            config_from_dict(doc)
+
+    def test_integers_load_as_real_settings(self):
+        doc = config_to_dict(ExperimentConfig())
+        doc["meteo"]["wind_speed_m_s"] = 4
+        doc["domain_km"]["x"] = [0, 10]
+        cfg = config_from_dict(doc)
+        assert cfg == ExperimentConfig()
+        assert type(cfg.wind_speed_m_s) is float and type(cfg.domain_x_km[1]) is float
+
     def test_n_steps_may_be_absent(self):
         doc = config_to_dict(ExperimentConfig())
         del doc["time"]["n_steps"]

@@ -34,7 +34,6 @@ def scenario_ensemble(theta, sensors, cfg=None, bias=None, noise_var=None):
         meteo=cfg.meteo(),
         observation=observation,
         release_schedule=cfg.release_schedule(),
-        time=0.0,
     )
 
 
@@ -52,7 +51,6 @@ class TestForecast:
         ens = scenario_ensemble(theta, [(2000.0, 0.0)])
         out = forecast(ens, 60.0)
         np.testing.assert_array_equal(out.theta, theta)
-        assert out.time == 60.0
 
     def test_far_plume_reads_floor(self):
         theta = np.array([[0.0, 0.0], [500.0, 0.1]])
@@ -71,7 +69,6 @@ class TestForecast:
         ens = scenario_ensemble(np.array([[truth.release_y, truth.wind_dir]]), sensors, cfg)
         for j, t in enumerate(cfg.times()):
             ens = forecast(ens, t)
-            assert ens.time == t
             np.testing.assert_array_equal(ens.log_obs[0], reference[:, j])
 
 

@@ -5,43 +5,45 @@ from hypothesis import strategies as st
 
 from plumeplace.config import ExperimentConfig
 from plumeplace.evaluate import (
+    EvaluationReport,
     compare_placements,
-    conditional_entropy,
     draw_conditions,
     random_placements,
 )
 
 
+def report_of(runs) -> EvaluationReport:
+    """A report holding one placement's (n_conditions, n_steps, 3) traces."""
+    runs = np.asarray(runs, dtype=float)
+    return EvaluationReport(
+        placements={"p": []},
+        conditions=[],
+        times=np.arange(runs.shape[1], dtype=float),
+        traces={"p": runs},
+        prior_entropy=(0.0, 0.0, 0.0),
+    )
+
+
 class TestConditionalEntropy:
+    """EvaluationReport.conditional: the uniform average over conditions."""
+
     def test_equal_weights_mean(self):
-        assert conditional_entropy([1.0, 3.0], [0.5, 0.5]) == 2.0
+        runs = [[[1.0, 3.0, 5.0]], [[3.0, 5.0, 9.0]]]
+        np.testing.assert_array_equal(report_of(runs).conditional("p"), [[2.0, 4.0, 7.0]])
 
     def test_single_condition(self):
-        assert conditional_entropy([7.3], [1.0]) == 7.3
-
-    def test_weighted(self):
-        assert conditional_entropy([4.0, 0.0], [0.25, 0.75]) == 1.0
-
-    def test_rejects_mismatch(self):
-        with pytest.raises(ValueError):
-            conditional_entropy([1.0, 2.0], [1.0])
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError):
-            conditional_entropy([1.0, 2.0], [1.5, -0.5])
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            conditional_entropy([1.0, 2.0], [0.3, 0.3])
+        runs = [[[7.3, -1.0, 2.5], [0.1, 0.2, 0.3]]]
+        np.testing.assert_array_equal(report_of(runs).conditional("p"), runs[0])
 
     @given(
         st.lists(st.floats(-10, 10), min_size=1, max_size=8),
     )
     @settings(max_examples=50, deadline=None)
     def test_uniform_weighting_stays_in_range(self, values):
-        weights = np.full(len(values), 1.0 / len(values))
-        out = conditional_entropy(values, weights)
-        assert min(values) - 1e-9 <= out <= max(values) + 1e-9
+        runs = np.repeat(np.asarray(values)[:, None, None], 3, axis=2)
+        out = report_of(runs).conditional("p")
+        assert out.shape == (1, 3)
+        assert np.all((min(values) - 1e-9 <= out) & (out <= max(values) + 1e-9))
 
 
 @pytest.fixture(scope="module")

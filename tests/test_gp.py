@@ -41,9 +41,8 @@ class TestChoFactor:
             a = m @ m.T + rng.uniform(1e-6, 1.0) * np.eye(n)
             expected, lower = scipy.linalg.cho_factor(a, lower=True)
             before = a.copy()
-            c, flag = gp.cho_factor(a)
-            assert lower is True and flag is True
-            np.testing.assert_array_equal(c, expected)
+            assert lower is True
+            np.testing.assert_array_equal(gp.cho_factor(a), expected)
             np.testing.assert_array_equal(a, before)
 
     def test_rejects_non_positive_definite(self):
@@ -66,17 +65,15 @@ class TestPredict:
         np.testing.assert_allclose(mean, g.train_f, atol=1e-4)
         assert np.all(var < 1e-4)
 
-    def test_prior_fallback_without_training_points(self):
-        g = GpSurrogate(
-            train_x=np.empty((0, 2)),
-            train_f=np.empty(0),
-            lengthscales=np.array([1.0, 1.0]),
-            signal_var=2.5,
-            noise_var=1e-6,
-        )
-        mean, var = predict(g, [[0.0, 0.0], [5.0, -3.0]])
-        np.testing.assert_array_equal(mean, 0.0)
-        np.testing.assert_array_equal(var, 2.5)
+    def test_rejects_empty_training_set(self):
+        with pytest.raises(ValueError, match="need at least 1 training point"):
+            GpSurrogate(
+                train_x=np.empty((0, 2)),
+                train_f=np.empty(0),
+                lengthscales=np.array([1.0, 1.0]),
+                signal_var=2.5,
+                noise_var=1e-6,
+            )
 
     def test_antisymmetric_mean_zero_at_origin(self):
         mean, _ = predict(toy_surrogate(), [[0.0]])

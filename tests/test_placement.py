@@ -174,6 +174,16 @@ class TestPlacementResultIo:
         assert loaded.seed == 7
         assert loaded.method == "bo"
 
+    @pytest.mark.parametrize("seed", [2.5, 2.0, "x", "7", True, None])
+    def test_seed_must_be_an_integer(self, tmp_path, seed):
+        path = tmp_path / "placement.json"
+        doc = {"locations_m": [[1000.0, 0.0]], "bound_values_nats": [0.5], "seed": seed}
+        path.write_text(json.dumps(doc))
+        message = f"placement file {path} is malformed: 'seed' must be an integer, got {seed!r}"
+        with pytest.raises(ValueError) as info:
+            pl.load_placement(path)
+        assert str(info.value) == message
+
     def test_surface_csv(self, tmp_path, small_ensemble):
         grid = pl.GridSpec(nx=3, ny=3, domain=np.array([[0.0, 10000.0], [-10000.0, 10000.0]]))
         result = pl.grid_place(small_ensemble, 1, grid)
