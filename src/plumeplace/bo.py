@@ -9,7 +9,7 @@ local coordinate search. Everything is deterministic for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -36,7 +36,6 @@ class BoConfig:
     init_count: int = 10
     iter_count: int = 30
     acq_candidates: int = 2048
-    seed: int = 0
 
     def __post_init__(self):
         box = np.atleast_2d(np.asarray(self.domain, dtype=float))
@@ -59,20 +58,10 @@ class BoTrace:
 
     points: np.ndarray
     values: np.ndarray
-    incumbent_index: int = field(init=False)
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         self.values = np.asarray(self.values, dtype=float)
-        self.incumbent_index = int(np.argmax(self.values))
-
-    @property
-    def incumbent_point(self) -> np.ndarray:
-        return self.points[self.incumbent_index]
-
-    @property
-    def incumbent_value(self) -> float:
-        return float(self.values[self.incumbent_index])
 
 
 def expected_improvement(mu, sigma, f_best: float):
@@ -103,15 +92,15 @@ def _ei_at(surrogate, pts, f_best):
     return expected_improvement(mean, np.sqrt(var), f_best)
 
 
-def propose_next(surrogate: gp.GpSurrogate, cfg: BoConfig, f_best: float) -> np.ndarray:
-    """EI argmax over a seeded Halton candidate set plus local polish.
+def propose_next(surrogate: gp.GpSurrogate, cfg: BoConfig, f_best: float, seed: int) -> np.ndarray:
+    """EI argmax over a Halton candidate set seeded by `seed`, plus local polish.
 
     Ties (e.g. a flat zero-EI posterior) resolve to the first candidate
     in index order; the polish only moves on strict improvement.
     """
     box = cfg.domain
     dim = box.shape[0]
-    cand = qmc.scale(qmc.Halton(dim, seed=cfg.seed).random(cfg.acq_candidates), box[:, 0], box[:, 1])
+    cand = qmc.scale(qmc.Halton(dim, seed=seed).random(cfg.acq_candidates), box[:, 0], box[:, 1])
     scores = _ei_at(surrogate, cand, f_best)
     best = int(np.argmax(scores))
     x, val = cand[best].copy(), scores[best]
@@ -132,8 +121,8 @@ def propose_next(surrogate: gp.GpSurrogate, cfg: BoConfig, f_best: float) -> np.
     return x
 
 
-def maximize(objective, cfg: BoConfig) -> BoTrace:
-    """Run the full loop: initial design, then iter_count EI proposals.
+def maximize(objective, cfg: BoConfig, seed: int) -> BoTrace:
+    """Run the full loop from `seed`: initial design, then iter_count EI proposals.
 
     The incumbent is the best of all init_count + iter_count
     evaluations. Objective exceptions surface as ObjectiveError with the
@@ -141,7 +130,7 @@ def maximize(objective, cfg: BoConfig) -> BoTrace:
     """
     box = cfg.domain
     dim = box.shape[0]
-    root = np.random.SeedSequence(cfg.seed)
+    root = np.random.SeedSequence(seed)
     ss_init, ss_fit, ss_acq = root.spawn(3)
 
     lhs = qmc.LatinHypercube(dim, seed=np.random.default_rng(ss_init))
@@ -158,7 +147,7 @@ def maximize(objective, cfg: BoConfig) -> BoTrace:
             np.asarray(points), np.asarray(values), seed=int(fit_seeds[it]), warm_start=warm
         )
         warm = surrogate.log_params
-        x = propose_next(surrogate, replace(cfg, seed=int(acq_seeds[it])), max(values))
+        x = propose_next(surrogate, cfg, max(values), int(acq_seeds[it]))
         points.append(x)
         values.append(_evaluate(objective, x))
     return BoTrace(points=np.asarray(points), values=np.asarray(values))

@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end, and the one owner of the bytes of every file
+the CLI reads or writes (the config file's layout stays with `config`).
 
 Subcommands:
     place         greedy sensor placement via Bayesian optimization
@@ -9,13 +10,16 @@ Subcommands:
 All distance flags are kilometers and angles degrees, matching the
 config file; outputs are meters and radians. Outputs are a pure
 function of (config, flags, seeds): identical invocations write
-byte-identical files.
+byte-identical files. JSON files are indented by two spaces and end in
+a newline; CSV floats are written as their repr, so they read back
+exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 from dataclasses import replace
 
@@ -23,10 +27,61 @@ import numpy as np
 
 from . import evaluate, placement as pl
 from .bo import ObjectiveError
-from .config import PROFILES, ExperimentConfig, load_config
+from .config import PROFILES, ExperimentConfig, json_int, json_number, json_pair, load_config
 from .dispersion import ScenarioParams
 from .enkf import assimilate_run
 from .mi import knn_entropy
+
+
+def _write_json(path, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    """numpy floats become plain floats, which csv writes as their repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([float(c) if isinstance(c, float) else c for c in row] for row in rows)
+
+
+def _write_placement(path, method: str, result: pl.PlacementResult, cfg: ExperimentConfig) -> None:
+    _write_json(
+        path,
+        {
+            "method": method,
+            "locations_m": [list(loc) for loc in result.locations],
+            "bound_values_nats": list(result.bound_values),
+            "seed": cfg.seed,
+            "config_digest": cfg.digest(),
+        },
+    )
+
+
+def load_placement(path) -> tuple[str, list[tuple[float, float]]]:
+    """The method and the locations of a placement file. The file must be
+    JSON, locations, bound values and the seed take JSON numbers only,
+    locations must be finite and the method a string; anything else
+    raises a ValueError that names the file."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        locations = [json_pair(loc, "locations_m") for loc in doc["locations_m"]]
+        if not np.all(np.isfinite(locations)):
+            raise ValueError(f"'locations_m' must be finite, got {doc['locations_m']!r}")
+        for value in doc["bound_values_nats"]:
+            json_number(value, "bound_values_nats")
+        json_int(doc.get("seed", 0), "seed")
+        method = doc.get("method", "")
+        if not isinstance(method, str):
+            raise ValueError(f"'method' must be a string, got {method!r}")
+        return method, locations
+    except KeyError as exc:
+        raise ValueError(f"placement file {path} is missing required key: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"placement file {path} is malformed: {exc}") from exc
 
 
 def _add_common(parser):
@@ -46,19 +101,19 @@ def _cmd_place(args) -> int:
     cfg = _load(args)
     ens = pl.build_ensemble(cfg, cfg.placement_members, cfg.seed)
     result = pl.greedy_place(ens, cfg.n_sensors, cfg.bo_config(), cfg.min_sep_m)
-    result.config_digest = cfg.digest()
-    result.write_json(args.out)
+    _write_placement(args.out, "bo", result, cfg)
     if args.traces_csv:
-        with open(args.traces_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "iteration", "x_m", "y_m", "objective", "incumbent"])
-            for step, trace in enumerate(result.traces, start=1):
-                best = -np.inf
-                for i, (p, v) in enumerate(zip(trace.points, trace.values)):
-                    best = max(best, float(v))
-                    writer.writerow(
-                        [step, i, repr(float(p[0])), repr(float(p[1])), repr(float(v)), repr(best)]
-                    )
+        _write_csv(
+            args.traces_csv,
+            ["step", "iteration", "x_m", "y_m", "objective", "incumbent"],
+            (
+                [step, i, x, y, value, best]
+                for step, trace in enumerate(result.traces, start=1)
+                for i, ((x, y), value, best) in enumerate(
+                    zip(trace.points, trace.values, np.maximum.accumulate(trace.values))
+                )
+            ),
+        )
     return 0
 
 
@@ -67,10 +122,17 @@ def _cmd_grid_surface(args) -> int:
     ens = pl.build_ensemble(cfg, cfg.placement_members, cfg.seed)
     grid = pl.GridSpec(nx=cfg.grid_nx, ny=cfg.grid_ny, domain=cfg.domain_m())
     result = pl.grid_place(ens, cfg.n_sensors if args.steps is None else args.steps, grid)
-    result.config_digest = cfg.digest()
-    pl.write_surface_csv(result, args.out)
+    _write_csv(
+        args.out,
+        ["x_m", "y_m", "step", "mi_nats"],
+        (
+            [x, y, step, value]
+            for step, surface in enumerate(result.traces, start=1)
+            for x, y, value in surface
+        ),
+    )
     if args.placement_out:
-        result.write_json(args.placement_out)
+        _write_placement(args.placement_out, "grid", result, cfg)
     return 0
 
 
@@ -78,25 +140,55 @@ def _cmd_compare(args) -> int:
     cfg = _load(args)
     named = {}
     for path in args.placements:
-        result = pl.load_placement(path)
-        name = result.method or "placement"
+        method, locations = load_placement(path)
+        name = method or "placement"
         key = name
         suffix = 1
         while key in named:
             key = f"{name}-{suffix}"
             suffix += 1
-        named[key] = result.locations
+        named[key] = locations
     named.update(evaluate.random_placements(cfg, args.random, cfg.seed))
     report = evaluate.compare_placements(cfg, named, args.conditions, cfg.seed)
-    report.write_json(args.out)
+    columns = evaluate.ENTROPY_COLUMNS
+    _write_json(
+        args.out,
+        {
+            "prior_entropy": dict(zip(columns, report.prior_entropy)),
+            "conditions": [
+                {"release_y_m": c.release_y, "wind_dir_rad": c.wind_dir}
+                for c in report.conditions
+            ],
+            "placements": {
+                name: {
+                    "locations_m": [list(loc) for loc in locs],
+                    "final_conditional_entropy": dict(
+                        zip(columns, report.conditional(name)[-1])
+                    ),
+                }
+                for name, locs in report.placements.items()
+            },
+            "ranking": report.ranking(),
+        },
+    )
     if args.traces_csv:
-        report.write_traces_csv(args.traces_csv)
+        # plot-ready long format: one row per placement, step and measure
+        _write_csv(
+            args.traces_csv,
+            ["placement", "t_s", "measure", "conditional_entropy_nats"],
+            (
+                [name, t, column, entropy]
+                for name in report.placements
+                for t, row in zip(report.times, report.conditional(name))
+                for column, entropy in zip(columns, row)
+            ),
+        )
     return 0
 
 
 def _cmd_assimilate(args) -> int:
     cfg = _load(args)
-    result = pl.load_placement(args.placement)
+    _, locations = load_placement(args.placement)
     if (args.truth_release_km is None) != (args.truth_wind_deg is None):
         raise ValueError("--truth-release-km and --truth-wind-deg must be given together")
     if args.truth_release_km is not None:
@@ -106,30 +198,29 @@ def _cmd_assimilate(args) -> int:
         )
     else:
         truth = evaluate.draw_conditions(cfg, 1, cfg.seed)[0]
-    trace = assimilate_run(cfg, result.locations, truth, cfg.seed)
+    trace = assimilate_run(cfg, locations, truth, cfg.seed)
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "member_id", "release_y_m", "wind_dir_rad"])
-        for t, theta in zip(trace.times, trace.thetas):
-            for m, row in enumerate(theta):
-                writer.writerow([repr(float(t)), m, repr(float(row[0])), repr(float(row[1]))])
+    _write_csv(
+        args.out,
+        ["t_s", "member_id", "release_y_m", "wind_dir_rad"],
+        (
+            [t, m, release_y, wind_dir]
+            for t, theta in zip(trace.times, trace.thetas)
+            for m, (release_y, wind_dir) in enumerate(theta)
+        ),
+    )
     if args.summary:
         knn = cfg.knn()
-        with open(args.summary, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_s", "parameter", "mean", "std", "entropy_nats"])
-            for t, theta in zip(trace.times, trace.thetas):
-                for col, name in ((0, "release_y"), (1, "wind_dir")):
-                    writer.writerow(
-                        [
-                            repr(float(t)),
-                            name,
-                            repr(float(theta[:, col].mean())),
-                            repr(float(theta[:, col].std(ddof=1))),
-                            repr(knn_entropy(theta[:, col], knn)),
-                        ]
-                    )
+        _write_csv(
+            args.summary,
+            ["t_s", "parameter", "mean", "std", "entropy_nats"],
+            (
+                [t, name, theta[:, col].mean(), theta[:, col].std(ddof=1),
+                 knn_entropy(theta[:, col], knn)]
+                for t, theta in zip(trace.times, trace.thetas)
+                for col, name in enumerate(("release_y", "wind_dir"))
+            ),
+        )
     return 0
 
 

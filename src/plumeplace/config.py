@@ -172,7 +172,6 @@ class ExperimentConfig:
             init_count=self.bo_init,
             iter_count=self.bo_iters,
             acq_candidates=self.bo_candidates,
-            seed=self.seed,
         )
 
     def with_profile(self, profile: str) -> "ExperimentConfig":
@@ -197,16 +196,16 @@ def json_int(value, key: str) -> int:
     return value
 
 
-def _number(value, key: str) -> float:
+def json_number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key!r} must be a number, got {value!r}")
     return float(value)
 
 
-def _pair(value, key: str) -> tuple[float, float]:
+def json_pair(value, key: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"{key!r} must be a list of two numbers, got {value!r}")
-    return (_number(value[0], key), _number(value[1], key))
+    return (json_number(value[0], key), json_number(value[1], key))
 
 
 def _optional_int(value, key: str) -> int | None:
@@ -239,7 +238,7 @@ LAYOUT = (
 )
 # a field's parser follows the type of its default; a field that defaults
 # to None (n_steps) may be absent or null
-_PARSERS = {tuple: _pair, float: _number, int: json_int, type(None): _optional_int}
+_PARSERS = {tuple: json_pair, float: json_number, int: json_int, type(None): _optional_int}
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 

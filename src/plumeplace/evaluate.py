@@ -9,8 +9,6 @@ conditional entropy used for ranking is their uniform average.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,41 +81,6 @@ class EvaluationReport:
     def ranking(self) -> list[str]:
         """Placement names, best (lowest final release entropy) first."""
         return sorted(self.placements, key=self.final_release_entropy)
-
-    def to_dict(self) -> dict:
-        return {
-            "prior_entropy": dict(zip(ENTROPY_COLUMNS, self.prior_entropy)),
-            "conditions": [
-                {"release_y_m": c.release_y, "wind_dir_rad": c.wind_dir}
-                for c in self.conditions
-            ],
-            "placements": {
-                name: {
-                    "locations_m": [list(loc) for loc in locs],
-                    "final_conditional_entropy": dict(
-                        zip(ENTROPY_COLUMNS, self.conditional(name)[-1])
-                    ),
-                }
-                for name, locs in self.placements.items()
-            },
-            "ranking": self.ranking(),
-        }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
-    def write_traces_csv(self, path) -> None:
-        """Plot-ready long format: one row per placement, step and measure."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["placement", "t_s", "measure", "conditional_entropy_nats"])
-            for name in self.placements:
-                agg = self.conditional(name)
-                for ti, t in enumerate(self.times):
-                    for ci, col in enumerate(ENTROPY_COLUMNS):
-                        writer.writerow([name, repr(float(t)), col, repr(float(agg[ti, ci]))])
 
 
 def compare_placements(

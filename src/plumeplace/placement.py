@@ -12,15 +12,13 @@ swamp the surrogate.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bo, dispersion
 from .cca import mi_lower_bound
-from .config import ExperimentConfig, json_int
+from .config import ExperimentConfig
 
 _NOISE_TAG = 0x6F62  # distinguishes the observation-noise stream
 
@@ -88,45 +86,12 @@ def objective(ens: PriorEnsemble, fixed, candidate) -> float:
 
 @dataclass
 class PlacementResult:
-    """Ordered sensor locations with the bound value achieved per step."""
+    """Ordered sensor locations with the bound value achieved per step,
+    and each step's BO trace or grid surface."""
 
     locations: list[tuple[float, float]]
     bound_values: list[float]
     traces: list = field(default_factory=list, repr=False)
-    seed: int = 0
-    config_digest: str = ""
-    method: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "locations_m": [list(loc) for loc in self.locations],
-            "bound_values_nats": list(self.bound_values),
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-        }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
-
-def load_placement(path) -> PlacementResult:
-    with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        return PlacementResult(
-            locations=[tuple(loc) for loc in doc["locations_m"]],
-            bound_values=list(doc["bound_values_nats"]),
-            seed=json_int(doc.get("seed", 0), "seed"),
-            config_digest=doc.get("config_digest", ""),
-            method=doc.get("method", ""),
-        )
-    except KeyError as exc:
-        raise ValueError(f"placement file {path} is missing required key: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"placement file {path} is malformed: {exc}") from exc
 
 
 def greedy_place(
@@ -140,17 +105,17 @@ def greedy_place(
     An incumbent closer than min_sep to an already-selected sensor is
     rejected in favor of the best trace point that satisfies the
     separation; coincident sensors only duplicate noise columns and
-    stall the step.
+    stall the step. The steps' BO seeds derive from the ensemble's seed
+    and the config's.
     """
     if n_sensors < 1:
         raise ValueError("n_sensors must be >= 1")
     selected: list[tuple[float, float]] = []
     bounds: list[float] = []
     traces: list[bo.BoTrace] = []
-    step_seeds = np.random.SeedSequence([ens.seed, bo_cfg.seed]).generate_state(n_sensors)
+    step_seeds = np.random.SeedSequence([ens.seed, ens.cfg.seed]).generate_state(n_sensors)
     for i in range(n_sensors):
-        step_cfg = replace(bo_cfg, seed=int(step_seeds[i]))
-        trace = bo.maximize(lambda p: objective(ens, selected, p), step_cfg)
+        trace = bo.maximize(lambda p: objective(ens, selected, p), bo_cfg, int(step_seeds[i]))
         pick = None
         for j in np.argsort(trace.values)[::-1]:
             point = trace.points[j]
@@ -165,13 +130,7 @@ def greedy_place(
         selected.append(_location_key(pick[0]))
         bounds.append(pick[1])
         traces.append(trace)
-    return PlacementResult(
-        locations=selected,
-        bound_values=bounds,
-        traces=traces,
-        seed=ens.seed,
-        method="bo",
-    )
+    return PlacementResult(locations=selected, bound_values=bounds, traces=traces)
 
 
 @dataclass(frozen=True)
@@ -216,20 +175,4 @@ def grid_place(ens: PriorEnsemble, n_sensors: int, grid: GridSpec) -> PlacementR
         selected.append(best[0])
         bounds.append(best[1])
         surfaces.append(np.asarray(rows))
-    return PlacementResult(
-        locations=selected,
-        bound_values=bounds,
-        traces=surfaces,
-        seed=ens.seed,
-        method="grid",
-    )
-
-
-def write_surface_csv(result: PlacementResult, path) -> None:
-    """Per-step MI surface as x_m, y_m, step, mi_nats rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_m", "y_m", "step", "mi_nats"])
-        for step, surface in enumerate(result.traces, start=1):
-            for x, y, value in surface:
-                writer.writerow([repr(float(x)), repr(float(y)), step, repr(float(value))])
+    return PlacementResult(locations=selected, bound_values=bounds, traces=surfaces)

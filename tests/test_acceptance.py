@@ -138,9 +138,9 @@ def test_criterion_4_bo_quality():
     target1 = float(np.max(np.sin(3 * grid1) + grid1))
     hits1 = 0
     for seed in range(20):
-        cfg = bo.BoConfig(domain=[[0.0, 4.0]], init_count=10, iter_count=30, seed=seed)
-        trace = bo.maximize(lambda p: np.sin(3 * p[0]) + p[0], cfg)
-        hits1 += trace.incumbent_value >= 0.99 * target1
+        cfg = bo.BoConfig(domain=[[0.0, 4.0]], init_count=10, iter_count=30)
+        trace = bo.maximize(lambda p: np.sin(3 * p[0]) + p[0], cfg, seed)
+        hits1 += trace.values.max() >= 0.99 * target1
 
     center = np.array([2.5, 7.0])
     diag2 = 200.0
@@ -148,9 +148,9 @@ def test_criterion_4_bo_quality():
     target2 = float(np.max(1.0 - ((gx - center[0]) ** 2 + (gy - center[1]) ** 2) / diag2))
     hits2 = 0
     for seed in range(20):
-        cfg = bo.BoConfig(domain=[[0.0, 10.0], [0.0, 10.0]], init_count=10, iter_count=30, seed=seed)
-        trace = bo.maximize(lambda p: 1.0 - np.sum((p - center) ** 2) / diag2, cfg)
-        hits2 += trace.incumbent_value >= 0.99 * target2
+        cfg = bo.BoConfig(domain=[[0.0, 10.0], [0.0, 10.0]], init_count=10, iter_count=30)
+        trace = bo.maximize(lambda p: 1.0 - np.sum((p - center) ** 2) / diag2, cfg, seed)
+        hits2 += trace.values.max() >= 0.99 * target2
 
     elapsed = time.monotonic() - t0
     ok = hits1 >= 18 and hits2 >= 18 and elapsed < 60

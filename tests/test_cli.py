@@ -1,9 +1,12 @@
+import ast
 import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import plumeplace
 from plumeplace.cli import main
 from plumeplace.config import config_to_dict, save_config
 
@@ -79,6 +82,7 @@ class TestGridSurface:
         code = run(["grid-surface", "--config", config_path, "--out", out, "--steps", 1])
         assert code == 0
         lines = out.read_text().strip().splitlines()
+        assert lines[0] == "x_m,y_m,step,mi_nats"
         assert len(lines) == 1 + 5 * 7  # header + nx * ny
 
     def test_full_default_grid_is_231(self, tiny_config, tmp_path):
@@ -139,7 +143,10 @@ class TestCompare:
         doc = json.loads(out.read_text())
         assert set(doc["placements"]) == {"bo", "random-00", "random-01"}
         assert len(doc["ranking"]) == 3
-        assert traces.exists()
+        assert set(doc["prior_entropy"]) == {"release_y", "wind_dir", "joint"}
+        lines = traces.read_text().strip().splitlines()
+        assert lines[0] == "placement,t_s,measure,conditional_entropy_nats"
+        assert len(lines) == 1 + 3 * 5 * 3  # placements x steps x measures
 
 
 class TestErrors:
@@ -275,12 +282,21 @@ class TestErrors:
             {"locations_m": 5, "bound_values_nats": []},
             {"locations_m": [[600.0, 0.0]], "bound_values_nats": [0.0], "seed": 2.5},
             {"locations_m": [[600.0, 0.0]], "bound_values_nats": [0.0], "seed": "x"},
+            {"locations_m": [["3000", "-1000"]], "bound_values_nats": [0.0]},
+            {"locations_m": [[True, 0]], "bound_values_nats": [0.0]},
+            {"locations_m": [[1000, None]], "bound_values_nats": [0.0]},
+            {"locations_m": [[float("nan"), 0]], "bound_values_nats": [0.0]},
+            {"locations_m": [[600.0, 0.0]], "bound_values_nats": ["0.5"]},
+            {"locations_m": [[600.0, 0.0]], "bound_values_nats": [0.0], "method": ["bo"]},
+            "{not json",
         ],
-        ids=["list", "scalar-locations", "float-seed", "string-seed"],
+        ids=["list", "scalar-locations", "float-seed", "string-seed", "string-location",
+             "bool-location", "null-location", "nan-location", "string-bound", "list-method",
+             "not-json"],
     )
     def test_malformed_placement_file(self, config_path, tmp_path, capsys, doc):
         placement = tmp_path / "p.json"
-        placement.write_text(json.dumps(doc))
+        placement.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code = run(
             ["assimilate", "--config", config_path, "--placement", placement,
              "--out", tmp_path / "o.csv"]
@@ -324,6 +340,9 @@ GOLDEN_SHA256 = {
         "969a2b781939fc7deae2b62ab815d80b7e51542dc21dd12121de8caa0bd99211",
     "summary.csv":
         "63a0ac0b282ffde60efb1fe8edf02c15571e70ad0d3ecf7758f73cc819ca5a93",
+    # recorded at the commit before the CLI took over writing its files
+    "grid-placement.json":
+        "0a821715b8d896b7b488e37fa1fdda2b6fb679e4567616776d01646cc0ae5428",
 }
 
 
@@ -332,7 +351,8 @@ def test_golden_outputs(config_path, tmp_path):
     common = ["--config", config_path]
     assert run(["place", *common, "--out", out["placement.json"],
                 "--traces-csv", out["bo-traces.csv"]]) == 0
-    assert run(["grid-surface", *common, "--out", out["surface.csv"], "--steps", 1]) == 0
+    assert run(["grid-surface", *common, "--out", out["surface.csv"], "--steps", 1,
+                "--placement-out", out["grid-placement.json"]]) == 0
     assert run(["compare", *common, "--placements", out["placement.json"], "--random", 2,
                 "--conditions", 2, "--out", out["report.json"],
                 "--traces-csv", out["entropy-traces.csv"]]) == 0
@@ -340,3 +360,16 @@ def test_golden_outputs(config_path, tmp_path):
                 "--out", out["posterior.csv"], "--summary", out["summary.csv"]]) == 0
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in out.items()}
     assert digests == GOLDEN_SHA256
+
+
+def test_only_cli_and_config_open_files():
+    """The bytes of every file have one owner: no other module calls open."""
+    openers = set()
+    for path in Path(plumeplace.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "open":
+                    openers.add(path.name)
+    assert openers == {"cli.py", "config.py"}

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from plumeplace import placement as pl
+from plumeplace import cli, placement as pl
 from plumeplace.bo import BoConfig
 from plumeplace.config import ExperimentConfig
 from plumeplace.mi import ksg_mi
@@ -87,7 +87,6 @@ class TestGreedyPlace:
             init_count=4,
             iter_count=3,
             acq_candidates=128,
-            seed=1,
         )
         result = pl.greedy_place(small_ensemble, 2, bo_cfg, min_sep=500.0)
         assert len(result.locations) == 2
@@ -102,7 +101,6 @@ class TestGreedyPlace:
             init_count=4,
             iter_count=2,
             acq_candidates=64,
-            seed=2,
         )
         a = pl.greedy_place(small_ensemble, 2, bo_cfg, min_sep=500.0)
         cfg = ExperimentConfig(placement_members=300, n_steps=8)
@@ -117,7 +115,6 @@ class TestGreedyPlace:
             init_count=4,
             iter_count=2,
             acq_candidates=64,
-            seed=3,
         )
         with pytest.raises(ValueError, match="min_sep"):
             pl.greedy_place(small_ensemble, 2, bo_cfg, min_sep=1e9)
@@ -160,19 +157,15 @@ class TestGridPlace:
 class TestPlacementResultIo:
     def test_json_round_trip(self, tmp_path):
         result = pl.PlacementResult(
-            locations=[(1000.0, -2000.0), (3000.0, 500.0)],
-            bound_values=[0.8, 1.3],
-            seed=7,
-            config_digest="abc",
-            method="bo",
+            locations=[(1000.0, -2000.0), (3000.0, 500.0)], bound_values=[0.8, 1.3]
         )
         path = tmp_path / "placement.json"
-        result.write_json(path)
-        loaded = pl.load_placement(path)
-        assert loaded.locations == result.locations
-        assert loaded.bound_values == result.bound_values
-        assert loaded.seed == 7
-        assert loaded.method == "bo"
+        cli._write_placement(path, "bo", result, ExperimentConfig(seed=7))
+        assert cli.load_placement(path) == ("bo", result.locations)
+        doc = json.loads(path.read_text())
+        assert doc["bound_values_nats"] == result.bound_values
+        assert doc["seed"] == 7
+        assert doc["config_digest"] == ExperimentConfig(seed=7).digest()
 
     @pytest.mark.parametrize("seed", [2.5, 2.0, "x", "7", True, None])
     def test_seed_must_be_an_integer(self, tmp_path, seed):
@@ -181,14 +174,5 @@ class TestPlacementResultIo:
         path.write_text(json.dumps(doc))
         message = f"placement file {path} is malformed: 'seed' must be an integer, got {seed!r}"
         with pytest.raises(ValueError) as info:
-            pl.load_placement(path)
+            cli.load_placement(path)
         assert str(info.value) == message
-
-    def test_surface_csv(self, tmp_path, small_ensemble):
-        grid = pl.GridSpec(nx=3, ny=3, domain=np.array([[0.0, 10000.0], [-10000.0, 10000.0]]))
-        result = pl.grid_place(small_ensemble, 1, grid)
-        path = tmp_path / "surface.csv"
-        pl.write_surface_csv(result, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x_m,y_m,step,mi_nats"
-        assert len(lines) == 10
