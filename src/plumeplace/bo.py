@@ -4,7 +4,9 @@ The loop evaluates a Latin-hypercube initial design, then alternates
 refitting the surrogate, maximizing expected improvement, and evaluating
 the objective at the proposal. Acquisition maximization scores a
 low-discrepancy candidate set and polishes the best candidate with a
-local coordinate search. Everything is deterministic for a fixed seed.
+local coordinate search that scores the two steps along a coordinate,
+up then down, in one surrogate prediction. Everything is deterministic
+for a fixed seed.
 """
 
 from __future__ import annotations
@@ -95,8 +97,13 @@ def _ei_at(surrogate, pts, f_best):
 def propose_next(surrogate: gp.GpSurrogate, cfg: BoConfig, f_best: float, seed: int) -> np.ndarray:
     """EI argmax over a Halton candidate set seeded by `seed`, plus local polish.
 
+    The polish makes 10 sweeps over the coordinates. At each coordinate
+    it scores the step up and the step down (each clipped to the box) in
+    one `gp.predict` call, and moves to the step up if it strictly
+    improves EI, else to the step down if that does. A sweep without a
+    move halves the steps. So a proposal makes 1 + 10 * dim predictions.
     Ties (e.g. a flat zero-EI posterior) resolve to the first candidate
-    in index order; the polish only moves on strict improvement.
+    in index order.
     """
     box = cfg.domain
     dim = box.shape[0]
@@ -108,14 +115,13 @@ def propose_next(surrogate: gp.GpSurrogate, cfg: BoConfig, f_best: float, seed: 
     for _ in range(10):
         improved = False
         for j in range(dim):
-            for sign in (step[j], -step[j]):
-                y = x.copy()
-                y[j] = min(max(y[j] + sign, box[j, 0]), box[j, 1])
-                v = _ei_at(surrogate, y[None, :], f_best)[0]
-                if v > val + 1e-15:
-                    x, val = y, v
-                    improved = True
-                    break
+            pair = np.array([x, x])
+            pair[:, j] = np.clip(x[j] + np.array([step[j], -step[j]]), box[j, 0], box[j, 1])
+            v = _ei_at(surrogate, pair, f_best)
+            gains = np.flatnonzero(v > val + 1e-15)
+            if gains.size:
+                x, val = pair[gains[0]], v[gains[0]]
+                improved = True
         if not improved:
             step = step * 0.5
     return x

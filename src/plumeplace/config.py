@@ -38,6 +38,10 @@ from .dispersion import MeteoConfig, ObservationModel
 from .mi import KnnConfig
 
 PROFILES = ("full", "desk")
+# Every count (ensemble sizes, steps, grid nodes, sensors, BO sizes, k)
+# is at most this, so a config that loads never asks numpy for an
+# allocation it cannot make.
+MAX_COUNT = 10**7
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,10 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, (float, tuple)) and not np.all(np.isfinite(value)):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.name != "seed" and isinstance(value, int) and value > MAX_COUNT:
+                raise ValueError(
+                    f"config key {_KEYS[f.name]!r} must be <= {MAX_COUNT}, got {value}"
+                )
         # the sub-configs check the settings they own
         self.meteo(), self.observation(), self.knn(), self.bo_config()
         if self.pipeline_y_km[1] <= self.pipeline_y_km[0]:
@@ -236,6 +244,7 @@ LAYOUT = (
     ("enkf", "inflation", "inflation"),
     (None, "seed", "seed"),
 )
+_KEYS = {name: key if section is None else f"{section}.{key}" for section, key, name in LAYOUT}
 # a field's parser follows the type of its default; a field that defaults
 # to None (n_steps) may be absent or null
 _PARSERS = {tuple: json_pair, float: json_number, int: json_int, type(None): _optional_int}
@@ -263,7 +272,7 @@ def config_from_dict(doc) -> ExperimentConfig:
             raise ValueError(f"config key {section!r} must be an object, got {part!r}")
         if name is None:
             continue
-        where = key if section is None else f"{section}.{key}"
+        where = _KEYS[name]
         if key not in part and _DEFAULTS[name] is not None:
             raise ValueError(f"config is missing required key: {where!r}")
         try:
@@ -275,7 +284,11 @@ def config_from_dict(doc) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
-        return config_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"config file {path} is not JSON: {exc}") from exc
+    return config_from_dict(doc)
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 NOISE_RATIO_FLOOR = 1e-8
-FIT_RESTARTS = 8  # coordinate searches per fit
+FIT_RESTARTS = 4  # coordinate searches per fit
 FIT_BUDGET = 200  # likelihood steps per search
 
 
@@ -141,14 +141,18 @@ def fit(
 ) -> GpSurrogate:
     """Maximum-likelihood surrogate fit.
 
-    Runs FIT_RESTARTS coordinate searches of at most FIT_BUDGET steps
-    each over (log lengthscales, log noise ratio); the signal variance
-    maximizing the likelihood is computed in closed form at every step.
-    Every step counts against the budget, but a point visited before in
-    the same fit (by any restart) is looked up, not refactorised.
-    Deterministic for a fixed seed. `warm_start`
-    optionally seeds one restart with a previous solution's log
-    parameters (used by the optimization loop when refitting).
+    Runs FIT_RESTARTS (4) coordinate searches of at most FIT_BUDGET
+    steps each over (log lengthscales, log noise ratio); the signal
+    variance maximizing the likelihood is computed in closed form at
+    every step. The searches start from the default (lengthscales
+    span**2 / 4 per coordinate, noise ratio 1e-2), from `warm_start`
+    when given, and from uniform draws over the box for the rest: two
+    with a warm start, three without. The
+    optimization loop passes the previous fit's log parameters as
+    `warm_start`, so a refit never ends below the likelihood of that
+    start (clipped to the box). Every step counts against the budget,
+    but a point visited before in the same fit (by any restart) is
+    looked up, not refactorised. Deterministic for a fixed seed.
     """
     x = np.atleast_2d(np.asarray(train_x, dtype=float))
     f = np.asarray(train_f, dtype=float)

@@ -116,6 +116,48 @@ def cho_solve_gp_predict(
     return mean, np.maximum(var, 0.0)
 
 
+def gp_neg_log_likelihood(train_x, train_f, log_params):
+    """Negative log marginal likelihood that a GP fit minimizes, by a
+    checked Cholesky solve: the values standardized, unit-signal kernel
+    exp(-sum_j d_j^2 / ls_j) with ls = exp(log_params[:-1]), noise ratio
+    exp(log_params[-1]) floored at 1e-8, and the signal variance
+    at its closed-form optimum."""
+    x = _as2d(train_x)
+    f = np.asarray(train_f, dtype=float)
+    g = (f - f.mean()) / f.std()
+    n = len(g)
+    k = _se_matrix(x, x, np.exp(log_params[:-1]), 1.0)
+    k += max(np.exp(log_params[-1]), 1e-8) * np.eye(n)
+    chol = cho_factor(k, lower=True)
+    sv = g @ cho_solve(chol, g) / n
+    return 0.5 * n * np.log(sv) + np.log(np.diag(chol[0])).sum() + 0.5 * n * (
+        1.0 + np.log(2 * np.pi)
+    )
+
+
+def sequential_polish(score, x, val, box):
+    """Coordinate polish of a start point x with score val inside box,
+    scoring one point per call, in 10 sweeps: at each coordinate the
+    step up, then, if that does not strictly gain, the step down; a sweep
+    without a move halves the steps (first 5 % of each box side)."""
+    x = np.array(x, dtype=float)
+    step = 0.05 * (box[:, 1] - box[:, 0])
+    for _ in range(10):
+        improved = False
+        for j in range(len(x)):
+            for sign in (1.0, -1.0):
+                y = x.copy()
+                y[j] = min(max(x[j] + sign * step[j], box[j, 0]), box[j, 1])
+                v = score(y)
+                if v > val + 1e-15:
+                    x, val = y, v
+                    improved = True
+                    break
+        if not improved:
+            step = step * 0.5
+    return x
+
+
 def quad_expected_improvement(mu, sigma, f_best):
     """EI by adaptive quadrature of (y - f_best) against the Gaussian
     density of the belief, from f_best to infinity."""

@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import qmc
 
+from plumeplace import gp
 from plumeplace.bo import (
     BoConfig,
     ObjectiveError,
+    _ei_at,
     expected_improvement,
     maximize,
     propose_next,
 )
 from plumeplace.gp import GpSurrogate, fit
+
+from oracles import sequential_polish
 
 
 class TestExpectedImprovement:
@@ -65,8 +70,6 @@ class TestProposeNext:
         x = propose_next(g, cfg, f_best=-1.0, seed=0)
         assert 1.0 <= x[0] <= 3.0
         # dense-grid oracle: the proposal's EI is essentially the global max
-        from plumeplace.bo import _ei_at
-
         grid = np.linspace(0.0, 4.0, 10_000)[:, None]
         best_grid = np.max(_ei_at(g, grid, -1.0))
         assert _ei_at(g, x[None, :], -1.0)[0] >= 0.999 * best_grid
@@ -76,8 +79,6 @@ class TestProposeNext:
         cfg = BoConfig(domain=[[0.0, 4.0]], init_count=4, iter_count=0)
         # an unreachable incumbent drives every EI to exactly zero
         x = propose_next(g, cfg, f_best=1e9, seed=3)
-        from scipy.stats import qmc
-
         first = qmc.scale(qmc.Halton(1, seed=3).random(cfg.acq_candidates), 0.0, 4.0)[0]
         assert x[0] == first[0]
 
@@ -85,6 +86,54 @@ class TestProposeNext:
         g = quadratic_surrogate()
         cfg = BoConfig(domain=[[0.0, 4.0]], init_count=4, iter_count=0)
         assert np.array_equal(propose_next(g, cfg, -1.0, 11), propose_next(g, cfg, -1.0, 11))
+
+
+def random_surrogate(seed, box):
+    """A fixed-hyperparameter surrogate on 12 random points in box."""
+    rng = np.random.default_rng(seed)
+    x = box[:, 0] + rng.uniform(0.0, 1.0, (12, len(box))) * (box[:, 1] - box[:, 0])
+    f = np.sin(x @ rng.normal(0.0, 0.5, len(box))) + rng.normal(0.0, 0.1, 12)
+    ls = rng.uniform(0.05, 0.5, len(box)) * (box[:, 1] - box[:, 0]) ** 2
+    return GpSurrogate(
+        train_x=x, train_f=f, lengthscales=ls, signal_var=1.0, noise_var=1e-4, mean_offset=f.mean()
+    )
+
+
+class TestPolish:
+    BOX = np.array([[0.0, 10.0], [-5.0, 5.0]])
+
+    def test_matches_sequential_reference(self):
+        cfg = BoConfig(domain=self.BOX, acq_candidates=64)
+        moved = 0
+        for seed in range(24):
+            g = random_surrogate(seed, self.BOX)
+            f_best = g.train_f.max()
+            cand = qmc.scale(qmc.Halton(2, seed=seed).random(64), self.BOX[:, 0], self.BOX[:, 1])
+            scores = _ei_at(g, cand, f_best)
+            start = int(np.argmax(scores))
+            expected = sequential_polish(
+                lambda y: _ei_at(g, y[None, :], f_best)[0], cand[start], scores[start], self.BOX
+            )
+            np.testing.assert_array_equal(propose_next(g, cfg, f_best, seed), expected)
+            moved += not np.array_equal(expected, cand[start])
+        assert moved >= 12
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("incumbent", ["max", "unreachable"])
+    def test_one_predict_per_coordinate_and_sweep(self, monkeypatch, dim, incumbent):
+        box = np.array([[0.0, 10.0], [-5.0, 5.0], [1.0, 2.0]])[:dim]
+        g = random_surrogate(dim, box)
+        f_best = g.train_f.max() if incumbent == "max" else 1e9
+        calls = []
+        predict = gp.predict
+
+        def counting(*args):
+            calls.append(1)
+            return predict(*args)
+
+        monkeypatch.setattr(gp, "predict", counting)
+        propose_next(g, BoConfig(domain=box, acq_candidates=64), f_best, 5)
+        assert len(calls) <= 1 + 10 * dim
 
 
 class TestMaximize:

@@ -235,10 +235,13 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "plumeplace: error: analysis needs at least 2 ensemble members, got 1" in err
 
-    def test_malformed_json(self, tmp_path):
+    def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert run(["place", "--config", path, "--out", tmp_path / "o.json"]) == 1
+        assert one_error_line(capsys).startswith(
+            f"plumeplace: error: config file {path} is not JSON: Expecting property name"
+        )
 
     @pytest.mark.parametrize(
         "keys, value, message",
@@ -328,8 +331,9 @@ class TestErrors:
 GOLDEN_SHA256 = {
     "placement.json":
         "030307cde9cd379ef4c70748689ccdcb73458ee53ba1cb409e6875fb613396d1",
+    # re-recorded when gp.FIT_RESTARTS went from 8 to 4
     "bo-traces.csv":
-        "028b425ce6ba623994ae276b32835f9697b59a405d6ddaaba4570de2b8886155",
+        "a5d0660e03e376b4387acba9978e640264130bf6b8cd90ee342c0e8cf83d44ec",
     "surface.csv":
         "690d750e77019b38385e66dc11bb73c82c545f40f9df7b33d5d570a31668790b",
     "report.json":

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from plumeplace import evaluate, placement
 from plumeplace.config import (
     LAYOUT,
+    MAX_COUNT,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
@@ -225,6 +226,31 @@ class TestLayout:
         (doc if section is None else doc[section])[key] = value
         where = key if section is None else f"{section}.{key}"
         with pytest.raises(ValueError, match=f"^config key '{where}' has invalid value "):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("grid", "nx", 10**30),
+            ("grid", "ny", MAX_COUNT + 1),
+            ("ensemble", "placement_members", 10**12),
+            ("ensemble", "enkf_members", 10**8),
+            ("bo", "acq_candidates", 10**15),
+            ("bo", "iter_count", 10**9),
+            ("knn", "k", 10**10),
+            ("time", "n_steps", 10**20),
+            ("placement", "n_sensors", 10**7 + 1),
+        ],
+    )
+    def test_counts_have_one_upper_bound(self, section, key, value):
+        # loading only: nothing is allocated or run at these sizes
+        doc = config_to_dict(ExperimentConfig())
+        doc[section][key] = MAX_COUNT
+        config_from_dict(doc)
+        doc[section][key] = value
+        with pytest.raises(
+            ValueError, match=f"^config key '{section}.{key}' must be <= {MAX_COUNT}, got {value}$"
+        ):
             config_from_dict(doc)
 
     def test_integers_load_as_real_settings(self):

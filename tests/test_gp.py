@@ -5,7 +5,7 @@ import scipy.linalg
 from plumeplace import gp
 from plumeplace.gp import GpSurrogate, fit, predict
 
-from oracles import cho_solve_gp_predict, dense_gp_predict, se_kernel
+from oracles import cho_solve_gp_predict, dense_gp_predict, gp_neg_log_likelihood, se_kernel
 
 
 class TestSeKernel:
@@ -205,17 +205,48 @@ class TestFit:
         # one factorisation per distinct point, plus the fitted surrogate's
         assert len(factored) == len(set(visited)) + 1
 
+    def test_refit_never_ends_below_its_warm_start(self):
+        # two fixed corners keep the spans, so the box, of the refit's data
+        # the same as those of the fit that gave the warm start
+        for seed in range(20):
+            rng = np.random.default_rng(300 + seed)
+            x = np.vstack([[[0.0, 0.0], [5.0, 5.0]], rng.uniform(0.0, 5.0, (14, 2))])
+            f = np.sin(x[:, 0]) * x[:, 1] + rng.normal(0.0, 0.05, 16)
+            warm = fit(x[:-1], f[:-1], seed=seed).log_params
+            refit = fit(x, f, seed=seed + 1, warm_start=warm)
+            start = gp_neg_log_likelihood(x, f, warm)
+            assert gp_neg_log_likelihood(x, f, refit.log_params) <= start + 1e-9 * abs(start)
+
+    def test_starts_are_default_warm_and_random(self, monkeypatch):
+        starts = []
+        search = gp._coordinate_search
+
+        def recording_search(objective, p0, *args):
+            starts.append(p0)
+            return search(objective, p0, *args)
+
+        monkeypatch.setattr(gp, "_coordinate_search", recording_search)
+        rng = np.random.default_rng(12)
+        x = rng.uniform(0.0, 5.0, (15, 2))
+        warm = np.array([0.5, 1.5, -3.0])
+        fit(x, np.sin(x[:, 0]) * x[:, 1], warm_start=warm)
+        assert len(starts) == gp.FIT_RESTARTS == 4
+        default = np.append(np.log(np.ptp(x, axis=0) ** 2 / 4), np.log(1e-2))
+        np.testing.assert_array_equal(starts[0], default)
+        np.testing.assert_array_equal(starts[1], warm)
+        assert not any(np.array_equal(p, q) for p in starts[2:] for q in starts[:2])
+
     def test_golden_log_params_and_signal_var(self):
-        # recorded from the scipy.linalg.cho_factor/cho_solve implementation
+        # recorded when FIT_RESTARTS went from 8 to 4
         rng = np.random.default_rng(11)
         x = rng.uniform(0.0, 5.0, (18, 2))
         g = fit(x, np.sin(x[:, 0]) * x[:, 1] + 0.1 * x[:, 0], seed=3)
         assert [float(v).hex() for v in g.log_params] == [
-            "0x1.12463324ef2a0p+1",
-            "0x1.399fc517b2317p+2",
+            "0x1.1290c8c8c2a5bp+1",
+            "0x1.39bb275e6865fp+2",
             "-0x1.26bb1bbb55516p+4",
         ]
-        assert float(g.signal_var).hex() == "0x1.25f3575e7b1d7p+5"
+        assert float(g.signal_var).hex() == "0x1.27a5fa1076032p+5"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["train_x", "train_f"])
