@@ -28,7 +28,6 @@ import numpy as np
 from . import evaluate, placement as pl
 from .bo import ObjectiveError
 from .config import PROFILES, ExperimentConfig, json_int, json_number, json_pair, load_config
-from .dispersion import ScenarioParams
 from .enkf import assimilate_run
 from .mi import knn_entropy
 
@@ -156,8 +155,8 @@ def _cmd_compare(args) -> int:
         {
             "prior_entropy": dict(zip(columns, report.prior_entropy)),
             "conditions": [
-                {"release_y_m": c.release_y, "wind_dir_rad": c.wind_dir}
-                for c in report.conditions
+                {"release_y_m": release_y, "wind_dir_rad": wind_dir}
+                for release_y, wind_dir in report.conditions.tolist()
             ],
             "placements": {
                 name: {
@@ -192,10 +191,11 @@ def _cmd_assimilate(args) -> int:
     if (args.truth_release_km is None) != (args.truth_wind_deg is None):
         raise ValueError("--truth-release-km and --truth-wind-deg must be given together")
     if args.truth_release_km is not None:
-        truth = ScenarioParams(
-            release_y=args.truth_release_km * 1000.0,
-            wind_dir=np.deg2rad(args.truth_wind_deg),
-        )
+        truth = np.array([args.truth_release_km * 1000.0, np.deg2rad(args.truth_wind_deg)])
+        for flag, raw, value in zip(("--truth-release-km", "--truth-wind-deg"),
+                                    (args.truth_release_km, args.truth_wind_deg), truth):
+            if not np.isfinite(value):
+                raise ValueError(f"{flag} must be finite in meters and radians, got {raw!r}")
     else:
         truth = evaluate.draw_conditions(cfg, 1, cfg.seed)[0]
     trace = assimilate_run(cfg, locations, truth, cfg.seed)

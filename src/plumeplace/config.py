@@ -6,17 +6,19 @@ parsed so a parse -> serialize -> parse round trip is the identity, and
 unit conversion happens in the derived accessors.
 
 The file layout is declared once, in LAYOUT, and drives both
-config_to_dict and config_from_dict. A malformed document raises a
-ValueError that names the key: an integer setting takes only a JSON
-integer, and a real setting or pair only JSON numbers, never a bool or
-a string.
+config_to_dict and config_from_dict. A malformed document, or one with
+a key LAYOUT does not declare, raises a ValueError that names the key:
+an integer setting takes only a JSON integer, and a real setting or pair
+only JSON numbers, never a bool or a string.
 
 Every setting has one owner. The sub-configs check their own values and
 hold the defaults ExperimentConfig shares with them: MeteoConfig the
 wind speed and diffusion constants, ObservationModel the noise and the
 concentration floor, KnnConfig the neighbour settings and BoConfig the
 domain box and the loop sizes. ExperimentConfig rejects non-finite
-floats, builds the four, and checks only what none of them covers.
+floats, builds the four, and checks only what none of them covers. A
+range error names its file key, or the file sections of the sub-config
+that raised it.
 
 Defaults encode the reference scenario: a 10 x 20 km domain with the
 pipeline on the y axis from -3 to 3 km, westerly wind at 4 m/s with a
@@ -92,24 +94,30 @@ class ExperimentConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, (float, tuple)) and not np.all(np.isfinite(value)):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+                raise ValueError(f"{f.name} must be finite, got {value!r}{_where(f.name)}")
             if f.name != "seed" and isinstance(value, int) and value > MAX_COUNT:
                 raise ValueError(
                     f"config key {_KEYS[f.name]!r} must be <= {MAX_COUNT}, got {value}"
                 )
-        # the sub-configs check the settings they own
-        self.meteo(), self.observation(), self.knn(), self.bo_config()
+        # the sub-configs check the settings they own; an error names the
+        # file sections the sub-config is built from
+        for build, sections in ((self.meteo, "'meteo'"), (self.observation, "'observation'"),
+                                (self.knn, "'knn'"), (self.bo_config, "'domain_km' or 'bo'")):
+            try:
+                build()
+            except ValueError as exc:
+                raise ValueError(f"{exc} (config section {sections})") from exc
         if self.pipeline_y_km[1] <= self.pipeline_y_km[0]:
-            raise ValueError("pipeline extent is degenerate")
+            raise ValueError(f"pipeline extent is degenerate{_where('pipeline_y_km')}")
         for name in ("wind_dir_std_deg", "total_min", "interval_min", "release_duration_min",
                      "release_mass", "min_sep_m", "inflation"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+                raise ValueError(f"{name} must be > 0{_where(name)}")
         for name in ("placement_members", "enkf_members", "grid_nx", "grid_ny", "n_sensors"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ValueError(f"{name} must be >= 1{_where(name)}")
         if self.n_steps is not None and self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+            raise ValueError(f"n_steps must be >= 1{_where('n_steps')}")
 
     # --- derived quantities, internal units ---
 
@@ -134,12 +142,7 @@ class ExperimentConfig:
         return out
 
     def meteo(self) -> MeteoConfig:
-        return MeteoConfig(
-            wind_speed=self.wind_speed_m_s,
-            wind_dir=math.radians(self.wind_dir_deg),
-            p_y=self.p_y,
-            q_y=self.q_y,
-        )
+        return MeteoConfig(wind_speed=self.wind_speed_m_s, p_y=self.p_y, q_y=self.q_y)
 
     def observation(self) -> ObservationModel:
         return ObservationModel(
@@ -167,11 +170,12 @@ class ExperimentConfig:
 
     def draw_prior(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """(n, 2) prior draws: release_y uniform over the pipeline, then
-        wind_dir Gaussian around the meteo heading. Size-1 draws equal
-        the scalar draws of the same stream."""
+        wind_dir Gaussian around wind_dir_deg. Size-1 draws equal the
+        scalar draws of the same stream."""
         lo, hi = self.pipeline_y_m()
+        mean = math.radians(self.wind_dir_deg)
         return np.column_stack(
-            [rng.uniform(lo, hi, n), rng.normal(self.meteo().wind_dir, self.wind_dir_std_rad(), n)]
+            [rng.uniform(lo, hi, n), rng.normal(mean, self.wind_dir_std_rad(), n)]
         )
 
     def bo_config(self) -> BoConfig:
@@ -194,6 +198,10 @@ class ExperimentConfig:
     def digest(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _where(name: str) -> str:
+    return f" (config key {_KEYS[name]!r})"
 
 
 def json_int(value, key: str) -> int:
@@ -245,6 +253,12 @@ LAYOUT = (
     (None, "seed", "seed"),
 )
 _KEYS = {name: key if section is None else f"{section}.{key}" for section, key, name in LAYOUT}
+# section -> the keys it declares; the top level (None) also declares the sections
+_DECLARED = {
+    part: {key for section, key, _ in LAYOUT if section == part}
+    for part in {section for section, _, _ in LAYOUT}
+}
+_DECLARED[None] |= _DECLARED.keys() - {None}
 # a field's parser follows the type of its default; a field that defaults
 # to None (n_steps) may be absent or null
 _PARSERS = {tuple: json_pair, float: json_number, int: json_int, type(None): _optional_int}
@@ -261,10 +275,18 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_dict(doc) -> ExperimentConfig:
-    """Parse a config document; a malformed one raises a ValueError that
-    names the offending key."""
+    """Parse a config document; a malformed one, or one with a key or
+    section LAYOUT does not declare, raises a ValueError that names the
+    offending key."""
     if not isinstance(doc, dict):
         raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
+    undeclared = [key for key in doc if key not in _DECLARED[None]] + [
+        f"{section}.{key}" for section, part in doc.items()
+        if section in _DECLARED and isinstance(part, dict) for key in part
+        if key not in _DECLARED[section]
+    ]
+    if undeclared:
+        raise ValueError(f"config has undeclared key(s): {', '.join(map(repr, undeclared))}")
     values = {}
     for section, key, name in LAYOUT:
         part = doc if section is None else doc.get(section, {})

@@ -10,6 +10,10 @@ additive Gaussian noise; concentrations are clamped to a small positive
 floor before the logarithm so readings stay finite ahead of plume
 arrival.
 
+An accident is one parameter row (release_y, wind_dir), the format of
+ExperimentConfig.draw_prior: the heading is an unknown of every member,
+so MeteoConfig holds only the wind speed and the diffusion constants.
+
 Everything here is in meters, seconds and radians. Wind angle 0 points
 east (+x), pi/2 north (+y).
 """
@@ -29,7 +33,6 @@ class MeteoConfig:
     transport is in closed form, so there is no time step."""
 
     wind_speed: float  # m/s
-    wind_dir: float  # rad, 0 = toward +x
     p_y: float  # diffusion coefficient
     q_y: float  # diffusion exponent
 
@@ -40,15 +43,6 @@ class MeteoConfig:
             raise ValueError("p_y must be > 0")
         if not 0 < self.q_y <= 1:
             raise ValueError("q_y must be in (0, 1]")
-
-
-@dataclass(frozen=True)
-class ScenarioParams:
-    """One draw of the unknowns: release position along the pipeline
-    (x fixed at 0) and wind direction."""
-
-    release_y: float  # m
-    wind_dir: float  # rad
 
 
 @dataclass(frozen=True)
@@ -67,7 +61,7 @@ class ObservationModel:
 
 
 def simulate_observations(
-    params: ScenarioParams,
+    truth,
     meteo: MeteoConfig,
     sensors,
     times,
@@ -77,21 +71,21 @@ def simulate_observations(
 ) -> np.ndarray:
     """Noisy log-concentration trajectories, one row per sensor.
 
-    The noise-free part is log_concentrations_at for the single member
-    (release_y, wind_dir) at each time: every puff released before t
-    contributes with age t - release time. Each sensor reads
-    ln(max(c, conc_floor)) plus a Gaussian noise draw from the seeded
-    stream. The scenario's wind direction overrides the meteo default.
+    truth is one accident, a (release_y, wind_dir) row. The noise-free
+    part is log_concentrations_at for that single member at each time:
+    every puff released before t contributes with age t - release time.
+    Each sensor reads ln(max(c, conc_floor)) plus a Gaussian noise draw
+    from the seeded stream.
     """
+    truth = np.asarray(truth, dtype=float)
+    if truth.shape != (2,):
+        raise ValueError(f"truth must be a (release_y, wind_dir) row, got shape {truth.shape}")
     times = np.asarray(times, dtype=float)
     if len(sensors) == 0:
         raise ValueError("need at least one sensor")
     if times.ndim != 1 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
-    return _noisy_trajectories(
-        [params.release_y], [params.wind_dir], sensors, times, meteo, release_schedule, obs,
-        rng_seed,
-    )
+    return _noisy_trajectories(truth[None], sensors, times, meteo, release_schedule, obs, rng_seed)
 
 
 def log_concentrations_at(
@@ -147,20 +141,17 @@ def simulate_ensemble(
     stream keyed by rng_seed, so rebuilding the same location reproduces
     the observations bit for bit.
     """
-    params = np.asarray(params, dtype=float)
-    return _noisy_trajectories(
-        params[:, 0], params[:, 1], [sensor], times, meteo, release_schedule, obs, rng_seed
-    )
+    return _noisy_trajectories(params, [sensor], times, meteo, release_schedule, obs, rng_seed)
 
 
-def _noisy_trajectories(
-    release_y, wind_dir, sensors, times, meteo, release_schedule, obs, rng_seed
-) -> np.ndarray:
-    """log_concentrations_at over all times plus one seeded noise draw.
+def _noisy_trajectories(params, sensors, times, meteo, release_schedule, obs, rng_seed):
+    """log_concentrations_at of the (n_members, 2) parameter rows over all
+    times, plus one seeded noise draw.
 
     Either the members or the sensors must be a single one; the result
     is (n_members or n_sensors, n_times).
     """
+    release_y, wind_dir = np.asarray(params, dtype=float).T
     times = np.asarray(times, dtype=float)
     clean = np.stack(
         [

@@ -8,12 +8,18 @@ parameter update propagates into the member's subsequent predictions);
 the transport is in closed form, so it needs the instant only, not a
 step. The analysis applies the perturbed-observation Kalman update with
 a bias-corrected residual, since the log-space measurement noise has a
-nonzero mean; the noise is the ensemble's own ObservationModel.
+nonzero mean.
+
+Like placement.PriorEnsemble, the ensemble keeps its ExperimentConfig
+and no copies of its settings: forecast reads the meteorology, release
+schedule and concentration floor from it, analysis the noise and
+inflate the inflation factor. The truth is one (release_y, wind_dir)
+row, the format of the parameter columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,14 +41,12 @@ def _sensor_rows(value, name: str) -> np.ndarray:
 
 @dataclass
 class AugmentedEnsemble:
-    """Member matrix [release_y, wind_dir, ln u_1..ln u_S] plus the
-    scenario context needed to predict the members' readings."""
+    """Member matrix [release_y, wind_dir, ln u_1..ln u_S] at the sensors;
+    the config owns every model setting."""
 
-    members: np.ndarray
+    cfg: ExperimentConfig
     sensors: np.ndarray
-    meteo: dispersion.MeteoConfig
-    observation: dispersion.ObservationModel
-    release_schedule: dispersion.ReleaseSchedule = field(default_factory=list)
+    members: np.ndarray
 
     def __post_init__(self):
         self.members = np.asarray(self.members, dtype=float)
@@ -73,14 +77,10 @@ def forecast(ens: AugmentedEnsemble, t: float) -> AugmentedEnsemble:
     and release position; the parameter columns pass through unchanged.
     Predicted log-concentrations are clamped like real readings.
     """
+    cfg = ens.cfg
     lnu = dispersion.log_concentrations_at(
-        ens.members[:, 0],
-        ens.members[:, 1],
-        ens.sensors,
-        t,
-        ens.meteo,
-        ens.release_schedule,
-        ens.observation,
+        ens.members[:, 0], ens.members[:, 1], ens.sensors, t,
+        cfg.meteo(), cfg.release_schedule(), cfg.observation(),
     )
     members = np.hstack([ens.members[:, :THETA_DIM], lnu])
     return replace(ens, members=members)
@@ -93,8 +93,8 @@ def analysis(ens: AugmentedEnsemble, obs, seed: int) -> AugmentedEnsemble:
     sample covariance, R_e the empirical covariance of the actually
     drawn perturbations and H the selection of the ln-u block, applied
     by slicing. Each member sees its own perturbed observation: zero-mean
-    noise with the ensemble observation model's noise_std, and a residual
-    corrected by its noise_mean. Deterministic per seed.
+    noise with the config's noise_std, and a residual corrected by its
+    noise_mean. Deterministic per seed.
     """
     n_sensors = ens.sensors.shape[0]
     obs = np.asarray(obs, dtype=float)
@@ -108,7 +108,7 @@ def analysis(ens: AugmentedEnsemble, obs, seed: int) -> AugmentedEnsemble:
         raise ValueError(f"analysis needs at least 2 ensemble members, got {n}")
     cov = np.cov(a.T, ddof=1)
     rng = np.random.default_rng(seed)
-    eps = rng.normal(0.0, ens.observation.noise_std, (n, n_sensors))
+    eps = rng.normal(0.0, ens.cfg.noise_std, (n, n_sensors))
     r_e = np.atleast_2d(np.cov(eps.T, ddof=1))
     innov_cov = cov[THETA_DIM:, THETA_DIM:] + r_e
     # reject a collapsed ensemble instead of amplifying roundoff;
@@ -119,12 +119,14 @@ def analysis(ens: AugmentedEnsemble, obs, seed: int) -> AugmentedEnsemble:
             "consider covariance inflation"
         )
     gain = cov[:, THETA_DIM:] @ np.linalg.inv(innov_cov)
-    residual = (obs[None, :] + eps) - a[:, THETA_DIM:] - ens.observation.noise_mean
+    residual = (obs[None, :] + eps) - a[:, THETA_DIM:] - ens.cfg.noise_mean
     return replace(ens, members=a + residual @ gain.T)
 
 
-def inflate(ens: AugmentedEnsemble, factor: float) -> AugmentedEnsemble:
-    """Spread members about their mean by `factor` (1.0 is a no-op)."""
+def inflate(ens: AugmentedEnsemble) -> AugmentedEnsemble:
+    """Spread members about their mean by the config's inflation factor
+    (1.0 is a no-op)."""
+    factor = ens.cfg.inflation
     if factor == 1.0:
         return ens
     mean = ens.members.mean(axis=0)
@@ -140,52 +142,32 @@ class PosteriorTrace:
     prior_theta: np.ndarray
 
 
-def assimilate_run(
-    cfg: ExperimentConfig,
-    placement,
-    truth: dispersion.ScenarioParams,
-    seed: int,
-) -> PosteriorTrace:
+def assimilate_run(cfg: ExperimentConfig, placement, truth, seed: int) -> PosteriorTrace:
     """Simulate one accident and assimilate it over all time points.
 
-    Truth observations are generated once from the scenario parameters,
-    then the filter alternates forecast and analysis at every
-    observation instant, recording the parameter ensemble after each
-    analysis.
+    truth is the accident's (release_y, wind_dir) row. Its observations
+    are generated once, then the filter alternates forecast and analysis
+    at every observation instant, recording the parameter ensemble after
+    each analysis.
     """
     sensors = _sensor_rows(placement, "placement")
     times = cfg.times()
-    meteo = cfg.meteo()
-    observation = cfg.observation()
-    schedule = cfg.release_schedule()
     root = np.random.SeedSequence([seed, 0x656E6B66])
     ss_truth, ss_init, ss_analysis = root.spawn(3)
 
     truth_obs = dispersion.simulate_observations(
-        truth,
-        meteo,
-        sensors,
-        times,
-        schedule,
-        observation,
-        ss_truth,
+        truth, cfg.meteo(), sensors, times, cfg.release_schedule(), cfg.observation(), ss_truth
     )
 
     prior_theta = cfg.draw_prior(cfg.enkf_members, np.random.default_rng(ss_init))
-    floor = np.full((cfg.enkf_members, sensors.shape[0]), np.log(observation.conc_floor))
-    ens = AugmentedEnsemble(
-        members=np.hstack([prior_theta, floor]),
-        sensors=sensors,
-        meteo=meteo,
-        observation=observation,
-        release_schedule=schedule,
-    )
+    floor = np.full((cfg.enkf_members, sensors.shape[0]), np.log(cfg.conc_floor))
+    ens = AugmentedEnsemble(cfg, sensors, np.hstack([prior_theta, floor]))
 
     analysis_seeds = ss_analysis.generate_state(len(times))
     thetas = []
     for i, t in enumerate(times):
         ens = forecast(ens, t)
-        ens = inflate(ens, cfg.inflation)
+        ens = inflate(ens)
         ens = analysis(ens, truth_obs[:, i], int(analysis_seeds[i]))
         thetas.append(ens.theta.copy())
     return PosteriorTrace(times=times, thetas=thetas, prior_theta=prior_theta)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .dispersion import ScenarioParams
 from .enkf import assimilate_run
 from .mi import KnnConfig, knn_entropy
 
@@ -29,10 +28,11 @@ def _entropy_triplet(theta: np.ndarray, knn: KnnConfig) -> tuple[float, float, f
     )
 
 
-def draw_conditions(cfg: ExperimentConfig, n_conditions: int, seed: int) -> list[ScenarioParams]:
-    """Simulated accidents: one prior draw per condition."""
+def draw_conditions(cfg: ExperimentConfig, n_conditions: int, seed: int) -> np.ndarray:
+    """Simulated accidents, an (n_conditions, 2) array of (release_y,
+    wind_dir) rows: one prior draw per condition."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC04D]))
-    return [ScenarioParams(*map(float, cfg.draw_prior(1, rng)[0])) for _ in range(n_conditions)]
+    return np.array([cfg.draw_prior(1, rng)[0] for _ in range(n_conditions)]).reshape(-1, 2)
 
 
 def random_placements(cfg: ExperimentConfig, count: int, seed: int) -> dict:
@@ -58,7 +58,7 @@ class EvaluationReport:
     """Entropy traces per placement and condition, plus the aggregate."""
 
     placements: dict
-    conditions: list[ScenarioParams]
+    conditions: np.ndarray  # (n_conditions, 2): release_y, wind_dir
     times: np.ndarray
     traces: dict  # name -> (n_conditions, n_steps, 3)
     prior_entropy: tuple[float, float, float]

@@ -6,7 +6,7 @@ stepping) and shares no code with the library paths it checks.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -201,12 +201,13 @@ class PuffState:
             raise ValueError("puff mass must be >= 0")
 
 
-def step_puff(p, m, dt):
-    """Advance one puff by one transport step of dt seconds."""
+def step_puff(p, m, wind_dir, dt):
+    """Advance one puff by one transport step of dt seconds under the
+    heading wind_dir (radians)."""
     s = p.s + m.wind_speed * dt
     return PuffState(
-        x=p.x + m.wind_speed * math.cos(m.wind_dir) * dt,
-        y=p.y + m.wind_speed * math.sin(m.wind_dir) * dt,
+        x=p.x + m.wind_speed * math.cos(wind_dir) * dt,
+        y=p.y + m.wind_speed * math.sin(wind_dir) * dt,
         s=s,
         r=m.p_y * s**m.q_y,
         mass=p.mass,
@@ -229,29 +230,29 @@ def concentration(puffs, at) -> float:
     return total
 
 
-def stepped_observations(params, meteo, sensors, times, release_schedule, obs, rng_seed, dt):
+def stepped_observations(truth, meteo, sensors, times, release_schedule, obs, rng_seed, dt):
     """simulate_observations by stepping scalar puffs one dt per instant.
 
-    At each observation instant all active puffs take one transport
-    step of dt seconds, then puffs scheduled up to that instant spawn at
-    (0, release_y) with s = 0. On release schedules aligned to an
-    observation grid of spacing dt this is the closed form's transport;
-    the noise stream is the same.
+    truth is the (release_y, wind_dir) row. At each observation instant
+    all active puffs take one transport step of dt seconds, then puffs
+    scheduled up to that instant spawn at (0, release_y) with s = 0. On
+    release schedules aligned to an observation grid of spacing dt this
+    is the closed form's transport; the noise stream is the same.
     """
     times = np.asarray(times, dtype=float)
-    met = replace(meteo, wind_dir=params.wind_dir)
+    release_y, wind_dir = (float(v) for v in truth)
     pending = sorted(release_schedule)
     puffs = []
 
     def spawn_through(t):
         while pending and pending[0][0] <= t:
             _, mass = pending.pop(0)
-            puffs.append(PuffState(x=0.0, y=params.release_y, s=0.0, r=0.0, mass=mass))
+            puffs.append(PuffState(x=0.0, y=release_y, s=0.0, r=0.0, mass=mass))
 
     spawn_through(times[0] - dt)
     log_c = np.empty((len(sensors), len(times)))
     for j, t in enumerate(times):
-        puffs[:] = [step_puff(p, met, dt) for p in puffs]
+        puffs[:] = [step_puff(p, meteo, wind_dir, dt) for p in puffs]
         spawn_through(t)
         live = [p for p in puffs if p.r > 0]
         for i, sensor in enumerate(sensors):

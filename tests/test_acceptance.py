@@ -4,6 +4,7 @@ Run with:  pytest tests/test_acceptance.py -v -s
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from plumeplace import bo, gp, placement as pl
 from plumeplace.cca import mi_lower_bound
 from plumeplace.cli import main as cli_main
 from plumeplace.config import ExperimentConfig, save_config
-from plumeplace.dispersion import ObservationModel, ScenarioParams
 from plumeplace.enkf import AugmentedEnsemble, analysis
 from plumeplace.evaluate import compare_placements, random_placements
 from plumeplace.mi import KnnConfig, ksg_mi
@@ -174,14 +174,10 @@ def test_criterion_5_enkf_linear_gaussian_oracle():
     rng = np.random.default_rng(321)
     theta = rng.normal(prior_mean, np.sqrt(prior_var), n)
     members = np.column_stack([theta, np.zeros(n), theta])
-    cfg = ExperimentConfig().with_profile("desk")
-    ens = AugmentedEnsemble(
-        members=members,
-        sensors=np.array([[0.0, 0.0]]),
-        meteo=cfg.meteo(),
-        observation=ObservationModel(noise_mean=0.0, noise_std=np.sqrt(noise_var)),
-        release_schedule=cfg.release_schedule(),
+    cfg = replace(
+        ExperimentConfig().with_profile("desk"), noise_mean=0.0, noise_std=np.sqrt(noise_var)
     )
+    ens = AugmentedEnsemble(cfg, np.array([[0.0, 0.0]]), members)
     out = analysis(ens, np.array([obs_value]), seed=11)
 
     gain = prior_var / (prior_var + noise_var)

@@ -194,6 +194,30 @@ class TestErrors:
             err = capsys.readouterr().err
             assert "plumeplace: error: --truth-release-km and --truth-wind-deg" in err
 
+    @pytest.mark.parametrize(
+        "release_km, wind_deg, flag",
+        [
+            ("inf", 3.0, "--truth-release-km"),
+            ("nan", 3.0, "--truth-release-km"),
+            (1e308, 3.0, "--truth-release-km"),  # finite in km, inf in meters
+            (-1.2, "-inf", "--truth-wind-deg"),
+            (-1.2, "nan", "--truth-wind-deg"),
+        ],
+    )
+    def test_assimilate_rejects_non_finite_truth(
+        self, config_path, one_sensor, tmp_path, capsys, release_km, wind_deg, flag
+    ):
+        out = tmp_path / "o.csv"
+        code = run(
+            ["assimilate", "--config", config_path, "--placement", one_sensor,
+             f"--truth-release-km={release_km}", f"--truth-wind-deg={wind_deg}", "--out", out]
+        )
+        assert code == 1
+        assert one_error_line(capsys).startswith(
+            f"plumeplace: error: {flag} must be finite in meters and radians, got "
+        )
+        assert not out.exists()
+
     def test_grid_zero_steps(self, config_path, tmp_path, capsys):
         code = run(
             ["grid-surface", "--config", config_path, "--out", tmp_path / "s.csv", "--steps", 0]
@@ -275,7 +299,10 @@ class TestErrors:
         path.write_text(json.dumps(doc))
         out = tmp_path / "o.json"
         assert run(["place", "--config", path, "--out", out]) == 1
-        assert one_error_line(capsys) == "plumeplace: error: interval_min must be finite, got nan\n"
+        assert one_error_line(capsys) == (
+            "plumeplace: error: interval_min must be finite, got nan "
+            "(config key 'time.interval_min')\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import ast
 import json
 import tempfile
 from dataclasses import fields
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plumeplace
 from plumeplace import evaluate, placement
 from plumeplace.config import (
     LAYOUT,
@@ -18,9 +20,19 @@ from plumeplace.config import (
     load_config,
     save_config,
 )
-from plumeplace.dispersion import ObservationModel, ScenarioParams
+from plumeplace.dispersion import ObservationModel
 from plumeplace.enkf import assimilate_run
 from plumeplace.mi import KnnConfig
+
+
+def default_doc_with(keys, value) -> dict:
+    """The default config document with the entry at the key path set."""
+    doc = config_to_dict(ExperimentConfig())
+    part = doc
+    for key in keys[:-1]:
+        part = part[key]
+    part[keys[-1]] = value
+    return doc
 
 
 class TestDefaults:
@@ -59,7 +71,8 @@ class TestDefaults:
             cfg.domain_m(), [[0.0, 10000.0], [-10000.0, 10000.0]]
         )
         assert cfg.wind_dir_std_rad() == pytest.approx(np.deg2rad(10.0))
-        assert ExperimentConfig(wind_dir_deg=90.0).meteo().wind_dir == pytest.approx(np.pi / 2)
+        north = ExperimentConfig(wind_dir_deg=90.0).draw_prior(2000, np.random.default_rng(0))
+        assert north[:, 1].mean() == pytest.approx(np.pi / 2, abs=0.02)
 
     def test_desk_profile(self):
         desk = ExperimentConfig().with_profile("desk")
@@ -91,7 +104,7 @@ class TestDrawPrior:
             ["0x1.cde94364edfacp+10", "0x1.2c7f1f4f8d918p-3"],
             ["0x1.6fd03f3e34700p+6", "-0x1.b1a89b21ccef5p-4"],
         ]
-        trace = assimilate_run(cfg, [(2000.0, 0.0)], ScenarioParams(100.0, 0.01), 3)
+        trace = assimilate_run(cfg, [(2000.0, 0.0)], np.array([100.0, 0.01]), 3)
         assert [[v.hex() for v in row] for row in trace.prior_theta.tolist()] == [
             ["0x1.011d475663cd8p+9", "-0x1.3acfb98273363p-5"],
             ["-0x1.95d023f291998p+10", "-0x1.fb2b56d1269a7p-3"],
@@ -99,7 +112,8 @@ class TestDrawPrior:
             ["-0x1.6804dd622a826p+11", "0x1.d55b1571edccep-4"],
         ]
         conditions = evaluate.draw_conditions(cfg, 3, 2)
-        assert [(c.release_y.hex(), c.wind_dir.hex()) for c in conditions] == [
+        assert conditions.shape == (3, 2)
+        assert [(y.hex(), w.hex()) for y, w in conditions.tolist()] == [
             ("-0x1.17c8e7cee6ee0p+9", "-0x1.74eea7afaae0cp-7"),
             ("0x1.16145bfec8250p+8", "-0x1.86414f9f18b62p-3"),
             ("0x1.0c3129228dc6ep+10", "0x1.68e3ff538502bp-3"),
@@ -266,6 +280,21 @@ class TestLayout:
         del doc["time"]["n_steps"]
         assert config_from_dict(doc) == ExperimentConfig()
 
+    @pytest.mark.parametrize(
+        "keys, value, undeclared",
+        [
+            (("time", "nsteps"), 3, "'time.nsteps'"),
+            (("meteo", "wind_dir_rad"), 0.0, "'meteo.wind_dir_rad'"),
+            (("tme",), {"n_steps": 3}, "'tme'"),
+            (("seeds",), 1, "'seeds'"),
+        ],
+    )
+    def test_rejects_undeclared_keys(self, keys, value, undeclared):
+        # before this check a misspelled optional key (time.nsteps) loaded
+        # silently as the full run
+        with pytest.raises(ValueError, match=f"^config has undeclared key\\(s\\): {undeclared}$"):
+            config_from_dict(default_doc_with(keys, value))
+
 
 class TestValidation:
     def test_degenerate_domain(self):
@@ -299,9 +328,75 @@ class TestValidation:
             with pytest.raises(ValueError, match=f"{f.name} must be finite"):
                 ExperimentConfig(**bad)
 
+    @pytest.mark.parametrize(
+        "keys, value, suffix",
+        [
+            (("grid", "nx"), 0, "(config key 'grid.nx')"),
+            (("ensemble", "enkf_members"), 0, "(config key 'ensemble.enkf_members')"),
+            (("time", "n_steps"), 0, "(config key 'time.n_steps')"),
+            (("time", "interval_min"), 0.0, "(config key 'time.interval_min')"),
+            (("meteo", "wind_dir_std_deg"), -1.0, "(config key 'meteo.wind_dir_std_deg')"),
+            (("enkf", "inflation"), 0.0, "(config key 'enkf.inflation')"),
+            (("release_mass",), 0.0, "(config key 'release_mass')"),
+            (("pipeline_km", "y"), [1.0, 1.0], "(config key 'pipeline_km.y')"),
+            (("meteo", "p_y"), float("nan"), "(config key 'meteo.p_y')"),
+            (("bo", "init_count"), 1, "(config section 'domain_km' or 'bo')"),
+            (("domain_km", "x"), [5.0, 5.0], "(config section 'domain_km' or 'bo')"),
+            (("meteo", "q_y"), 1.5, "(config section 'meteo')"),
+            (("observation", "noise_std"), 0.0, "(config section 'observation')"),
+            (("knn", "k"), 0, "(config section 'knn')"),
+        ],
+    )
+    def test_errors_name_the_file_key(self, keys, value, suffix):
+        with pytest.raises(ValueError) as info:
+            config_from_dict(default_doc_with(keys, value))
+        assert str(info.value).endswith(suffix)
+
     def test_digest_stable_and_sensitive(self):
         a = ExperimentConfig()
         b = ExperimentConfig()
         c = ExperimentConfig(seed=99)
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
+
+
+CONFIG_BUILT = {"MeteoConfig", "ObservationModel", "BoConfig"}
+
+
+def _names(node) -> set:
+    """Every name and attribute name an expression mentions, including
+    those inside a quoted annotation."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out |= _names(ast.parse(sub.value, mode="eval"))
+    return out
+
+
+def test_only_config_builds_model_settings():
+    """Each model setting has one owner: only config.py constructs a
+    MeteoConfig, ObservationModel or BoConfig, and no dataclass keeps one
+    as a field, so a setting is read from the ExperimentConfig that owns
+    it instead of from a copy."""
+    constructors, held = set(), []
+    for path in Path(plumeplace.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in CONFIG_BUILT:
+                    constructors.add(path.name)
+            elif isinstance(node, ast.ClassDef) and "dataclass" in set().union(
+                *map(_names, node.decorator_list)
+            ):
+                held += [
+                    f"{path.name}:{node.name}.{stmt.target.id}"
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and _names(stmt.annotation) & CONFIG_BUILT
+                ]
+    assert constructors <= {"config.py"}
+    assert held == []

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,24 +18,15 @@ from plumeplace.mi import knn_entropy
 
 def scenario_ensemble(theta, sensors, cfg=None, bias=None, noise_var=None):
     """Ensemble at release onset; bias and noise_var, when given, set the
-    observation model's noise_mean and noise_std = sqrt(noise_var)."""
+    config's noise_mean and noise_std = sqrt(noise_var)."""
     cfg = cfg or ExperimentConfig().with_profile("desk")
-    observation = cfg.observation()
     if bias is not None:
-        observation = dispersion.ObservationModel(
-            noise_mean=bias, noise_std=math.sqrt(noise_var), conc_floor=cfg.conc_floor
-        )
+        cfg = replace(cfg, noise_mean=bias, noise_std=math.sqrt(noise_var))
     n = theta.shape[0]
     members = np.hstack(
         [theta, np.full((n, len(sensors)), np.log(cfg.conc_floor))]
     )
-    return AugmentedEnsemble(
-        members=members,
-        sensors=np.asarray(sensors, dtype=float),
-        meteo=cfg.meteo(),
-        observation=observation,
-        release_schedule=cfg.release_schedule(),
-    )
+    return AugmentedEnsemble(cfg, np.asarray(sensors, dtype=float), members)
 
 
 class TestAugmentedEnsemble:
@@ -60,13 +52,13 @@ class TestForecast:
 
     def test_single_member_matches_dispersion_path(self):
         cfg = ExperimentConfig().with_profile("desk")
-        truth = dispersion.ScenarioParams(release_y=-700.0, wind_dir=0.05)
+        truth = np.array([-700.0, 0.05])
         sensors = np.array([[1200.0, -500.0], [2400.0, 0.0]])
         quiet = dispersion.ObservationModel(noise_mean=0.0, noise_std=1e-30, conc_floor=1e-12)
         reference = dispersion.simulate_observations(
             truth, cfg.meteo(), sensors, cfg.times(), cfg.release_schedule(), quiet, 0
         )
-        ens = scenario_ensemble(np.array([[truth.release_y, truth.wind_dir]]), sensors, cfg)
+        ens = scenario_ensemble(truth[None, :], sensors, cfg)
         for j, t in enumerate(cfg.times()):
             ens = forecast(ens, t)
             np.testing.assert_array_equal(ens.log_obs[0], reference[:, j])
@@ -161,13 +153,15 @@ class TestInflate:
         rng = np.random.default_rng(1)
         theta = np.column_stack([rng.normal(0, 1, 30), rng.normal(0, 1, 30)])
         ens = scenario_ensemble(theta, [(1.0, 0.0)])
-        assert inflate(ens, 1.0) is ens
+        assert ens.cfg.inflation == 1.0
+        assert inflate(ens) is ens
 
     def test_scales_spread(self):
         rng = np.random.default_rng(2)
         theta = np.column_stack([rng.normal(0, 1, 500), rng.normal(0, 1, 500)])
-        ens = scenario_ensemble(theta, [(1.0, 0.0)])
-        out = inflate(ens, 1.5)
+        cfg = replace(ExperimentConfig().with_profile("desk"), inflation=1.5)
+        ens = scenario_ensemble(theta, [(1.0, 0.0)], cfg)
+        out = inflate(ens)
         assert out.members[:, 0].std() == pytest.approx(1.5 * theta[:, 0].std(), rel=1e-9)
         assert out.members[:, 0].mean() == pytest.approx(theta[:, 0].mean(), abs=1e-9)
 
@@ -175,17 +169,17 @@ class TestInflate:
 class TestAssimilateRun:
     def test_full_scale_truth_recovery(self):
         cfg = ExperimentConfig(enkf_members=1000)
-        truth = dispersion.ScenarioParams(release_y=-1291.7, wind_dir=-0.026)
+        truth = np.array([-1291.7, -0.026])
         placement = [(4800.0, -2800.0), (2800.0, 2600.0), (3400.0, 4100.0)]
         trace = assimilate_run(cfg, placement, truth, seed=3)
         posterior = trace.thetas[-1][:, 0]
-        assert posterior.min() <= truth.release_y <= posterior.max()
+        assert posterior.min() <= truth[0] <= posterior.max()
         h_prior = knn_entropy(trace.prior_theta[:, 0])
         h_post = knn_entropy(posterior)
         assert h_post < h_prior - 0.5
 
     def test_zero_information_placement_keeps_prior(self, desk_config):
-        truth = dispersion.ScenarioParams(release_y=500.0, wind_dir=0.02)
+        truth = np.array([500.0, 0.02])
         placement = [(-5000.0, -5000.0), (-6000.0, 0.0), (-5000.0, 5000.0)]
         trace = assimilate_run(desk_config, placement, truth, seed=4)
         h_prior = knn_entropy(trace.prior_theta[:, 0])
@@ -193,7 +187,7 @@ class TestAssimilateRun:
         assert abs(h_post - h_prior) < 0.1
 
     def test_deterministic(self, desk_config):
-        truth = dispersion.ScenarioParams(release_y=-800.0, wind_dir=0.05)
+        truth = np.array([-800.0, 0.05])
         placement = [(2000.0, 2000.0), (2000.0, -2000.0)]
         a = assimilate_run(desk_config, placement, truth, seed=6)
         b = assimilate_run(desk_config, placement, truth, seed=6)
@@ -204,12 +198,12 @@ class TestAssimilateRun:
         "placement", [[], np.empty((0, 2)), [(1.0, 2.0, 3.0)], np.zeros((2, 2, 2))]
     )
     def test_rejects_placement_without_sensor_rows(self, desk_config, placement):
-        truth = dispersion.ScenarioParams(release_y=0.0, wind_dir=0.0)
+        truth = np.array([0.0, 0.0])
         with pytest.raises(ValueError, match=r"placement must be an \(S, 2\) array"):
             assimilate_run(desk_config, placement, truth, seed=1)
 
     def test_trace_shapes(self, desk_config):
-        truth = dispersion.ScenarioParams(release_y=0.0, wind_dir=0.0)
+        truth = np.array([0.0, 0.0])
         trace = assimilate_run(desk_config, [(2000.0, 0.0)], truth, seed=1)
         assert len(trace.thetas) == len(desk_config.times())
         assert trace.thetas[0].shape == (desk_config.enkf_members, 2)
