@@ -1,14 +1,12 @@
-import ast
 import hashlib
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-import plumeplace
 from plumeplace.cli import main
 from plumeplace.config import config_to_dict, save_config
+from source_scan import callers_of
 
 
 @pytest.fixture
@@ -395,12 +393,4 @@ def test_golden_outputs(config_path, tmp_path):
 
 def test_only_cli_and_config_open_files():
     """The bytes of every file have one owner: no other module calls open."""
-    openers = set()
-    for path in Path(plumeplace.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "open":
-                    openers.add(path.name)
-    assert openers == {"cli.py", "config.py"}
+    assert callers_of({"open"}) == {"cli.py", "config.py"}
