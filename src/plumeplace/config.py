@@ -11,14 +11,16 @@ a key LAYOUT does not declare, raises a ValueError that names the key:
 an integer setting takes only a JSON integer, and a real setting or pair
 only JSON numbers, never a bool or a string.
 
-Every setting has one owner. The sub-configs check their own values and
-hold the defaults ExperimentConfig shares with them: MeteoConfig the
-wind speed and diffusion constants, ObservationModel the noise and the
-concentration floor, KnnConfig the neighbour settings and BoConfig the
-domain box and the loop sizes. ExperimentConfig rejects non-finite
-floats, builds the four, and checks only what none of them covers. A
-range error names its file key, or the file sections of the sub-config
-that raised it.
+Every setting has one owner. The forward model (dispersion) reads the
+wind, diffusion, timing and observation settings from the
+ExperimentConfig itself, so ExperimentConfig checks them. The two
+sub-configs check their own values and hold the defaults
+ExperimentConfig shares with them: KnnConfig the neighbour settings and
+BoConfig the domain box and the loop sizes. ExperimentConfig rejects
+non-finite floats, builds the two, and checks what neither covers,
+including the counts it derives: the observation instants and the
+puffs. A range error names its file key, or the file sections of the
+sub-config that raised it.
 
 Defaults encode the reference scenario: a 10 x 20 km domain with the
 pipeline on the y axis from -3 to 3 km, westerly wind at 4 m/s with a
@@ -36,13 +38,13 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .bo import BoConfig
-from .dispersion import MeteoConfig, ObservationModel
 from .mi import KnnConfig
 
 PROFILES = ("full", "desk")
-# Every count (ensemble sizes, steps, grid nodes, sensors, BO sizes, k)
-# is at most this, so a config that loads never asks numpy for an
-# allocation it cannot make.
+# Every count (ensemble sizes, steps, grid nodes, sensors, BO sizes, k,
+# and the observation instants and puffs the timing derives) is at most
+# this, so a config that loads never asks numpy for an allocation it
+# cannot make.
 MAX_COUNT = 10**7
 
 
@@ -69,9 +71,9 @@ class ExperimentConfig:
     n_steps: int | None = None
     release_mass: float = 1.0
     # observation model
-    noise_mean: float = ObservationModel.noise_mean
-    noise_std: float = ObservationModel.noise_std
-    conc_floor: float = ObservationModel.conc_floor
+    noise_mean: float = -0.005
+    noise_std: float = 0.1
+    conc_floor: float = 1e-12
     # ensemble sizes
     placement_members: int = 1000
     enkf_members: int = 1000
@@ -101,55 +103,65 @@ class ExperimentConfig:
                 )
         # the sub-configs check the settings they own; an error names the
         # file sections the sub-config is built from
-        for build, sections in ((self.meteo, "'meteo'"), (self.observation, "'observation'"),
-                                (self.knn, "'knn'"), (self.bo_config, "'domain_km' or 'bo'")):
+        for build, sections in ((self.knn, "'knn'"), (self.bo_config, "'domain_km' or 'bo'")):
             try:
                 build()
             except ValueError as exc:
                 raise ValueError(f"{exc} (config section {sections})") from exc
         if self.pipeline_y_km[1] <= self.pipeline_y_km[0]:
             raise ValueError(f"pipeline extent is degenerate{_where('pipeline_y_km')}")
-        for name in ("wind_dir_std_deg", "total_min", "interval_min", "release_duration_min",
-                     "release_mass", "min_sep_m", "inflation"):
+        for name in ("wind_speed_m_s", "wind_dir_std_deg", "p_y", "total_min", "interval_min",
+                     "release_duration_min", "release_mass", "noise_std", "conc_floor",
+                     "min_sep_m", "inflation"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0{_where(name)}")
+        if not 0 < self.q_y <= 1:
+            raise ValueError(f"q_y must be in (0, 1]{_where('q_y')}")
         for name in ("placement_members", "enkf_members", "grid_nx", "grid_ny", "n_sensors"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1{_where(name)}")
         if self.n_steps is not None and self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1{_where('n_steps')}")
+        # the counts the timing derives obey MAX_COUNT too; the ratio is
+        # checked first, so one that overflows never reaches int()
+        if self.release_duration_min / self.interval_min > MAX_COUNT:
+            raise ValueError(
+                "config keys 'time.release_duration_min' and 'time.interval_min' "
+                f"give more than {MAX_COUNT} puffs"
+            )
+        if self.n_steps is None and (
+            self.total_min / self.interval_min > MAX_COUNT or self._n_times() > MAX_COUNT
+        ):
+            raise ValueError(
+                "config keys 'time.total_min' and 'time.interval_min' "
+                f"give more than {MAX_COUNT} observation instants"
+            )
 
     # --- derived quantities, internal units ---
+
+    def _n_times(self) -> int:
+        if self.n_steps is not None:
+            return self.n_steps
+        return int(round(self.total_min / self.interval_min)) + 1
+
+    def _n_puffs(self) -> int:
+        # one puff every interval before the release ends; the ratio is
+        # rounded to 9 places so float noise (16.1 / 0.7 is
+        # 23.000000000000004) adds no puff, and a release of any length
+        # has its puff at onset
+        return max(1, math.ceil(round(self.release_duration_min / self.interval_min, 9)))
 
     def times(self) -> np.ndarray:
         """Observation instants in seconds, starting one interval after
         release onset; the default count spans the total time fencepost
         inclusive (30 min at 1 min spacing gives 31 instants)."""
-        n = self.n_steps
-        if n is None:
-            n = int(round(self.total_min / self.interval_min)) + 1
-        dt = self.interval_min * 60.0
-        return dt * np.arange(1, n + 1)
+        return self.interval_min * 60.0 * np.arange(1, self._n_times() + 1)
 
-    def release_schedule(self) -> list[tuple[float, float]]:
-        dt = self.interval_min * 60.0
-        duration = self.release_duration_min * 60.0
-        out = []
-        t = 0.0
-        while t < duration:
-            out.append((t, self.release_mass))
-            t += dt
-        return out
-
-    def meteo(self) -> MeteoConfig:
-        return MeteoConfig(wind_speed=self.wind_speed_m_s, p_y=self.p_y, q_y=self.q_y)
-
-    def observation(self) -> ObservationModel:
-        return ObservationModel(
-            noise_mean=self.noise_mean,
-            noise_std=self.noise_std,
-            conc_floor=self.conc_floor,
-        )
+    def release_times(self) -> np.ndarray:
+        """Puff release instants in seconds, one per interval from onset
+        while the release lasts (10 min at 1 min spacing gives 0..540 s).
+        Every puff carries release_mass."""
+        return self.interval_min * 60.0 * np.arange(self._n_puffs())
 
     def knn(self) -> KnnConfig:
         return KnnConfig(k=self.knn_k, jitter_scale=self.knn_jitter)

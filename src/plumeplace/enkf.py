@@ -11,10 +11,10 @@ a bias-corrected residual, since the log-space measurement noise has a
 nonzero mean.
 
 Like placement.PriorEnsemble, the ensemble keeps its ExperimentConfig
-and no copies of its settings: forecast reads the meteorology, release
-schedule and concentration floor from it, analysis the noise and
-inflate the inflation factor. The truth is one (release_y, wind_dir)
-row, the format of the parameter columns.
+and no copies of its settings: forecast hands it to the forward model,
+analysis reads the noise from it and inflate the inflation factor. The
+truth is one (release_y, wind_dir) row, the format of the parameter
+columns.
 """
 
 from __future__ import annotations
@@ -77,10 +77,8 @@ def forecast(ens: AugmentedEnsemble, t: float) -> AugmentedEnsemble:
     and release position; the parameter columns pass through unchanged.
     Predicted log-concentrations are clamped like real readings.
     """
-    cfg = ens.cfg
     lnu = dispersion.log_concentrations_at(
-        ens.members[:, 0], ens.members[:, 1], ens.sensors, t,
-        cfg.meteo(), cfg.release_schedule(), cfg.observation(),
+        ens.cfg, ens.members[:, 0], ens.members[:, 1], ens.sensors, t
     )
     members = np.hstack([ens.members[:, :THETA_DIM], lnu])
     return replace(ens, members=members)
@@ -155,9 +153,7 @@ def assimilate_run(cfg: ExperimentConfig, placement, truth, seed: int) -> Poster
     root = np.random.SeedSequence([seed, 0x656E6B66])
     ss_truth, ss_init, ss_analysis = root.spawn(3)
 
-    truth_obs = dispersion.simulate_observations(
-        truth, cfg.meteo(), sensors, times, cfg.release_schedule(), cfg.observation(), ss_truth
-    )
+    truth_obs = dispersion.simulate_observations(cfg, truth, sensors, ss_truth)
 
     prior_theta = cfg.draw_prior(cfg.enkf_members, np.random.default_rng(ss_init))
     floor = np.full((cfg.enkf_members, sensors.shape[0]), np.log(cfg.conc_floor))

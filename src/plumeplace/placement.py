@@ -52,15 +52,8 @@ class PriorEnsemble:
         """(n_members, n_times) noisy log-observations at one location."""
         key = _location_key(location)
         if key not in self.obs_cache:
-            cfg = self.cfg
             self.obs_cache[key] = dispersion.simulate_ensemble(
-                self.params,
-                cfg.meteo(),
-                key,
-                cfg.times(),
-                cfg.release_schedule(),
-                cfg.observation(),
-                _location_seed(self.seed, key),
+                self.cfg, self.params, key, _location_seed(self.seed, key)
             )
         return self.obs_cache[key]
 

@@ -201,15 +201,16 @@ class PuffState:
             raise ValueError("puff mass must be >= 0")
 
 
-def step_puff(p, m, wind_dir, dt):
+def step_puff(p, cfg, wind_dir, dt):
     """Advance one puff by one transport step of dt seconds under the
-    heading wind_dir (radians)."""
-    s = p.s + m.wind_speed * dt
+    heading wind_dir (radians), with the wind speed and diffusion
+    constants of cfg."""
+    s = p.s + cfg.wind_speed_m_s * dt
     return PuffState(
-        x=p.x + m.wind_speed * math.cos(wind_dir) * dt,
-        y=p.y + m.wind_speed * math.sin(wind_dir) * dt,
+        x=p.x + cfg.wind_speed_m_s * math.cos(wind_dir) * dt,
+        y=p.y + cfg.wind_speed_m_s * math.sin(wind_dir) * dt,
         s=s,
-        r=m.p_y * s**m.q_y,
+        r=cfg.p_y * s**cfg.q_y,
         mass=p.mass,
     )
 
@@ -230,32 +231,35 @@ def concentration(puffs, at) -> float:
     return total
 
 
-def stepped_observations(truth, meteo, sensors, times, release_schedule, obs, rng_seed, dt):
-    """simulate_observations by stepping scalar puffs one dt per instant.
+def stepped_observations(cfg, truth, sensors, rng_seed):
+    """simulate_observations by stepping scalar puffs one observation
+    interval dt per instant of cfg.times().
 
     truth is the (release_y, wind_dir) row. At each observation instant
-    all active puffs take one transport step of dt seconds, then puffs
-    scheduled up to that instant spawn at (0, release_y) with s = 0. On
-    release schedules aligned to an observation grid of spacing dt this
-    is the closed form's transport; the noise stream is the same.
+    all active puffs take one transport step of dt seconds, then the
+    puffs of cfg.release_times() up to that instant spawn at
+    (0, release_y) with s = 0 and mass cfg.release_mass. The config
+    releases on its own observation grid, so this is the closed form's
+    transport; the noise stream is the same.
     """
-    times = np.asarray(times, dtype=float)
+    dt = cfg.interval_min * 60.0
+    times = cfg.times()
     release_y, wind_dir = (float(v) for v in truth)
-    pending = sorted(release_schedule)
+    pending = cfg.release_times().tolist()
     puffs = []
 
     def spawn_through(t):
-        while pending and pending[0][0] <= t:
-            _, mass = pending.pop(0)
-            puffs.append(PuffState(x=0.0, y=release_y, s=0.0, r=0.0, mass=mass))
+        while pending and pending[0] <= t:
+            pending.pop(0)
+            puffs.append(PuffState(x=0.0, y=release_y, s=0.0, r=0.0, mass=cfg.release_mass))
 
     spawn_through(times[0] - dt)
     log_c = np.empty((len(sensors), len(times)))
     for j, t in enumerate(times):
-        puffs[:] = [step_puff(p, meteo, wind_dir, dt) for p in puffs]
+        puffs[:] = [step_puff(p, cfg, wind_dir, dt) for p in puffs]
         spawn_through(t)
         live = [p for p in puffs if p.r > 0]
         for i, sensor in enumerate(sensors):
-            log_c[i, j] = math.log(max(concentration(live, sensor), obs.conc_floor))
+            log_c[i, j] = math.log(max(concentration(live, sensor), cfg.conc_floor))
     rng = np.random.default_rng(rng_seed)
-    return log_c + rng.normal(obs.noise_mean, obs.noise_std, log_c.shape)
+    return log_c + rng.normal(cfg.noise_mean, cfg.noise_std, log_c.shape)

@@ -20,7 +20,6 @@ from plumeplace.config import (
     load_config,
     save_config,
 )
-from plumeplace.dispersion import ObservationModel
 from plumeplace.enkf import assimilate_run
 from plumeplace.mi import KnnConfig
 from source_scan import callers_of, library_modules
@@ -50,8 +49,8 @@ class TestDefaults:
         assert cfg.placement_members == 1000
         assert cfg.noise_mean == -0.005
         assert cfg.noise_std == 0.1
+        assert cfg.conc_floor == 1e-12
         assert (cfg.grid_nx, cfg.grid_ny) == (11, 21)
-        assert cfg.observation() == ObservationModel()
         assert cfg.knn() == KnnConfig()
 
     def test_derived_times_and_schedule(self):
@@ -60,10 +59,20 @@ class TestDefaults:
         assert len(times) == 31
         assert times[0] == 60.0
         assert np.all(np.diff(times) == 60.0)
-        schedule = cfg.release_schedule()
-        assert len(schedule) == 10
-        assert schedule[0] == (0.0, 1.0)
-        assert schedule[-1][0] == 540.0
+        np.testing.assert_array_equal(cfg.release_times(), 60.0 * np.arange(10))
+        assert cfg.release_mass == 1.0
+
+    @pytest.mark.parametrize(
+        "interval_min, release_duration_min, puffs",
+        [(1.0, 10.0, 10), (1.0, 10.5, 11), (0.7, 16.1, 23), (0.01, 0.1, 10), (1.0, 1e-12, 1)],
+    )
+    def test_puff_count(self, interval_min, release_duration_min, puffs):
+        # one puff per interval from onset while the release lasts; float
+        # noise in the ratio (16.1 / 0.7 is 23.000000000000004) adds none
+        cfg = ExperimentConfig(interval_min=interval_min, release_duration_min=release_duration_min)
+        np.testing.assert_array_equal(
+            cfg.release_times(), interval_min * 60.0 * np.arange(puffs)
+        )
 
     def test_unit_conversion(self):
         cfg = ExperimentConfig()
@@ -166,7 +175,7 @@ VALID_CONFIGS = st.builds(
     wind_dir_std_deg=_positive(),
     p_y=_positive(),
     q_y=st.floats(0.01, 1.0),
-    total_min=_positive(),
+    total_min=_positive(1e3),
     interval_min=_positive(),
     release_duration_min=_positive(),
     n_steps=st.none() | st.integers(1, 1000),
@@ -272,6 +281,37 @@ class TestLayout:
         ):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "time, too_many",
+        [
+            ({"total_min": MAX_COUNT - 1.0}, None),
+            ({"total_min": float(MAX_COUNT)}, ("total_min", "observation instants")),
+            ({"total_min": 1e12}, ("total_min", "observation instants")),
+            ({"total_min": 1e308, "interval_min": 1e-300, "release_duration_min": 1e-300},
+             ("total_min", "observation instants")),
+            ({"total_min": 1e12, "n_steps": 10}, None),
+            ({"release_duration_min": float(MAX_COUNT)}, None),
+            ({"release_duration_min": MAX_COUNT + 1.0}, ("release_duration_min", "puffs")),
+            ({"release_duration_min": 1e9, "interval_min": 1e-6, "n_steps": 10},
+             ("release_duration_min", "puffs")),
+        ],
+    )
+    def test_derived_counts_have_the_same_bound(self, time, too_many):
+        # loading only: no instant or puff is allocated; without n_steps
+        # the instants are total_min / interval_min + 1
+        doc = config_to_dict(ExperimentConfig())
+        doc["time"].update(time)
+        if too_many is None:
+            config_from_dict(doc)
+            return
+        key, what = too_many
+        with pytest.raises(
+            ValueError,
+            match=f"^config keys 'time.{key}' and 'time.interval_min' give more than "
+            f"{MAX_COUNT} {what}$",
+        ):
+            config_from_dict(doc)
+
     def test_integers_load_as_real_settings(self):
         doc = config_to_dict(ExperimentConfig())
         doc["meteo"]["wind_speed_m_s"] = 4
@@ -347,9 +387,11 @@ class TestValidation:
             (("meteo", "p_y"), float("nan"), "(config key 'meteo.p_y')"),
             (("bo", "init_count"), 1, "(config section 'domain_km' or 'bo')"),
             (("domain_km", "x"), [5.0, 5.0], "(config section 'domain_km' or 'bo')"),
-            (("meteo", "q_y"), 1.5, "(config section 'meteo')"),
-            (("observation", "noise_std"), 0.0, "(config section 'observation')"),
+            (("meteo", "q_y"), 1.5, "(config key 'meteo.q_y')"),
+            (("observation", "noise_std"), 0.0, "(config key 'observation.noise_std')"),
             (("knn", "k"), 0, "(config section 'knn')"),
+            (("meteo", "wind_speed_m_s"), 0.0, "(config key 'meteo.wind_speed_m_s')"),
+            (("observation", "conc_floor"), 0.0, "(config key 'observation.conc_floor')"),
         ],
     )
     def test_errors_name_the_file_key(self, keys, value, suffix):
@@ -365,14 +407,13 @@ class TestValidation:
         assert a.digest() != c.digest()
 
 
-CONFIG_BUILT = {"MeteoConfig", "ObservationModel", "BoConfig"}
+CONFIG_BUILT = {"BoConfig"}
 
 
 def test_only_config_builds_model_settings():
     """Each model setting has one owner: only config.py constructs a
-    MeteoConfig, ObservationModel or BoConfig, and no dataclass keeps one
-    as a field, so a setting is read from the ExperimentConfig that owns
-    it instead of from a copy."""
+    BoConfig, and no dataclass keeps one as a field, so a setting is read
+    from the ExperimentConfig that owns it instead of from a copy."""
     mentions = re.compile(r"\b(" + "|".join(sorted(CONFIG_BUILT)) + r")\b")
     held = [
         f"{file_name}:{node.name}.{stmt.target.id}"

@@ -1,23 +1,28 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plumeplace.dispersion import (
-    MeteoConfig,
-    ObservationModel,
-    simulate_ensemble,
-    simulate_observations,
-)
+from plumeplace.config import ExperimentConfig
+from plumeplace.dispersion import simulate_ensemble, simulate_observations
 
 from oracles import PuffState, concentration, step_puff, stepped_observations
 
-METEO = MeteoConfig(wind_speed=4.0, p_y=0.466, q_y=0.866)
+CFG = ExperimentConfig()  # the stepper reads its wind speed and diffusion constants
 EAST = 0.0  # the oracle's heading, toward +x
 DT = 60.0  # the oracle's transport step, one observation interval
-QUIET = ObservationModel(noise_mean=0.0, noise_std=1e-30, conc_floor=1e-12)
+
+
+@pytest.fixture
+def quiet(desk_config):
+    """The desk scenario without noise, observed at 60..300 s, with one
+    puff released at onset."""
+    return replace(
+        desk_config, noise_mean=0.0, noise_std=1e-30, n_steps=5, release_duration_min=1.0
+    )
 
 
 def fresh_puff(mass=1.0):
@@ -26,18 +31,18 @@ def fresh_puff(mass=1.0):
 
 class TestStepPuff:
     def test_straight_east_transport(self):
-        p = step_puff(fresh_puff(), METEO, EAST, DT)
+        p = step_puff(fresh_puff(), CFG, EAST, DT)
         assert p.x == pytest.approx(240.0)
         assert p.y == pytest.approx(0.0)
         assert p.s == pytest.approx(240.0)
 
     def test_radius_growth_law(self):
-        p = step_puff(fresh_puff(), METEO, EAST, DT)
+        p = step_puff(fresh_puff(), CFG, EAST, DT)
         assert p.r == pytest.approx(0.466 * 240.0**0.866, rel=1e-12)
         assert p.r == pytest.approx(53.6598, abs=1e-3)
 
     def test_northward_wind(self):
-        p = step_puff(fresh_puff(), METEO, math.pi / 2, DT)
+        p = step_puff(fresh_puff(), CFG, math.pi / 2, DT)
         assert p.x == pytest.approx(0.0, abs=1e-9)
         assert p.y == pytest.approx(240.0)
 
@@ -45,24 +50,24 @@ class TestStepPuff:
         p = fresh_puff(mass=2.5)
         travelled = [0.0]
         for _ in range(20):
-            p = step_puff(p, METEO, EAST, DT)
+            p = step_puff(p, CFG, EAST, DT)
             travelled.append(p.s)
             assert p.mass == 2.5
-            assert p.r == pytest.approx(METEO.p_y * p.s**METEO.q_y, rel=1e-12)
+            assert p.r == pytest.approx(CFG.p_y * p.s**CFG.q_y, rel=1e-12)
         assert all(b > a for a, b in zip(travelled, travelled[1:]))
 
     def test_peak_concentration_decreases(self):
-        p = step_puff(fresh_puff(), METEO, EAST, DT)
+        p = step_puff(fresh_puff(), CFG, EAST, DT)
         peaks = []
         for _ in range(10):
             peaks.append(concentration([p], (p.x, p.y)))
-            p = step_puff(p, METEO, EAST, DT)
+            p = step_puff(p, CFG, EAST, DT)
         assert all(b < a for a, b in zip(peaks, peaks[1:]))
 
 
 class TestConcentration:
     def test_center_value(self):
-        p = step_puff(fresh_puff(mass=3.0), METEO, EAST, DT)
+        p = step_puff(fresh_puff(mass=3.0), CFG, EAST, DT)
         assert concentration([p], (p.x, p.y)) == pytest.approx(
             3.0 / (2 * math.pi * p.r**2), rel=1e-12
         )
@@ -71,7 +76,7 @@ class TestConcentration:
         assert concentration([], (0.0, 0.0)) == 0.0
 
     def test_two_colocated_puffs_double(self):
-        p = step_puff(fresh_puff(), METEO, EAST, DT)
+        p = step_puff(fresh_puff(), CFG, EAST, DT)
         single = concentration([p], (100.0, 50.0))
         assert concentration([p, p], (100.0, 50.0)) == pytest.approx(2 * single, rel=1e-12)
 
@@ -80,7 +85,7 @@ class TestConcentration:
             concentration([fresh_puff()], (0.0, 0.0))
 
     def test_plane_integral_equals_mass(self):
-        p = step_puff(step_puff(fresh_puff(mass=2.0), METEO, EAST, DT), METEO, EAST, DT)
+        p = step_puff(step_puff(fresh_puff(mass=2.0), CFG, EAST, DT), CFG, EAST, DT)
         half = 8 * p.r
         xs = np.linspace(p.x - half, p.x + half, 401)
         ys = np.linspace(p.y - half, p.y + half, 401)
@@ -92,7 +97,7 @@ class TestConcentration:
     @given(st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=20, deadline=None)
     def test_linear_in_mass(self, scale):
-        p = step_puff(fresh_puff(), METEO, EAST, DT)
+        p = step_puff(fresh_puff(), CFG, EAST, DT)
         boosted = PuffState(x=p.x, y=p.y, s=p.s, r=p.r, mass=p.mass * scale)
         at = (200.0, 30.0)
         assert concentration([boosted], at) == pytest.approx(
@@ -101,37 +106,30 @@ class TestConcentration:
 
 
 SENSORS = [(240.0, 0.0), (1000.0, 500.0)]
-TIMES = 60.0 * np.arange(1, 6)
-SCHEDULE = [(0.0, 1.0)]
 
 
 class TestSimulateObservations:
-    def test_far_upwind_sensor_reads_floor(self):
+    def test_far_upwind_sensor_reads_floor(self, quiet):
         params = np.array([0.0, 0.0])
-        out = simulate_observations(
-            params, METEO, [(-5000.0, -5000.0)], TIMES, SCHEDULE, QUIET, rng_seed=1
-        )
-        assert np.allclose(out, math.log(QUIET.conc_floor), atol=1e-9)
+        out = simulate_observations(quiet, params, [(-5000.0, -5000.0)], rng_seed=1)
+        assert np.allclose(out, math.log(quiet.conc_floor), atol=1e-9)
 
-    def test_deterministic_per_seed(self):
+    def test_deterministic_per_seed(self, desk_config):
         params = np.array([-500.0, 0.1])
-        obs = ObservationModel()
-        a = simulate_observations(params, METEO, SENSORS, TIMES, SCHEDULE, obs, rng_seed=7)
-        b = simulate_observations(params, METEO, SENSORS, TIMES, SCHEDULE, obs, rng_seed=7)
+        a = simulate_observations(desk_config, params, SENSORS, rng_seed=7)
+        b = simulate_observations(desk_config, params, SENSORS, rng_seed=7)
         assert np.array_equal(a, b)
-        c = simulate_observations(params, METEO, SENSORS, TIMES, SCHEDULE, obs, rng_seed=8)
+        c = simulate_observations(desk_config, params, SENSORS, rng_seed=8)
         assert not np.array_equal(a, c)
 
-    def test_single_puff_center_reading(self):
+    def test_single_puff_center_reading(self, quiet):
         # sensor sits exactly where the first transport step puts the puff
         params = np.array([0.0, 0.0])
-        p = step_puff(fresh_puff(), METEO, EAST, DT)
-        out = simulate_observations(
-            params, METEO, [(p.x, p.y)], TIMES[:1], SCHEDULE, QUIET, rng_seed=0
-        )
+        p = step_puff(fresh_puff(), quiet, EAST, DT)
+        out = simulate_observations(replace(quiet, n_steps=1), params, [(p.x, p.y)], rng_seed=0)
         assert out[0, 0] == pytest.approx(math.log(1.0 / (2 * math.pi * p.r**2)), abs=1e-9)
 
-    def test_rotation_equivariance(self):
+    def test_rotation_equivariance(self, quiet):
         release_y = -800.0
         angle = 0.35
         base = np.array([release_y, 0.1])
@@ -142,117 +140,86 @@ class TestSimulateObservations:
         )
         pivot = np.array([0.0, release_y])
         moved = [tuple(pivot + rot @ (np.asarray(s) - pivot)) for s in sensors]
-        schedule = [(0.0, 1.0), (60.0, 1.0), (120.0, 1.0)]
-        a = simulate_observations(base, METEO, sensors, TIMES, schedule, QUIET, 0)
-        b = simulate_observations(turned, METEO, moved, TIMES, schedule, QUIET, 0)
+        cfg = replace(quiet, release_duration_min=3.0)  # puffs at 0, 60 and 120 s
+        a = simulate_observations(cfg, base, sensors, 0)
+        b = simulate_observations(cfg, turned, moved, 0)
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
-    def test_mass_conservation_across_run(self):
+    def test_mass_conservation_across_run(self, quiet):
         # every scheduled release shows up with unchanged mass at the end
         params = np.array([0.0, 0.0])
-        schedule = [(0.0, 1.5), (60.0, 2.5), (120.0, 3.0)]
-        times = 60.0 * np.arange(1, 8)
+        cfg = replace(quiet, release_duration_min=3.0, release_mass=2.5, n_steps=7)
         # run the oracle's stepping loop manually to inspect the puff list
+        times = cfg.times()
         puffs = []
-        pending = sorted(schedule)
-        while pending and pending[0][0] <= times[0] - DT:
-            _, mass = pending.pop(0)
-            puffs.append(PuffState(0.0, params[0], 0.0, 0.0, mass))
+        pending = cfg.release_times().tolist()
+        while pending and pending[0] <= times[0] - DT:
+            pending.pop(0)
+            puffs.append(PuffState(0.0, params[0], 0.0, 0.0, cfg.release_mass))
         for t in times:
-            puffs = [step_puff(p, METEO, EAST, DT) for p in puffs]
-            while pending and pending[0][0] <= t:
-                _, mass = pending.pop(0)
-                puffs.append(PuffState(0.0, params[0], 0.0, 0.0, mass))
-        assert sum(p.mass for p in puffs) == pytest.approx(7.0)
+            puffs = [step_puff(p, cfg, EAST, DT) for p in puffs]
+            while pending and pending[0] <= t:
+                pending.pop(0)
+                puffs.append(PuffState(0.0, params[0], 0.0, 0.0, cfg.release_mass))
+        assert sum(p.mass for p in puffs) == pytest.approx(7.5)
 
     def test_matches_stepped_oracle_on_config_schedule(self, desk_config):
-        # the schedules ExperimentConfig makes release on the observation grid
+        # the config releases its puffs on its observation grid
+        cfg = replace(desk_config, noise_mean=0.0, noise_std=1e-30)
         params = np.array([-700.0, 0.05])
         sensors = [(1200.0, -500.0), (2400.0, 0.0), (600.0, 300.0)]
-        args = (
-            params,
-            desk_config.meteo(),
-            sensors,
-            desk_config.times(),
-            desk_config.release_schedule(),
-            QUIET,
-        )
-        dt = desk_config.interval_min * 60.0
         np.testing.assert_allclose(
-            simulate_observations(*args, 0),
-            stepped_observations(*args, 0, dt),
+            simulate_observations(cfg, params, sensors, 0),
+            stepped_observations(cfg, params, sensors, 0),
             rtol=1e-9,
             atol=1e-9,
         )
 
-    def test_validates_times_and_sensors(self):
-        params = np.array([0.0, 0.0])
-        with pytest.raises(ValueError):
-            simulate_observations(params, METEO, [], TIMES, SCHEDULE, QUIET, 0)
-        with pytest.raises(ValueError):
-            simulate_observations(
-                params, METEO, SENSORS, [60.0, 60.0], SCHEDULE, QUIET, 0
-            )
+    def test_rejects_no_sensors(self, quiet):
+        with pytest.raises(ValueError, match="need at least one sensor"):
+            simulate_observations(quiet, np.array([0.0, 0.0]), [], 0)
 
     @pytest.mark.parametrize("truth", [[0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]])
-    def test_rejects_truth_that_is_not_one_row(self, truth):
+    def test_rejects_truth_that_is_not_one_row(self, quiet, truth):
         with pytest.raises(ValueError, match=r"truth must be a \(release_y, wind_dir\) row"):
-            simulate_observations(truth, METEO, SENSORS, TIMES, SCHEDULE, QUIET, 0)
+            simulate_observations(quiet, truth, SENSORS, 0)
 
 
 class TestSimulateEnsemble:
-    def test_matches_scalar_path(self):
-        # closed form against the oracle's scalar stepper, on a release
-        # schedule aligned to the observation grid
+    def test_matches_scalar_path(self, quiet):
+        # closed form against the oracle's scalar stepper
         rng = np.random.default_rng(11)
         params = np.column_stack(
             [rng.uniform(-2000, 2000, 8), rng.normal(0.0, 0.17, 8)]
         )
-        schedule = [(0.0, 1.0), (60.0, 1.0)]
+        cfg = replace(quiet, release_duration_min=2.0)  # puffs at 0 and 60 s
         sensor = (700.0, 150.0)
-        batch = simulate_ensemble(params, METEO, sensor, TIMES, schedule, QUIET, rng_seed=3)
+        batch = simulate_ensemble(cfg, params, sensor, rng_seed=3)
         for i in range(len(params)):
-            row = stepped_observations(
-                params[i], METEO, [sensor], TIMES, schedule, QUIET, 4, DT
-            )[0]
+            row = stepped_observations(cfg, params[i], [sensor], 4)[0]
             np.testing.assert_allclose(batch[i], row, rtol=1e-9, atol=1e-9)
 
-    def test_member_rows_equal_simulate_observations(self):
+    def test_member_rows_equal_simulate_observations(self, quiet):
         # one forward model: each ensemble row is the single-member truth
         rng = np.random.default_rng(12)
         params = np.column_stack(
             [rng.uniform(-2000, 2000, 8), rng.normal(0.0, 0.17, 8)]
         )
-        schedule = [(0.0, 1.0), (60.0, 1.0)]
+        cfg = replace(quiet, release_duration_min=2.0)
         sensor = (700.0, 150.0)
-        batch = simulate_ensemble(params, METEO, sensor, TIMES, schedule, QUIET, rng_seed=3)
+        batch = simulate_ensemble(cfg, params, sensor, rng_seed=3)
         for i in range(len(params)):
-            row = simulate_observations(
-                params[i], METEO, [sensor], TIMES, schedule, QUIET, rng_seed=4
-            )[0]
+            row = simulate_observations(cfg, params[i], [sensor], rng_seed=4)[0]
             np.testing.assert_array_equal(batch[i], row)
 
-    def test_noise_reproducible_per_seed(self):
+    def test_noise_reproducible_per_seed(self, desk_config):
         params = np.array([[0.0, 0.0], [500.0, 0.1]])
-        obs = ObservationModel()
-        a = simulate_ensemble(params, METEO, (500.0, 0.0), TIMES, SCHEDULE, obs, rng_seed=5)
-        b = simulate_ensemble(params, METEO, (500.0, 0.0), TIMES, SCHEDULE, obs, rng_seed=5)
+        a = simulate_ensemble(desk_config, params, (500.0, 0.0), rng_seed=5)
+        b = simulate_ensemble(desk_config, params, (500.0, 0.0), rng_seed=5)
         assert np.array_equal(a, b)
 
 
 class TestValidation:
-    def test_meteo_invariants(self):
-        with pytest.raises(ValueError):
-            MeteoConfig(wind_speed=0.0, p_y=0.466, q_y=0.866)
-        with pytest.raises(ValueError):
-            MeteoConfig(wind_speed=4.0, p_y=0.466, q_y=1.5)
-
-    def test_observation_invariants(self):
-        with pytest.raises(ValueError):
-            ObservationModel(noise_std=0.0)
-        with pytest.raises(ValueError):
-            ObservationModel(conc_floor=0.0)
-
     def test_puff_invariants(self):
         with pytest.raises(ValueError):
             PuffState(x=0.0, y=0.0, s=-1.0, r=0.0, mass=1.0)

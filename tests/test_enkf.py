@@ -54,10 +54,8 @@ class TestForecast:
         cfg = ExperimentConfig().with_profile("desk")
         truth = np.array([-700.0, 0.05])
         sensors = np.array([[1200.0, -500.0], [2400.0, 0.0]])
-        quiet = dispersion.ObservationModel(noise_mean=0.0, noise_std=1e-30, conc_floor=1e-12)
-        reference = dispersion.simulate_observations(
-            truth, cfg.meteo(), sensors, cfg.times(), cfg.release_schedule(), quiet, 0
-        )
+        quiet = replace(cfg, noise_mean=0.0, noise_std=1e-30)
+        reference = dispersion.simulate_observations(quiet, truth, sensors, 0)
         ens = scenario_ensemble(truth[None, :], sensors, cfg)
         for j, t in enumerate(cfg.times()):
             ens = forecast(ens, t)
