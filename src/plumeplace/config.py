@@ -136,6 +136,19 @@ class ExperimentConfig:
                 "config keys 'time.total_min' and 'time.interval_min' "
                 f"give more than {MAX_COUNT} observation instants"
             )
+        # the last instants in seconds must be finite as well: the interval
+        # in seconds can overflow where interval_min does not
+        interval_s = self.interval_min * 60.0
+        observed = "'time.n_steps'" if self.n_steps is not None else "'time.total_min'"
+        for last, keys, what in (
+            (interval_s * self._n_times(), observed, "observation"),
+            (interval_s * (self._n_puffs() - 1), "'time.release_duration_min'", "release"),
+        ):
+            if not math.isfinite(last):
+                raise ValueError(
+                    f"config keys {keys} and 'time.interval_min' "
+                    f"give a last {what} instant that is not finite in seconds"
+                )
 
     # --- derived quantities, internal units ---
 

@@ -11,6 +11,7 @@ Estimates are in nats. Samples are row-major: one row per sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,11 +54,19 @@ def _as_matrix(x) -> np.ndarray:
     return x
 
 
+@lru_cache(maxsize=16)
+def _jitter_draw(shape: tuple[int, ...]) -> np.ndarray:
+    """The fixed stream's standard-normal draw of one sample shape, made
+    once and read-only, since every caller shares it."""
+    g = np.random.default_rng(_JITTER_SEED).standard_normal(shape)
+    g.flags.writeable = False
+    return g
+
+
 def _jittered(x: np.ndarray, scale: float) -> np.ndarray:
     if scale == 0:
         return x
-    g = np.random.default_rng(_JITTER_SEED).standard_normal(x.shape)
-    return x * (1.0 + scale * g)
+    return x * (1.0 + scale * _jitter_draw(x.shape))
 
 
 def _knn_radii(block: np.ndarray, k: int) -> np.ndarray:

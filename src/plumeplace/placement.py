@@ -8,16 +8,22 @@ grid. Simulated observations (including their noise realizations) are
 cached per location so every candidate comparison sees the same random
 world; without that, objective noise across optimizer iterations would
 swamp the surrogate.
+
+The grid fills that cache for all its nodes in one pass, one lattice
+forward evaluation per instant, before its first step. The ensemble
+also keeps the CCA factors that do not change between candidates: the
+parameter block's, once, and the stacked fixed sensors' for the last
+fixed set, so each candidate adds only its own rows to the factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from . import bo, dispersion
-from .cca import mi_lower_bound
+from . import bo, cca, dispersion
 from .config import ExperimentConfig
 
 _NOISE_TAG = 0x6F62  # distinguishes the observation-noise stream
@@ -37,16 +43,18 @@ class PriorEnsemble:
     """Prior parameter draws plus lazily cached observation trajectories.
 
     The config owns every model setting; the ensemble holds only its
-    draws, the seed of its noise streams and the cache. Cache entries
+    draws, the seed of its noise streams and the caches. Cache entries
     are reproducible from (location, seed): the noise stream is keyed by
     the location's coordinate bits, so rebuilding a location yields a
-    bit-identical matrix.
+    bit-identical matrix. An entry, once made, never changes.
     """
 
     cfg: ExperimentConfig
     params: np.ndarray  # (n_members, 2): release_y, wind_dir
     seed: int
     obs_cache: dict = field(default_factory=dict, repr=False)
+    # (locations, cca.Block) of the last fixed sensor set factored
+    _fixed: tuple = field(default=((), None), init=False, repr=False)
 
     def trajectories(self, location) -> np.ndarray:
         """(n_members, n_times) noisy log-observations at one location."""
@@ -56,6 +64,34 @@ class PriorEnsemble:
                 self.cfg, self.params, key, _location_seed(self.seed, key)
             )
         return self.obs_cache[key]
+
+    def fill(self, lattice: dispersion.Lattice) -> None:
+        """Cache every node of lattice, unless all are cached already, with
+        one forward evaluation per instant. Each node's entry is a view of
+        one (n_nodes, n_members, n_times) array and keeps its own noise
+        stream; a node cached before keeps its entry."""
+        keys = [_location_key(node) for node in lattice.nodes()]
+        if all(key in self.obs_cache for key in keys):
+            return
+        rows = dispersion.simulate_lattice(
+            self.cfg, self.params, lattice, [_location_seed(self.seed, key) for key in keys]
+        )
+        for key, row in zip(keys, rows):
+            self.obs_cache.setdefault(key, row)
+
+    @cached_property
+    def param_block(self) -> cca.Block:
+        """The parameter draws, factored once for CCA."""
+        return cca.factor(self.params)
+
+    def fixed_block(self, fixed) -> cca.Block | None:
+        """The stacked trajectories of the fixed sensors factored for CCA,
+        or None for no sensor. The factor of the last set asked for is
+        kept, so a greedy step factors its fixed set once."""
+        key = tuple(_location_key(s) for s in fixed)
+        if key and self._fixed[0] != key:
+            self._fixed = (key, cca.factor(np.hstack([self.trajectories(s) for s in key])))
+        return self._fixed[1] if key else None
 
 
 def build_ensemble(cfg: ExperimentConfig, n_members: int, seed: int) -> PriorEnsemble:
@@ -70,11 +106,13 @@ def objective(ens: PriorEnsemble, fixed, candidate) -> float:
     """MI lower bound of (parameters ; stacked sensor trajectories).
 
     The observation block concatenates the full time trajectories of
-    every fixed sensor and the candidate, one row per member.
+    every fixed sensor and the candidate, one row per member. The
+    candidate's columns extend the ensemble's factor of the fixed block.
     """
-    blocks = [ens.trajectories(s) for s in fixed]
-    blocks.append(ens.trajectories(candidate))
-    return mi_lower_bound(ens.params, np.hstack(blocks), ens.cfg.knn())
+    block = ens.fixed_block(fixed)
+    obs = ens.trajectories(candidate)
+    obs_block = cca.factor(obs) if block is None else cca.extend(block, obs)
+    return cca.mi_lower_bound(ens.param_block, obs_block, ens.cfg.knn())
 
 
 @dataclass
@@ -134,22 +172,29 @@ class GridSpec:
     ny: int
     domain: np.ndarray
 
+    def lattice(self) -> dispersion.Lattice:
+        return dispersion.Lattice(
+            np.linspace(self.domain[0, 0], self.domain[0, 1], self.nx),
+            np.linspace(self.domain[1, 0], self.domain[1, 1], self.ny),
+        )
+
     def nodes(self) -> list[tuple[float, float]]:
-        xs = np.linspace(self.domain[0, 0], self.domain[0, 1], self.nx)
-        ys = np.linspace(self.domain[1, 0], self.domain[1, 1], self.ny)
-        return [(float(x), float(y)) for x in xs for y in ys]
+        return self.lattice().nodes()
 
 
 def grid_place(ens: PriorEnsemble, n_sensors: int, grid: GridSpec) -> PlacementResult:
     """Exhaustive baseline: evaluate every grid node each greedy step.
 
-    Ties resolve to the lexicographically smallest point; selected nodes
-    are excluded from later steps. The per-step surfaces are kept in the
-    result's traces as (x, y, value) arrays.
+    The trajectories of every node are cached in one pass before the
+    first step. Ties resolve to the lexicographically smallest point;
+    selected nodes are excluded from later steps. The per-step surfaces
+    are kept in the result's traces as (x, y, value) arrays.
     """
-    nodes = grid.nodes()
+    lattice = grid.lattice()
+    nodes = lattice.nodes()
     if not 1 <= n_sensors <= len(nodes):
         raise ValueError(f"n_sensors must be in [1, {len(nodes)}] for this grid, got {n_sensors}")
+    ens.fill(lattice)
     selected: list[tuple[float, float]] = []
     bounds: list[float] = []
     surfaces: list[np.ndarray] = []

@@ -169,6 +169,32 @@ def quad_expected_improvement(mu, sigma, f_best):
     return quad(integrand, f_best, np.inf, epsabs=1e-13, epsrel=1e-13)[0]
 
 
+def eigh_first_canonical(q, d, ridge=1e-8):
+    """First canonical pair by symmetric inverse square-root whitening:
+    eigh of each standardized block covariance plus the library's ridge.
+    Returns (alpha, beta, rho1); the directions apply to the raw data and
+    their common sign is not fixed."""
+    q = _as2d(q)
+    d = _as2d(d)
+    n = len(q)
+
+    def standardized(x):
+        std = x.std(axis=0, ddof=1)
+        std = np.where(std > 0, std, 1.0)
+        return (x - x.mean(axis=0)) / std, std
+
+    def inv_sqrt(cov):
+        w, v = np.linalg.eigh(cov + ridge * np.eye(len(cov)))
+        return (v / np.sqrt(w)) @ v.T
+
+    qs, q_scale = standardized(q)
+    ds, d_scale = standardized(d)
+    wq = inv_sqrt(qs.T @ qs / (n - 1))
+    wd = inv_sqrt(ds.T @ ds / (n - 1))
+    u, s, vt = np.linalg.svd(wq @ (qs.T @ ds / (n - 1)) @ wd)
+    return (wq @ u[:, 0]) / q_scale, (wd @ vt[0]) / d_scale, float(s[0])
+
+
 def sweep_first_correlation(q, d, n_angles=20001):
     """Best |correlation| between 1D q and a swept direction in 2D d."""
     q = np.asarray(q, dtype=float).ravel()

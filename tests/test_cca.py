@@ -1,10 +1,27 @@
 import numpy as np
 import pytest
 
-from plumeplace.cca import first_canonical, mi_lower_bound
+from plumeplace.cca import extend, factor, first_canonical, mi_lower_bound
 from plumeplace.mi import KnnConfig, ksg_mi
 
-from oracles import sweep_first_correlation
+from oracles import eigh_first_canonical, sweep_first_correlation
+
+
+def assert_same_pair(pair, reference):
+    """rho1 to 1e-12 and the directions to 1e-9 of their largest entry,
+    up to one common sign."""
+    alpha, beta, rho1 = reference
+    assert pair.rho1 == pytest.approx(rho1, abs=1e-12)
+    sign = np.sign(pair.alpha @ alpha)
+    for got, want in ((pair.alpha, alpha), (pair.beta, beta)):
+        np.testing.assert_allclose(got, sign * want, rtol=0, atol=1e-9 * np.abs(want).max())
+
+
+def correlated_blocks(seed, n=800, d_dim=6):
+    """A 2-column block with scales 150 apart, and a noisy linear image."""
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((n, 2)) * np.array([3.0, 0.02])
+    return q, q @ rng.standard_normal((2, d_dim)) + rng.standard_normal((n, d_dim))
 
 
 class TestFirstCanonical:
@@ -76,6 +93,40 @@ class TestFirstCanonical:
     def test_rejects_too_few_samples(self):
         with pytest.raises(ValueError):
             first_canonical(np.eye(3), np.eye(3))
+
+
+class TestCholeskyWhitening:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_eigh_oracle(self, seed):
+        q, d = correlated_blocks(seed)
+        assert_same_pair(first_canonical(q, d), eigh_first_canonical(q, d))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_extended_block_matches_eigh_oracle(self, seed):
+        # a fixed block of 12 columns factored once, a candidate's 6 appended
+        q, d = correlated_blocks(seed, d_dim=18)
+        pair = first_canonical(factor(q), extend(factor(d[:, :12]), d[:, 12:]))
+        assert_same_pair(pair, eigh_first_canonical(q, d))
+
+    def test_extend_keeps_the_old_rows_and_matches_one_factor(self):
+        _, d = correlated_blocks(4, d_dim=9)
+        fixed = factor(d[:, :5])
+        grown = extend(fixed, d[:, 5:])
+        assert np.array_equal(grown.white[:5, :5], fixed.white)
+        assert np.array_equal(grown.data, d)
+        np.testing.assert_allclose(grown.white, factor(d).white, rtol=0, atol=1e-12)
+
+    def test_arrays_and_blocks_give_the_same_pair(self):
+        q, d = correlated_blocks(5)
+        a = first_canonical(q, d)
+        b = first_canonical(factor(q), factor(d))
+        assert (a.rho1, a.alpha.tolist(), a.beta.tolist()) == (b.rho1, b.alpha.tolist(), b.beta.tolist())
+        assert mi_lower_bound(q, d) == mi_lower_bound(factor(q), factor(d))
+
+    def test_extend_rejects_other_sample_count(self):
+        _, d = correlated_blocks(6)
+        with pytest.raises(ValueError, match="same number of samples"):
+            extend(factor(d), d[:-1])
 
 
 class TestMiLowerBound:

@@ -312,6 +312,26 @@ class TestLayout:
         ):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "time, keys, what",
+        [
+            ({"interval_min": 1e307, "n_steps": 3}, "'time.n_steps'", "observation"),
+            ({"total_min": 1e307, "interval_min": 1e301}, "'time.total_min'", "observation"),
+            ({"interval_min": 1e300, "release_duration_min": 1e307, "n_steps": 1},
+             "'time.release_duration_min'", "release"),
+        ],
+    )
+    def test_last_instants_in_seconds_are_finite(self, time, keys, what):
+        # interval_min * 60 overflows although every file value is finite
+        doc = config_to_dict(ExperimentConfig())
+        doc["time"].update(time)
+        with pytest.raises(
+            ValueError,
+            match=f"^config keys {keys} and 'time.interval_min' give a last {what} instant "
+            "that is not finite in seconds$",
+        ):
+            config_from_dict(doc)
+
     def test_integers_load_as_real_settings(self):
         doc = config_to_dict(ExperimentConfig())
         doc["meteo"]["wind_speed_m_s"] = 4

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plumeplace.config import ExperimentConfig
-from plumeplace.dispersion import simulate_ensemble, simulate_observations
+from plumeplace.dispersion import (
+    Lattice,
+    log_concentrations_at,
+    simulate_ensemble,
+    simulate_lattice,
+    simulate_observations,
+)
 
 from oracles import PuffState, concentration, step_puff, stepped_observations
 
@@ -217,6 +223,55 @@ class TestSimulateEnsemble:
         a = simulate_ensemble(desk_config, params, (500.0, 0.0), rng_seed=5)
         b = simulate_ensemble(desk_config, params, (500.0, 0.0), rng_seed=5)
         assert np.array_equal(a, b)
+
+
+class TestLatticeFootprint:
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            (np.linspace(0.0, 10000.0, 11), np.linspace(-10000.0, 10000.0, 21)),  # desk grid
+            (np.linspace(0.0, 3000.0, 7), np.linspace(-3500.0, 3500.0, 9)),  # on the plume
+        ],
+    )
+    def test_equals_point_footprint(self, desk_config, xs, ys):
+        # separable against joint exponentials: rounding only, and the
+        # floor in the same places
+        params = desk_config.draw_prior(200, np.random.default_rng(21))
+        lattice = Lattice(xs, ys)
+        points = np.array(lattice.nodes())
+        floor = math.log(desk_config.conc_floor)
+        above = 0
+        for t in desk_config.times():
+            grid = log_concentrations_at(desk_config, *params.T, lattice, t)
+            point = log_concentrations_at(desk_config, *params.T, points, t)
+            np.testing.assert_allclose(grid, point, rtol=0, atol=1e-14)
+            assert np.array_equal(grid == floor, point == floor)
+            above += np.sum(point > floor)
+        assert above > 0
+
+    def test_nodes_are_x_major(self):
+        lattice = Lattice(np.array([0.0, 1.0]), np.array([5.0, 6.0, 7.0]))
+        assert lattice.nodes() == [(0.0, 5.0), (0.0, 6.0), (0.0, 7.0), (1.0, 5.0), (1.0, 6.0), (1.0, 7.0)]
+
+    def test_before_any_release_reads_floor(self, desk_config):
+        params = desk_config.draw_prior(5, np.random.default_rng(2))
+        out = log_concentrations_at(desk_config, *params.T, Lattice(np.zeros(2), np.zeros(3)), 0.0)
+        assert out.shape == (5, 6)
+        assert np.all(out == math.log(desk_config.conc_floor))
+
+    def test_rows_carry_each_nodes_noise_stream(self, desk_config):
+        params = desk_config.draw_prior(50, np.random.default_rng(3))
+        lattice = Lattice(np.array([500.0, 9000.0]), np.array([-200.0, 0.0, 9000.0]))
+        rows = simulate_lattice(desk_config, params, lattice, list(range(6)))
+        for seed, (node, row) in enumerate(zip(lattice.nodes(), rows)):
+            np.testing.assert_allclose(
+                row, simulate_ensemble(desk_config, params, node, seed), rtol=0, atol=1e-13
+            )
+
+    def test_rejects_a_seed_count_other_than_the_nodes(self, desk_config):
+        params = desk_config.draw_prior(50, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="one noise seed per node: 4 nodes, 3 seeds"):
+            simulate_lattice(desk_config, params, Lattice(np.zeros(2), np.zeros(2)), [0, 1, 2])
 
 
 class TestValidation:

@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plumeplace.mi import KnnConfig, _knn_radii, _strict_counts, knn_entropy, ksg_mi
+from plumeplace.mi import (
+    _JITTER_SEED,
+    KnnConfig,
+    _jitter_draw,
+    _jittered,
+    _knn_radii,
+    _strict_counts,
+    knn_entropy,
+    ksg_mi,
+)
 
 from oracles import (
     brute_knn_entropy,
@@ -159,3 +168,24 @@ def test_1d_knn_radii_match_brute_force(data):
             _knn_radii(block, k)
     else:
         np.testing.assert_array_equal(_knn_radii(block, k), expected)
+
+
+class TestJitterDraw:
+    def test_cached_draw_is_read_only(self):
+        g = _jitter_draw((40, 2))
+        assert _jitter_draw((40, 2)) is g
+        assert not g.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            g[0, 0] = 1.0
+
+    def test_jitter_is_the_fixed_streams_draw(self):
+        x = np.random.default_rng(4).standard_normal((60, 3))
+        fresh = np.random.default_rng(_JITTER_SEED).standard_normal(x.shape)
+        assert np.array_equal(_jittered(x, 1e-10), x * (1.0 + 1e-10 * fresh))
+
+    def test_repeat_estimates_unchanged(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(300)
+        y = 10.0 + np.round(x + rng.standard_normal(300), 1)  # ties only the jitter breaks
+        assert ksg_mi(x, y) == ksg_mi(x, y)
+        assert knn_entropy(y) == knn_entropy(y)

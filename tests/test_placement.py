@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from plumeplace import cli, placement as pl
+from plumeplace import cca, cli, dispersion, placement as pl
 from plumeplace.bo import BoConfig
 from plumeplace.config import ExperimentConfig
 from plumeplace.mi import ksg_mi
@@ -152,6 +152,81 @@ class TestGridPlace:
         surface = result.traces[0]
         far = surface[np.abs(surface[:, 1]) >= 9000.0]
         assert np.all(np.abs(far[:, 2]) < 0.12)
+
+
+class TestGridCache:
+    @pytest.fixture
+    def setup(self):
+        cfg = ExperimentConfig(placement_members=100, n_steps=5)
+        grid = pl.GridSpec(nx=4, ny=5, domain=cfg.domain_m())
+        return cfg, grid, pl.build_ensemble(cfg, 100, seed=4)
+
+    def test_nodes_keep_their_order(self, setup):
+        _, grid, _ = setup
+        xs = np.linspace(0.0, 10000.0, 4)
+        ys = np.linspace(-10000.0, 10000.0, 5)
+        assert grid.nodes() == [(float(x), float(y)) for x in xs for y in ys]
+        assert grid.lattice().nodes() == grid.nodes()
+
+    def test_entries_carry_each_nodes_noise(self, setup):
+        # against the point path of a fresh ensemble: the same noise bits,
+        # so equal where both read the floor and within rounding elsewhere
+        cfg, grid, ens = setup
+        ens.fill(grid.lattice())
+        fresh = pl.build_ensemble(cfg, 100, seed=4)
+        floor = np.log(cfg.conc_floor)
+        at_floor = 0
+        for node in grid.nodes():
+            point = fresh.trajectories(node)
+            clean = [
+                dispersion.log_concentrations_at(cfg, *fresh.params.T, [node], t) for t in cfg.times()
+            ]
+            if np.all(np.asarray(clean) == floor):
+                at_floor += 1
+                assert np.array_equal(ens.obs_cache[node], point)
+            else:
+                np.testing.assert_allclose(ens.obs_cache[node], point, rtol=0, atol=1e-13)
+        assert 0 < at_floor < len(grid.nodes())
+
+    def test_fill_keeps_entries_made_before(self, setup):
+        _, grid, ens = setup
+        first = ens.trajectories(grid.nodes()[7])
+        ens.fill(grid.lattice())
+        assert ens.trajectories(grid.nodes()[7]) is first
+        rows = [ens.trajectories(node) for node in grid.nodes()]
+        ens.fill(grid.lattice())
+        assert all(ens.trajectories(n) is r for n, r in zip(grid.nodes(), rows))
+
+    def test_one_lattice_pass_and_one_parameter_factor(self, setup, monkeypatch):
+        cfg, grid, ens = setup
+        lattice_times, point_calls, factored = [], [], []
+        forward = dispersion.log_concentrations_at
+        factor = cca.factor
+
+        def counting_forward(cfg, release_y, wind_dir, sensors, t):
+            if isinstance(sensors, dispersion.Lattice):
+                lattice_times.append(t)
+            else:
+                point_calls.append(t)
+            return forward(cfg, release_y, wind_dir, sensors, t)
+
+        def counting_factor(x):
+            factored.append(x is ens.params)
+            return factor(x)
+
+        def per_node(*args):
+            raise AssertionError("grid_place simulated one node at a time")
+
+        monkeypatch.setattr(dispersion, "log_concentrations_at", counting_forward)
+        monkeypatch.setattr(dispersion, "simulate_ensemble", per_node)
+        monkeypatch.setattr(cca, "factor", counting_factor)
+        pl.grid_place(ens, 3, grid)
+        assert lattice_times == cfg.times().tolist()
+        assert point_calls == []
+        # the parameters once, each node alone in step 1, each later
+        # step's fixed set once
+        assert sum(factored) == 1
+        assert len(factored) == 1 + len(grid.nodes()) + 2
 
 
 class TestPlacementResultIo:
