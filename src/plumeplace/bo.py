@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import qmc
 
 from . import gp
 
@@ -105,6 +104,8 @@ def propose_next(surrogate: gp.GpSurrogate, cfg: BoConfig, f_best: float, seed: 
     Ties (e.g. a flat zero-EI posterior) resolve to the first candidate
     in index order.
     """
+    from scipy.stats import qmc  # imported here: it is most of the library's start-up
+
     box = cfg.domain
     dim = box.shape[0]
     cand = qmc.scale(qmc.Halton(dim, seed=seed).random(cfg.acq_candidates), box[:, 0], box[:, 1])
@@ -134,6 +135,8 @@ def maximize(objective, cfg: BoConfig, seed: int) -> BoTrace:
     evaluations. Objective exceptions surface as ObjectiveError with the
     failing point attached, and so does a non-finite objective value.
     """
+    from scipy.stats import qmc
+
     box = cfg.domain
     dim = box.shape[0]
     root = np.random.SeedSequence(seed)

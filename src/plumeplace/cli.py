@@ -210,14 +210,15 @@ def _cmd_assimilate(args) -> int:
         ),
     )
     if args.summary:
-        knn = cfg.knn()
+        # one knn_entropy call per parameter, over the (n_times, n, 1) stack of steps
+        thetas = np.stack(trace.thetas)
+        entropies = [knn_entropy(thetas[..., col, None], cfg.knn()) for col in range(2)]
         _write_csv(
             args.summary,
             ["t_s", "parameter", "mean", "std", "entropy_nats"],
             (
-                [t, name, theta[:, col].mean(), theta[:, col].std(ddof=1),
-                 knn_entropy(theta[:, col], knn)]
-                for t, theta in zip(trace.times, trace.thetas)
+                [t, name, theta[:, col].mean(), theta[:, col].std(ddof=1), entropies[col][i]]
+                for i, (t, theta) in enumerate(zip(trace.times, trace.thetas))
                 for col, name in enumerate(("release_y", "wind_dir"))
             ),
         )

@@ -16,6 +16,9 @@ given: the wind speed and diffusion constants, the observation instants
 puff carrying cfg.release_mass, and the noise and concentration floor.
 An accident is one parameter row (release_y, wind_dir), the format of
 ExperimentConfig.draw_prior: the heading is an unknown of every member.
+simulate_accidents observes C accidents with one forward evaluation per
+instant, each with its own noise stream; simulate_observations is its
+one-accident case.
 
 The footprint is chosen by the sensors' form. At arbitrary points it is
 the joint exp(-(dx**2 + dy**2) / 2r**2), one exponential per member,
@@ -59,14 +62,42 @@ def simulate_observations(cfg: ExperimentConfig, truth, sensors, rng_seed: int) 
     part is log_concentrations_at for that single member at each instant:
     every puff released before t contributes with age t - release time.
     Each sensor reads ln(max(c, cfg.conc_floor)) plus a Gaussian noise
-    draw (cfg.noise_mean, cfg.noise_std) from the seeded stream.
+    draw (cfg.noise_mean, cfg.noise_std) from the seeded stream. This is
+    simulate_accidents for one accident.
     """
     truth = np.asarray(truth, dtype=float)
     if truth.shape != (2,):
         raise ValueError(f"truth must be a (release_y, wind_dir) row, got shape {truth.shape}")
+    return simulate_accidents(cfg, truth[None], sensors, [rng_seed])[0]
+
+
+def simulate_accidents(cfg: ExperimentConfig, truths, sensors, rng_seeds) -> np.ndarray:
+    """simulate_observations of C accidents at once, shape (C, n_sensors,
+    n_times), with one forward evaluation per instant for all of them.
+
+    truths is a (C, 2) array of (release_y, wind_dir) rows. Accident c
+    draws its noise from its own stream rng_seeds[c], so row c is
+    simulate_observations(cfg, truths[c], sensors, rng_seeds[c]) bit for
+    bit.
+    """
+    truths = np.asarray(truths, dtype=float)
+    if truths.ndim != 2 or truths.shape[1] != 2:
+        raise ValueError(
+            f"truths must be (C, 2) (release_y, wind_dir) rows, got shape {truths.shape}"
+        )
+    if len(rng_seeds) != len(truths):
+        raise ValueError(
+            f"need one noise seed per accident: {len(truths)} accidents, {len(rng_seeds)} seeds"
+        )
     if len(sensors) == 0:
         raise ValueError("need at least one sensor")
-    return _noisy_trajectories(cfg, truth[None], sensors, rng_seed)
+    clean = _trajectories(cfg, truths, sensors)
+    return np.stack(
+        [
+            rows + np.random.default_rng(seed).normal(cfg.noise_mean, cfg.noise_std, rows.shape)
+            for rows, seed in zip(clean, rng_seeds)
+        ]
+    )
 
 
 def log_concentrations_at(
@@ -132,7 +163,8 @@ def simulate_ensemble(cfg: ExperimentConfig, params: np.ndarray, sensor, rng_see
     stream keyed by rng_seed, so rebuilding the same location reproduces
     the observations bit for bit.
     """
-    return _noisy_trajectories(cfg, params, [sensor], rng_seed)
+    clean = _trajectories(cfg, params, [sensor])[:, 0]
+    return clean + np.random.default_rng(rng_seed).normal(cfg.noise_mean, cfg.noise_std, clean.shape)
 
 
 def simulate_lattice(cfg: ExperimentConfig, params: np.ndarray, lattice: Lattice, rng_seeds) -> np.ndarray:
@@ -156,18 +188,11 @@ def simulate_lattice(cfg: ExperimentConfig, params: np.ndarray, lattice: Lattice
     return out
 
 
-def _noisy_trajectories(cfg, params, sensors, rng_seed):
+def _trajectories(cfg, params, sensors):
     """log_concentrations_at of the (n_members, 2) parameter rows at every
-    instant of cfg.times(), plus one seeded noise draw.
-
-    Either the members or the sensors must be a single one; the result
-    is (n_members or n_sensors, n_times).
-    """
+    instant of cfg.times(), shape (n_members, n_sensors, n_times)."""
     release_y, wind_dir = np.asarray(params, dtype=float).T
-    times = cfg.times()
-    clean = np.stack(
-        [log_concentrations_at(cfg, release_y, wind_dir, sensors, t) for t in times],
+    return np.stack(
+        [log_concentrations_at(cfg, release_y, wind_dir, sensors, t) for t in cfg.times()],
         axis=-1,
-    ).reshape(-1, len(times))
-    rng = np.random.default_rng(rng_seed)
-    return clean + rng.normal(cfg.noise_mean, cfg.noise_std, clean.shape)
+    )

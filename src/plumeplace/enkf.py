@@ -10,9 +10,18 @@ step. The analysis applies the perturbed-observation Kalman update with
 a bias-corrected residual, since the log-space measurement noise has a
 nonzero mean.
 
+The members of C conditions, accidents that share the sensors, can run
+in lockstep as one (C, n, 2 + S) stack; a plain (n, 2 + S) ensemble is
+the same code with no condition axis. The forecast then makes one
+forward evaluation for all C * n members, and the analysis updates
+every condition from its own covariance, with its own perturbation
+stream, so each condition's members are bit-equal to a run of that
+condition alone. assimilate_conditions runs the stack and
+assimilate_run is its one-condition case.
+
 Like placement.PriorEnsemble, the ensemble keeps its ExperimentConfig
 and no copies of its settings: forecast hands it to the forward model,
-analysis reads the noise from it and inflate the inflation factor. The
+analysis reads the noise from it and inflate the inflation factor. A
 truth is one (release_y, wind_dir) row, the format of the parameter
 columns.
 """
@@ -41,8 +50,9 @@ def _sensor_rows(value, name: str) -> np.ndarray:
 
 @dataclass
 class AugmentedEnsemble:
-    """Member matrix [release_y, wind_dir, ln u_1..ln u_S] at the sensors;
-    the config owns every model setting."""
+    """Member array [release_y, wind_dir, ln u_1..ln u_S] at the sensors,
+    (n, 2 + S) or a (C, n, 2 + S) stack of C conditions; the config owns
+    every model setting."""
 
     cfg: ExperimentConfig
     sensors: np.ndarray
@@ -51,23 +61,27 @@ class AugmentedEnsemble:
     def __post_init__(self):
         self.members = np.asarray(self.members, dtype=float)
         self.sensors = _sensor_rows(self.sensors, "sensors")
-        expected = THETA_DIM + self.sensors.shape[0]
-        if self.members.shape[1] != expected:
+        if self.members.ndim not in (2, 3):
             raise ValueError(
-                f"member columns {self.members.shape[1]} != 2 + {self.sensors.shape[0]} sensors"
+                f"members must be (n, 2 + S) or (C, n, 2 + S), got shape {self.members.shape}"
+            )
+        expected = THETA_DIM + self.sensors.shape[0]
+        if self.members.shape[-1] != expected:
+            raise ValueError(
+                f"member columns {self.members.shape[-1]} != 2 + {self.sensors.shape[0]} sensors"
             )
 
     @property
     def n_members(self) -> int:
-        return self.members.shape[0]
+        return self.members.shape[-2]
 
     @property
     def theta(self) -> np.ndarray:
-        return self.members[:, :THETA_DIM]
+        return self.members[..., :THETA_DIM]
 
     @property
     def log_obs(self) -> np.ndarray:
-        return self.members[:, THETA_DIM:]
+        return self.members[..., THETA_DIM:]
 
 
 def forecast(ens: AugmentedEnsemble, t: float) -> AugmentedEnsemble:
@@ -75,16 +89,25 @@ def forecast(ens: AugmentedEnsemble, t: float) -> AugmentedEnsemble:
 
     Each member's puffs are placed under its own current wind direction
     and release position; the parameter columns pass through unchanged.
-    Predicted log-concentrations are clamped like real readings.
+    Predicted log-concentrations are clamped like real readings. The
+    members of every condition go through one forward evaluation.
     """
+    theta = ens.theta
     lnu = dispersion.log_concentrations_at(
-        ens.cfg, ens.members[:, 0], ens.members[:, 1], ens.sensors, t
+        ens.cfg, theta[..., 0].ravel(), theta[..., 1].ravel(), ens.sensors, t
     )
-    members = np.hstack([ens.members[:, :THETA_DIM], lnu])
+    members = np.concatenate([theta, lnu.reshape(theta.shape[:-1] + (-1,))], axis=-1)
     return replace(ens, members=members)
 
 
-def analysis(ens: AugmentedEnsemble, obs, seed: int) -> AugmentedEnsemble:
+def _cov(x: np.ndarray) -> np.ndarray:
+    """Sample covariance (ddof 1) of the columns of each (n, d) slice of
+    x, with the operations of np.cov(slice.T, ddof=1)."""
+    centred = x - x.mean(axis=-2, keepdims=True)
+    return np.matmul(centred.swapaxes(-1, -2), centred) * (1.0 / (x.shape[-2] - 1))
+
+
+def analysis(ens: AugmentedEnsemble, obs, seed) -> AugmentedEnsemble:
     """Perturbed-observation Kalman update of the augmented state.
 
     The gain is S_e H^T [H S_e H^T + R_e]^{-1} with S_e the ensemble
@@ -93,41 +116,54 @@ def analysis(ens: AugmentedEnsemble, obs, seed: int) -> AugmentedEnsemble:
     by slicing. Each member sees its own perturbed observation: zero-mean
     noise with the config's noise_std, and a residual corrected by its
     noise_mean. Deterministic per seed.
+
+    For a (C, n, 2 + S) stack, obs is (C, S) and seed holds one seed per
+    condition: condition c is updated from its own covariance and
+    perturbation stream, as if it were analysed alone.
     """
+    a = ens.members
+    batch = a.shape[:-2]
     n_sensors = ens.sensors.shape[0]
     obs = np.asarray(obs, dtype=float)
-    if obs.shape != (n_sensors,):
-        raise ValueError(f"expected {n_sensors} observations, got shape {obs.shape}")
+    if obs.shape != batch + (n_sensors,):
+        raise ValueError(
+            f"expected observations of shape {batch + (n_sensors,)}, got shape {obs.shape}"
+        )
     if not np.all(np.isfinite(obs)):
         raise ValueError("observations must be finite")
-    a = ens.members
     n = ens.n_members
     if n < 2:
         raise ValueError(f"analysis needs at least 2 ensemble members, got {n}")
-    cov = np.cov(a.T, ddof=1)
-    rng = np.random.default_rng(seed)
-    eps = rng.normal(0.0, ens.cfg.noise_std, (n, n_sensors))
-    r_e = np.atleast_2d(np.cov(eps.T, ddof=1))
-    innov_cov = cov[THETA_DIM:, THETA_DIM:] + r_e
+    seeds = np.reshape(seed, batch)
+    eps = np.reshape(
+        [
+            np.random.default_rng(int(s)).normal(0.0, ens.cfg.noise_std, (n, n_sensors))
+            for s in seeds.ravel()
+        ],
+        batch + (n, n_sensors),
+    )
+    cov = _cov(a)
+    innov_cov = cov[..., THETA_DIM:, THETA_DIM:] + _cov(eps)
     # reject a collapsed ensemble instead of amplifying roundoff;
     # covariance inflation is the documented remedy
-    if np.linalg.cond(innov_cov) > 1e12:
+    collapsed = np.flatnonzero(np.linalg.cond(innov_cov) > 1e12)
+    if collapsed.size:
         raise np.linalg.LinAlgError(
-            "analysis innovation covariance is singular (collapsed ensemble); "
-            "consider covariance inflation"
+            f"analysis innovation covariance of condition {collapsed[0]} is singular "
+            "(collapsed ensemble); consider covariance inflation"
         )
-    gain = cov[:, THETA_DIM:] @ np.linalg.inv(innov_cov)
-    residual = (obs[None, :] + eps) - a[:, THETA_DIM:] - ens.cfg.noise_mean
-    return replace(ens, members=a + residual @ gain.T)
+    gain = cov[..., THETA_DIM:] @ np.linalg.inv(innov_cov)
+    residual = (obs[..., None, :] + eps) - a[..., THETA_DIM:] - ens.cfg.noise_mean
+    return replace(ens, members=a + residual @ gain.swapaxes(-1, -2))
 
 
 def inflate(ens: AugmentedEnsemble) -> AugmentedEnsemble:
-    """Spread members about their mean by the config's inflation factor
-    (1.0 is a no-op)."""
+    """Spread each condition's members about their mean by the config's
+    inflation factor (1.0 is a no-op)."""
     factor = ens.cfg.inflation
     if factor == 1.0:
         return ens
-    mean = ens.members.mean(axis=0)
+    mean = ens.members.mean(axis=-2, keepdims=True)
     return replace(ens, members=mean + factor * (ens.members - mean))
 
 
@@ -140,30 +176,50 @@ class PosteriorTrace:
     prior_theta: np.ndarray
 
 
+def assimilate_conditions(
+    cfg: ExperimentConfig, placement, truths, seeds
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate C accidents and assimilate them in lockstep.
+
+    truths is a (C, 2) array of (release_y, wind_dir) rows, and seeds
+    holds one seed per accident. Accident c draws its readings, its prior
+    ensemble and its perturbations from streams of seeds[c] alone, so it
+    runs exactly as it would alone (assimilate_run). Returns the prior
+    parameter ensembles, (C, n, 2), and the parameter ensembles after
+    each analysis, (n_times, C, n, 2).
+    """
+    sensors = _sensor_rows(placement, "placement")
+    times = cfg.times()
+    # per accident: the streams of its readings, prior and perturbations
+    streams = [np.random.SeedSequence([int(s), 0x656E6B66]).spawn(3) for s in seeds]
+
+    truth_obs = dispersion.simulate_accidents(cfg, truths, sensors, [ss[0] for ss in streams])
+
+    n = cfg.enkf_members
+    prior = np.stack([cfg.draw_prior(n, np.random.default_rng(ss[1])) for ss in streams])
+    floor = np.full(prior.shape[:-1] + (sensors.shape[0],), np.log(cfg.conc_floor))
+    ens = AugmentedEnsemble(cfg, sensors, np.concatenate([prior, floor], axis=-1))
+
+    step_seeds = np.stack([ss[2].generate_state(len(times)) for ss in streams], axis=-1)
+    thetas = np.empty((len(times),) + prior.shape)
+    for i, t in enumerate(times):
+        ens = forecast(ens, t)
+        ens = inflate(ens)
+        ens = analysis(ens, truth_obs[..., i], step_seeds[i])
+        thetas[i] = ens.theta
+    return prior, thetas
+
+
 def assimilate_run(cfg: ExperimentConfig, placement, truth, seed: int) -> PosteriorTrace:
     """Simulate one accident and assimilate it over all time points.
 
     truth is the accident's (release_y, wind_dir) row. Its observations
     are generated once, then the filter alternates forecast and analysis
     at every observation instant, recording the parameter ensemble after
-    each analysis.
+    each analysis. This is assimilate_conditions for one condition.
     """
-    sensors = _sensor_rows(placement, "placement")
-    times = cfg.times()
-    root = np.random.SeedSequence([seed, 0x656E6B66])
-    ss_truth, ss_init, ss_analysis = root.spawn(3)
-
-    truth_obs = dispersion.simulate_observations(cfg, truth, sensors, ss_truth)
-
-    prior_theta = cfg.draw_prior(cfg.enkf_members, np.random.default_rng(ss_init))
-    floor = np.full((cfg.enkf_members, sensors.shape[0]), np.log(cfg.conc_floor))
-    ens = AugmentedEnsemble(cfg, sensors, np.hstack([prior_theta, floor]))
-
-    analysis_seeds = ss_analysis.generate_state(len(times))
-    thetas = []
-    for i, t in enumerate(times):
-        ens = forecast(ens, t)
-        ens = inflate(ens)
-        ens = analysis(ens, truth_obs[:, i], int(analysis_seeds[i]))
-        thetas.append(ens.theta.copy())
-    return PosteriorTrace(times=times, thetas=thetas, prior_theta=prior_theta)
+    truth = np.asarray(truth, dtype=float)
+    if truth.shape != (2,):
+        raise ValueError(f"truth must be a (release_y, wind_dir) row, got shape {truth.shape}")
+    prior, thetas = assimilate_conditions(cfg, placement, truth[None], [seed])
+    return PosteriorTrace(times=cfg.times(), thetas=list(thetas[:, 0]), prior_theta=prior[0])

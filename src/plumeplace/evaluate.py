@@ -5,6 +5,13 @@ for a set of initial conditions drawn from the prior, each placement
 assimilates the simulated data and the per-step entropy of the
 parameter ensemble is estimated. The conditions are prior draws, so the
 conditional entropy used for ranking is their uniform average.
+
+A placement's conditions run in lockstep (enkf.assimilate_conditions):
+one forward evaluation per instant for all their members and one for
+all their truths, one stacked analysis, and per step one knn_entropy
+call for both 1D marginals of every condition. The joint 2D entropy
+keeps one k-d tree per condition. Each condition keeps its own streams,
+so its trace equals a run of that condition alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,18 +21,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .enkf import assimilate_run
+from .enkf import assimilate_conditions
+from .enkf import assimilate_run  # noqa: F401  (bench/layers.py wraps this attribute)
 from .mi import KnnConfig, knn_entropy
 
 ENTROPY_COLUMNS = ("release_y", "wind_dir", "joint")
 
 
-def _entropy_triplet(theta: np.ndarray, knn: KnnConfig) -> tuple[float, float, float]:
-    return (
-        knn_entropy(theta[:, 0], knn),
-        knn_entropy(theta[:, 1], knn),
-        knn_entropy(theta, knn),
-    )
+def _entropy_traces(thetas: np.ndarray, knn: KnnConfig) -> np.ndarray:
+    """(C, n_steps, 3) entropies of (n_steps, C, n, 2) parameter ensembles:
+    release_y, wind_dir and joint, per condition and step."""
+    out = np.empty((thetas.shape[1], thetas.shape[0], 3))
+    for i, theta in enumerate(thetas):
+        # (C, 2, n, 1): both marginals of every condition in one call
+        out[:, i, :2] = knn_entropy(theta.swapaxes(-1, -2)[..., None], knn)
+        out[:, i, 2] = [knn_entropy(joint, knn) for joint in theta]
+    return out
 
 
 def draw_conditions(cfg: ExperimentConfig, n_conditions: int, seed: int) -> np.ndarray:
@@ -103,18 +114,14 @@ def compare_placements(
     run_seeds = np.random.SeedSequence([seed, 0x3A55]).generate_state(n_conditions)
 
     prior_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9910]))
-    prior_entropy = _entropy_triplet(cfg.draw_prior(cfg.enkf_members, prior_rng), knn)
+    prior = cfg.draw_prior(cfg.enkf_members, prior_rng)
+    # the prior as one step of one condition
+    prior_entropy = tuple(float(h) for h in _entropy_traces(prior[None, None], knn)[0, 0])
 
-    def run_job(name, ci):
-        trace = assimilate_run(cfg, placements[name], conditions[ci], int(run_seeds[ci]))
-        return np.array([_entropy_triplet(theta, knn) for theta in trace.thetas])
-
-    n_steps = len(cfg.times())
     traces = {
-        name: np.stack([run_job(name, ci) for ci in range(n_conditions)])
-        for name in placements
+        name: _entropy_traces(assimilate_conditions(cfg, locs, conditions, run_seeds)[1], knn)
+        for name, locs in placements.items()
     }
-    assert all(t.shape == (n_conditions, n_steps, 3) for t in traces.values())
     return EvaluationReport(
         placements=dict(placements),
         conditions=conditions,

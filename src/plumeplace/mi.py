@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 from scipy.spatial import cKDTree
 
@@ -43,12 +42,15 @@ class KnnConfig:
             raise ValueError(f"jitter_scale must be finite and >= 0, got {self.jitter_scale!r}")
 
 
-def _as_matrix(x) -> np.ndarray:
+def _as_matrix(x, stacks: bool = False) -> np.ndarray:
+    """x as an (n, d) sample matrix; with stacks, a (..., n, 1) stack of
+    1D sample sets passes as it is."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    if x.ndim != 2:
-        raise ValueError(f"expected 1D or 2D sample array, got shape {x.shape}")
+    if x.ndim != 2 and not (stacks and x.ndim > 2 and x.shape[-1] == 1):
+        expected = "1D or 2D sample array" + (", or a (..., n, 1) stack" if stacks else "")
+        raise ValueError(f"expected {expected}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("sample matrix contains non-finite values")
     return x
@@ -64,26 +66,41 @@ def _jitter_draw(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _jittered(x: np.ndarray, scale: float) -> np.ndarray:
+    """x times (1 + scale * the fixed draw of one sample set's shape), so
+    every set of a stack gets the jitter it would get alone."""
     if scale == 0:
         return x
-    return x * (1.0 + scale * _jitter_draw(x.shape))
+    return x * (1.0 + scale * _jitter_draw(x.shape[-2:]))
 
 
 def _knn_radii(block: np.ndarray, k: int) -> np.ndarray:
     """Max-norm distance from each row to its k-th nearest other row.
 
-    In 1D, fl(s_j - s_i) is monotone in s_j, so the k nearest neighbors lie
-    within k places in sorted order; the k-th smallest distance in that
-    window comes from the same subtraction as the k-d tree's, bit for bit.
+    block is an (n, d) sample matrix or a (..., n, 1) stack of 1D sets,
+    whose radii come back with the stack's leading shape. In 1D,
+    fl(s_j - s_i) is monotone in s_j, so after sorting the k nearest
+    neighbors are the j nearest on the left and the k - j nearest on the
+    right, for some j. The k-th distance is thus the least, over j, of
+    the larger of the j-th left gap and the (k - j)-th right gap, each
+    from the same subtraction as the k-d tree's, bit for bit. Every set
+    of a stack is sorted along its last axis, all at once.
     """
-    if len(block) < k + 1:
-        raise ValueError(f"need at least k+1={k + 1} samples, got {len(block)}")
-    if block.shape[1] == 1:
-        order = np.argsort(block[:, 0])
-        s = block[order, 0]
-        window = sliding_window_view(np.pad(s, k, constant_values=(-np.inf, np.inf)), 2 * k + 1)
+    n = block.shape[-2]
+    if n < k + 1:
+        raise ValueError(f"need at least k+1={k + 1} samples, got {n}")
+    if block.shape[-1] == 1:
+        v = block[..., 0]
+        order = np.argsort(v, axis=-1)
+        s = np.take_along_axis(v, order, axis=-1)
+        padded = np.pad(s, [(0, 0)] * (s.ndim - 1) + [(k, k)], constant_values=(-np.inf, np.inf))
+        # gaps to the j-th neighbor on each side, j = 1..k, at index j - 1
+        left = [s - padded[..., k - j : k - j + n] for j in range(1, k + 1)]
+        right = [padded[..., k + j : k + j + n] - s for j in range(1, k + 1)]
+        kth = np.minimum(left[k - 1], right[k - 1])
+        for j in range(1, k):
+            np.minimum(kth, np.maximum(left[j - 1], right[k - j - 1]), out=kth)
         radii = np.empty_like(s)
-        radii[order] = np.partition(np.abs(window - s[:, None]), k, axis=1)[:, k]
+        np.put_along_axis(radii, order, kth, axis=-1)
     else:
         radii = cKDTree(block).query(block, k=k + 1, p=np.inf)[0][:, k]
     if np.any(radii <= 0):
@@ -91,21 +108,25 @@ def _knn_radii(block: np.ndarray, k: int) -> np.ndarray:
     return radii
 
 
-def knn_entropy(x, cfg: KnnConfig = KnnConfig()) -> float:
+def knn_entropy(x, cfg: KnnConfig = KnnConfig()):
     """Kozachenko-Leonenko differential entropy estimate in nats.
 
     Under the max norm the estimator reads
         psi(N) - psi(k) + d*log 2 + (d/N) * sum_i log r_i
     with r_i the Chebyshev distance from sample i to its k-th neighbor,
     from a sorted window in 1D and a k-d tree otherwise (see _knn_radii).
+    x is one sample set, (n,) or (n, d), and gives a float; or a
+    (..., n, 1) stack of 1D sets, and gives an array of the stack's
+    leading shape, each entry bit-equal to that set's own estimate.
     """
-    x = _as_matrix(x)
-    n, dim = x.shape
+    x = _as_matrix(x, stacks=True)
+    n, dim = x.shape[-2:]
     radii = _knn_radii(_jittered(x, cfg.jitter_scale), cfg.k)
-    return float(
+    h = (
         special.digamma(n) - special.digamma(cfg.k)
-        + dim * np.log(2.0) + dim * np.mean(np.log(radii))
+        + dim * np.log(2.0) + dim * np.mean(np.log(radii), axis=-1)
     )
+    return float(h) if x.ndim == 2 else h
 
 
 def _strict_counts(block: np.ndarray, radii: np.ndarray) -> np.ndarray:

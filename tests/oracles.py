@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive (quadratic scans, dense solves,
 the checked scipy.linalg wrappers, adaptive quadrature, scalar puff
-stepping) and shares no code with the library paths it checks.
+stepping) and shares no code with the library paths it checks. The one
+exception is per_job_compare: it checks that running a placement's
+conditions in lockstep changes nothing, so it runs each condition alone
+through the library's one-condition calls.
 """
 
 import math
@@ -12,6 +15,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import digamma as _digamma
+
+from plumeplace.enkf import assimilate_run
+from plumeplace.evaluate import draw_conditions
+from plumeplace.mi import knn_entropy
 
 
 def _as2d(x):
@@ -289,3 +296,31 @@ def stepped_observations(cfg, truth, sensors, rng_seed):
             log_c[i, j] = math.log(max(concentration(live, sensor), cfg.conc_floor))
     rng = np.random.default_rng(rng_seed)
     return log_c + rng.normal(cfg.noise_mean, cfg.noise_std, log_c.shape)
+
+
+def per_job_compare(cfg, placements, n_conditions, seed):
+    """compare_placements one (placement, condition) job at a time: one
+    assimilate_run per job and three knn_entropy calls (release_y,
+    wind_dir, joint) per step, with the seeds compare_placements derives.
+    Returns the (n_conditions, n_steps, 3) traces by name and the prior
+    entropy triplet."""
+    conditions = draw_conditions(cfg, n_conditions, seed)
+    knn = cfg.knn()
+    run_seeds = np.random.SeedSequence([seed, 0x3A55]).generate_state(n_conditions)
+
+    def triplet(theta):
+        return (knn_entropy(theta[:, 0], knn), knn_entropy(theta[:, 1], knn),
+                knn_entropy(theta, knn))
+
+    prior_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9910]))
+    prior_entropy = triplet(cfg.draw_prior(cfg.enkf_members, prior_rng))
+
+    def run_job(name, ci):
+        trace = assimilate_run(cfg, placements[name], conditions[ci], int(run_seeds[ci]))
+        return np.array([triplet(theta) for theta in trace.thetas])
+
+    traces = {
+        name: np.stack([run_job(name, ci) for ci in range(n_conditions)])
+        for name in placements
+    }
+    return traces, prior_entropy

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import qmc
 
+import plumeplace
 from plumeplace import gp
 from plumeplace.bo import (
     BoConfig,
@@ -195,3 +201,12 @@ class TestConfigAndTrace:
         with pytest.raises(ValueError):
             BoConfig(domain=[[0.0, 1.0]], init_count=1)
 
+
+def test_import_leaves_scipy_stats_unloaded():
+    # qmc is imported where BO uses it: scipy.stats is most of the start-up
+    src = str(Path(plumeplace.__file__).resolve().parent.parent)
+    code = "import sys, plumeplace; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert done.stdout.strip() == "[]"

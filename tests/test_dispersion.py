@@ -10,6 +10,7 @@ from plumeplace.config import ExperimentConfig
 from plumeplace.dispersion import (
     Lattice,
     log_concentrations_at,
+    simulate_accidents,
     simulate_ensemble,
     simulate_lattice,
     simulate_observations,
@@ -189,6 +190,25 @@ class TestSimulateObservations:
     def test_rejects_truth_that_is_not_one_row(self, quiet, truth):
         with pytest.raises(ValueError, match=r"truth must be a \(release_y, wind_dir\) row"):
             simulate_observations(quiet, truth, SENSORS, 0)
+
+
+class TestSimulateAccidents:
+    def test_rows_equal_simulate_observations(self, desk_config):
+        truths = np.array([[-700.0, 0.05], [1200.0, -0.1], [0.0, 0.0]])
+        seeds = [np.random.SeedSequence(4), 9, 2**40]
+        out = simulate_accidents(desk_config, truths, SENSORS, seeds)
+        assert out.shape == (3, len(SENSORS), len(desk_config.times()))
+        for row, truth, seed in zip(out, truths, seeds):
+            np.testing.assert_array_equal(row, simulate_observations(desk_config, truth, SENSORS, seed))
+
+    def test_rejects_a_seed_count_other_than_the_accident_count(self, desk_config):
+        with pytest.raises(ValueError, match="one noise seed per accident: 2 accidents, 1 seeds"):
+            simulate_accidents(desk_config, np.zeros((2, 2)), SENSORS, [0])
+
+    @pytest.mark.parametrize("truths", [[0.0, 0.0], np.zeros((2, 3)), np.zeros((1, 1, 2))])
+    def test_rejects_truths_that_are_not_rows(self, desk_config, truths):
+        with pytest.raises(ValueError, match=r"truths must be \(C, 2\)"):
+            simulate_accidents(desk_config, truths, SENSORS, [0, 1])
 
 
 class TestSimulateEnsemble:

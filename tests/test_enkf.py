@@ -3,12 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plumeplace import dispersion
 from plumeplace.config import ExperimentConfig
 from plumeplace.enkf import (
     AugmentedEnsemble,
     analysis,
+    assimilate_conditions,
     assimilate_run,
     forecast,
     inflate,
@@ -162,6 +165,79 @@ class TestInflate:
         out = inflate(ens)
         assert out.members[:, 0].std() == pytest.approx(1.5 * theta[:, 0].std(), rel=1e-9)
         assert out.members[:, 0].mean() == pytest.approx(theta[:, 0].mean(), abs=1e-9)
+
+
+class TestStackedConditions:
+    """A (C, n, 2 + S) stack runs each condition as it would run alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_conditions=st.integers(1, 5),
+        n=st.integers(8, 60),
+        n_sensors=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_each_slice(self, n_conditions, n, n_sensors, seed):
+        cfg = replace(ExperimentConfig().with_profile("desk"), inflation=1.5)
+        rng = np.random.default_rng(seed)
+        sensors = np.column_stack(
+            [rng.uniform(200.0, 2500.0, n_sensors), rng.uniform(-1500.0, 1500.0, n_sensors)]
+        )
+        theta = np.stack([cfg.draw_prior(n, rng) for _ in range(n_conditions)])
+        lnu = rng.normal(-8.0, 2.0, (n_conditions, n, n_sensors))
+        stack = AugmentedEnsemble(cfg, sensors, np.concatenate([theta, lnu], axis=-1))
+
+        def alone(c):
+            return AugmentedEnsemble(cfg, sensors, stack.members[c])
+
+        t = rng.choice(cfg.times())
+        obs = rng.normal(-8.0, 2.0, (n_conditions, n_sensors))
+        seeds = rng.integers(0, 2**32, n_conditions)
+        stepped = (
+            forecast(stack, t),
+            inflate(stack),
+            analysis(stack, obs, seeds),
+        )
+        for c in range(n_conditions):
+            one = (
+                forecast(alone(c), t),
+                inflate(alone(c)),
+                analysis(alone(c), obs[c], int(seeds[c])),
+            )
+            for batched, single in zip(stepped, one):
+                np.testing.assert_array_equal(batched.members[c], single.members)
+
+    def test_one_collapsed_condition_is_named(self):
+        # near-noiseless sensors, and in condition 1 the second sensor reads
+        # the floor for every member: its innovation covariance is singular
+        rng = np.random.default_rng(3)
+        members = np.concatenate(
+            [rng.normal(0.0, 1.0, (3, 50, 2)), rng.normal(-8.0, 1.0, (3, 50, 2))], axis=-1
+        )
+        members[1, :, 3] = np.log(1e-12)
+        ens = scenario_ensemble(members[0, :, :2], [(1.0, 0.0), (2.0, 0.0)],
+                                bias=0.0, noise_var=1e-18)
+        ens.members = members
+        analysis(replace(ens, members=members[[0, 2]]), np.full((2, 2), -8.0), [1, 2])
+        with pytest.raises(np.linalg.LinAlgError, match=r"condition 1 .*inflation"):
+            analysis(ens, np.full((3, 2), -8.0), [1, 2, 3])
+
+    def test_rejects_observations_without_the_condition_axis(self):
+        members = np.random.default_rng(4).normal(size=(2, 20, 3))
+        ens = scenario_ensemble(members[0, :, :2], [(1.0, 0.0)])
+        ens.members = members
+        with pytest.raises(ValueError, match=r"expected observations of shape \(2, 1\)"):
+            analysis(ens, np.array([-1.0]), [1, 2])
+
+    def test_conditions_run_as_they_would_alone(self, desk_config):
+        truths = np.array([[-800.0, 0.05], [1200.0, -0.1], [0.0, 0.0]])
+        placement = [(1500.0, 1000.0), (2500.0, -500.0)]
+        prior, thetas = assimilate_conditions(desk_config, placement, truths, [6, 7, 8])
+        assert thetas.shape == (len(desk_config.times()), 3, desk_config.enkf_members, 2)
+        for c, seed in enumerate([6, 7, 8]):
+            trace = assimilate_run(desk_config, placement, truths[c], seed)
+            np.testing.assert_array_equal(prior[c], trace.prior_theta)
+            np.testing.assert_array_equal(thetas[:, c], trace.thetas)
 
 
 class TestAssimilateRun:

@@ -11,6 +11,8 @@ from plumeplace.evaluate import (
     random_placements,
 )
 
+from oracles import per_job_compare
+
 
 def report_of(runs) -> EvaluationReport:
     """A report holding one placement's (n_conditions, n_steps, 3) traces."""
@@ -104,6 +106,21 @@ class TestComparePlacements:
         assert report.traces["a"].shape == (2, 6, 3)
         agg = report.conditional("a")
         assert agg.shape == (6, 3)
+
+    def test_equals_the_per_job_oracle(self, mini_cfg):
+        named = {
+            "one": [(700.0, 1400.0)],
+            "three": [(600.0, 1000.0), (600.0, 1900.0), (1200.0, 1400.0)],
+        }
+        report = compare_placements(mini_cfg, named, n_conditions=3, seed=7)
+        traces, prior_entropy = per_job_compare(mini_cfg, named, 3, 7)
+        assert report.prior_entropy == prior_entropy
+        assert report.traces.keys() == traces.keys()
+        for name, expected in traces.items():
+            np.testing.assert_array_equal(report.traces[name], expected)
+            # the sensors sit near the accidents (release_y 1.0 to 1.9 km), so
+            # every condition's posterior moves away from the prior
+            assert np.all(expected[:, -1, 0] < prior_entropy[0] - 0.2)
 
     def test_requires_two_placements(self, mini_cfg):
         with pytest.raises(ValueError):

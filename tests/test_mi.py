@@ -136,10 +136,11 @@ def test_entropy_deterministic_per_input(seed):
     assert knn_entropy(x) == knn_entropy(x)
 
 
-def _tie_heavy(data, max_dim):
+def _tie_heavy(data, max_dim, n=None):
     """Rounded samples, many duplicates, and radii of which about half equal
     an exact pairwise distance, so boundary cases are common."""
-    n = data.draw(st.integers(min_value=8, max_value=80), label="n")
+    if n is None:
+        n = data.draw(st.integers(min_value=8, max_value=80), label="n")
     dim = data.draw(st.integers(min_value=1, max_value=max_dim), label="dim")
     decimals = data.draw(st.integers(min_value=0, max_value=3), label="decimals")
     offset = data.draw(st.sampled_from([0.0, 1e3, -7.3e5]), label="offset")
@@ -168,6 +169,44 @@ def test_1d_knn_radii_match_brute_force(data):
             _knn_radii(block, k)
     else:
         np.testing.assert_array_equal(_knn_radii(block, k), expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_stacked_1d_knn_radii_match_each_row_and_brute_force(data):
+    n = data.draw(st.integers(min_value=8, max_value=80), label="n")
+    rows = data.draw(st.integers(min_value=1, max_value=6), label="B")
+    k = data.draw(st.integers(min_value=1, max_value=7), label="k")
+    stack = np.stack([_tie_heavy(data, max_dim=1, n=n)[0] for _ in range(rows)])
+    expected = np.stack([brute_knn_radii(block, k) for block in stack])
+    if np.any(expected == 0):
+        with pytest.raises(ValueError, match="duplicate"):
+            _knn_radii(stack, k)
+        return
+    radii = _knn_radii(stack, k)
+    np.testing.assert_array_equal(radii, expected)
+    np.testing.assert_array_equal(radii, [_knn_radii(block, k) for block in stack])
+    # one duplicate-saturated row anywhere in the stack is still an error
+    stack[data.draw(st.integers(0, rows - 1), label="saturated row")] = 1.5
+    with pytest.raises(ValueError, match="duplicate"):
+        _knn_radii(stack, k)
+
+
+class TestStackedKnnEntropy:
+    def test_each_entry_is_its_sets_estimate(self):
+        x = np.round(np.random.default_rng(9).standard_normal((2, 3, 200, 1)), 2)
+        stacked = knn_entropy(x)
+        assert stacked.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert stacked[idx] == knn_entropy(x[idx][:, 0])
+
+    def test_rejects_a_stack_of_2d_sets(self):
+        with pytest.raises(ValueError, match=r"\(\.\.\., n, 1\) stack"):
+            knn_entropy(np.zeros((2, 50, 2)))
+
+    def test_ksg_mi_takes_no_stack(self):
+        with pytest.raises(ValueError, match="expected 1D or 2D sample array, got"):
+            ksg_mi(np.zeros((2, 50, 1)), np.zeros((2, 50, 1)))
 
 
 class TestJitterDraw:
