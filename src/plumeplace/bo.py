@@ -1,8 +1,12 @@
 """Bayesian optimization with expected improvement over a GP surrogate.
 
 The loop evaluates a Latin-hypercube initial design, then alternates
-refitting the surrogate, maximizing expected improvement, and evaluating
-the objective at the proposal. Acquisition maximization scores a
+updating the surrogate, maximizing expected improvement, and evaluating
+the objective at the proposal. The surrogate's hyperparameters are
+refitted by maximum likelihood on every REFIT_EVERY-th iteration only,
+starting with the first; the iterations in between rebuild it on the
+grown data at the last refit's log parameters, with the signal variance
+in closed form (`gp.build`). Acquisition maximization scores a
 low-discrepancy candidate set and polishes the best candidate with a
 local coordinate search that scores the two steps along a coordinate,
 up then down, in one surrogate prediction. Everything is deterministic
@@ -19,6 +23,7 @@ from scipy.special import ndtr
 from . import gp
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+REFIT_EVERY = 5  # iterations per maximum-likelihood refit of the surrogate
 
 
 class ObjectiveError(RuntimeError):
@@ -42,6 +47,8 @@ class BoConfig:
         box = np.atleast_2d(np.asarray(self.domain, dtype=float))
         if box.ndim != 2 or box.shape[1] != 2:
             raise ValueError("domain must be a (dim, 2) array of bounds")
+        if not np.all(np.isfinite(box)):
+            raise ValueError(f"domain bounds must be finite, got {box.tolist()}")
         if np.any(box[:, 1] <= box[:, 0]):
             raise ValueError("domain box is degenerate")
         object.__setattr__(self, "domain", box)
@@ -131,9 +138,13 @@ def propose_next(surrogate: gp.GpSurrogate, cfg: BoConfig, f_best: float, seed: 
 def maximize(objective, cfg: BoConfig, seed: int) -> BoTrace:
     """Run the full loop from `seed`: initial design, then iter_count EI proposals.
 
-    The incumbent is the best of all init_count + iter_count
-    evaluations. Objective exceptions surface as ObjectiveError with the
-    failing point attached, and so does a non-finite objective value.
+    Iterations 0, REFIT_EVERY, 2 * REFIT_EVERY, ... refit the surrogate
+    with `gp.fit`, seeded per iteration and warm-started at the previous
+    refit's optimum; the others build it with `gp.build` at that optimum
+    on all points so far. The incumbent is the best of all init_count +
+    iter_count evaluations. Objective exceptions surface as
+    ObjectiveError with the failing point attached, and so does a
+    non-finite objective value.
     """
     from scipy.stats import qmc
 
@@ -152,10 +163,12 @@ def maximize(objective, cfg: BoConfig, seed: int) -> BoTrace:
     acq_seeds = ss_acq.generate_state(max(cfg.iter_count, 1))
     warm = None
     for it in range(cfg.iter_count):
-        surrogate = gp.fit(
-            np.asarray(points), np.asarray(values), seed=int(fit_seeds[it]), warm_start=warm
-        )
-        warm = surrogate.log_params
+        train_x, train_f = np.asarray(points), np.asarray(values)
+        if it % REFIT_EVERY == 0:
+            surrogate = gp.fit(train_x, train_f, seed=int(fit_seeds[it]), warm_start=warm)
+            warm = surrogate.log_params
+        else:
+            surrogate = gp.build(train_x, train_f, warm)
         x = propose_next(surrogate, cfg, max(values), int(acq_seeds[it]))
         points.append(x)
         values.append(_evaluate(objective, x))

@@ -6,7 +6,9 @@ i.e. the lengthscales divide the squared coordinate distances directly
 maximizing the log marginal likelihood with a multi-start coordinate
 search on log parameters; the optimal signal variance is available in
 closed form for fixed lengthscales and noise-to-signal ratio, so the
-search runs over the remaining parameters only.
+search runs over the remaining parameters only. `build` takes that
+closed-form step once, at given log parameters, so a surrogate can be
+rebuilt on grown data without a new search.
 
 Observed values are centered internally (the prior mean is zero) and the
 noise variance is floored at 1e-8 * signal_var because the objective
@@ -57,9 +59,10 @@ class GpSurrogate:
     """Fitted surrogate; prediction uses the cached lower Cholesky factor
     `chol` of the training covariance.
 
-    At least one training point is required. `log_params` is the fit's
-    optimum (log lengthscales, log noise ratio), which seeds the next
-    refit; it is None for a surrogate built by hand. Instances are
+    At least one training point is required. `log_params` holds the log
+    lengthscales and log noise ratio that `fit` found or `build` was
+    given, which seed the next refit; it is None for a surrogate built
+    by hand. Instances are
     treated as immutable after construction.
     """
 
@@ -102,6 +105,10 @@ def predict(g: GpSurrogate, x_new):
     clamped at zero against roundoff; it never exceeds signal_var.
     """
     x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
+    if x_new.ndim != 2 or x_new.shape[1] != g.train_x.shape[1]:
+        raise ValueError(
+            f"x_new must have {g.train_x.shape[1]} columns like train_x, got shape {x_new.shape}"
+        )
     ks = _kernel_matrix(x_new, g.train_x, g.lengthscales, g.signal_var)
     mean = g.mean_offset + ks @ dpotrs(g.chol, g.train_f - g.mean_offset, lower=1)[0]
     var = g.signal_var - np.sum(ks * dpotrs(g.chol, ks.T, lower=1)[0].T, axis=1)
@@ -133,6 +140,95 @@ def _coordinate_search(objective, p0, lo, hi, budget):
     return p, val, aux
 
 
+def _training_data(train_x, train_f) -> tuple[np.ndarray, np.ndarray]:
+    x = np.atleast_2d(np.asarray(train_x, dtype=float))
+    f = np.asarray(train_f, dtype=float)
+    _check_rows(x, f)
+    for name, arr in (("train_x", x), ("train_f", f)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} contains non-finite values")
+    if x.shape[0] < 2:
+        raise ValueError("need at least 2 training points")
+    if np.unique(x, axis=0).shape[0] < 2:
+        raise ValueError("need at least 2 distinct training points")
+    return x, f
+
+
+def _log_params(name: str, value, dim: int) -> np.ndarray:
+    p = np.asarray(value, dtype=float)
+    if p.shape != (dim + 1,) or not np.all(np.isfinite(p)):
+        raise ValueError(
+            f"{name} must be {dim + 1} finite values (log lengthscales, log noise ratio), "
+            f"got {value!r}"
+        )
+    return p
+
+
+class _Likelihood:
+    """The closed-form step of the log marginal likelihood on one
+    training set, which `fit` searches with and `build` takes once.
+
+    The values are standardised; a constant set is degenerate and keeps
+    scale 1. At log parameters p (log lengthscales, log noise ratio) the
+    step builds the unit-signal kernel, adds the noise ratio floored at
+    NOISE_RATIO_FLOOR to its diagonal, factors it and takes the signal
+    variance g'K^-1 g / n that maximises the likelihood for that p.
+    """
+
+    def __init__(self, x: np.ndarray, f: np.ndarray):
+        self.x, self.f = x, f
+        n, self.dim = x.shape
+        self.f_mean = f.mean()
+        self.f_scale = f.std()
+        self.degenerate = self.f_scale == 0
+        if self.degenerate:
+            self.f_scale = 1.0
+        self.g = (f - self.f_mean) / self.f_scale
+        self.d2_flat = ((x[:, None, :] - x[None, :, :]) ** 2).reshape(n * n, self.dim)
+        self.const = 0.5 * n * (1.0 + np.log(2 * np.pi))
+        # Unit-signal kernel per lengthscale vector, flat; a step that moves only
+        # the noise ratio reuses it. Adding the ratio to a copy's diagonal gives
+        # the floats `+ ratio * eye` gave: its off-diagonal adds were + 0.0.
+        self.kernels = {}
+
+    def __call__(self, logp: np.ndarray) -> tuple[float, float]:
+        """Negative log likelihood and standardised signal variance at
+        `logp`; (inf, 1.0) where the kernel does not factor."""
+        n, dim, g = self.g.shape[0], self.dim, self.g
+        key = logp[:dim].tobytes()
+        if key not in self.kernels:
+            self.kernels[key] = np.exp(-(self.d2_flat @ np.exp(-logp[:dim])))
+        b = self.kernels[key].copy()
+        b[:: n + 1] += max(np.exp(logp[dim]), NOISE_RATIO_FLOOR)
+        try:
+            c = cho_factor(b.reshape(n, n), overwrite_a=True)
+        except np.linalg.LinAlgError:
+            return np.inf, 1.0
+        alpha, info = dpotrs(c, g, lower=1)
+        if info != 0:
+            return np.inf, 1.0
+        sv = max(g @ alpha / n, 1e-12)
+        return 0.5 * n * np.log(sv) + np.log(c.diagonal()).sum() + self.const, sv
+
+    def surrogate(self, logp: np.ndarray, sv: float) -> GpSurrogate:
+        """The surrogate at `logp` with standardised signal variance `sv`;
+        a degenerate set gets unit signal and the floor noise ratio."""
+        ratio = max(np.exp(logp[self.dim]), NOISE_RATIO_FLOOR)
+        sv = sv * self.f_scale**2
+        if self.degenerate:
+            sv = 1.0
+            ratio = NOISE_RATIO_FLOOR
+        return GpSurrogate(
+            train_x=self.x,
+            train_f=self.f,
+            lengthscales=np.exp(logp[: self.dim]),
+            signal_var=sv,
+            noise_var=ratio * sv,
+            mean_offset=self.f_mean,
+            log_params=logp,
+        )
+
+
 def fit(
     train_x,
     train_f,
@@ -147,62 +243,23 @@ def fit(
     every step. The searches start from the default (lengthscales
     span**2 / 4 per coordinate, noise ratio 1e-2), from `warm_start`
     when given, and from uniform draws over the box for the rest: two
-    with a warm start, three without. The
-    optimization loop passes the previous fit's log parameters as
-    `warm_start`, so a refit never ends below the likelihood of that
-    start (clipped to the box). Every step counts against the budget,
-    but a point visited before in the same fit (by any restart) is
-    looked up, not refactorised. Deterministic for a fixed seed.
+    with a warm start, three without. `bo.maximize` passes the previous
+    refit's optimum as `warm_start` on each scheduled refit, so a refit
+    never ends below the likelihood of that start (clipped to the box).
+    Every step counts against the budget, but a point visited before in
+    the same fit (by any restart) is looked up, not refactorised.
+    Deterministic for a fixed seed.
     """
-    x = np.atleast_2d(np.asarray(train_x, dtype=float))
-    f = np.asarray(train_f, dtype=float)
-    _check_rows(x, f)
-    for name, arr in (("train_x", x), ("train_f", f)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} contains non-finite values")
-    n, dim = x.shape
-    if n < 2:
-        raise ValueError("need at least 2 training points")
-    if np.unique(x, axis=0).shape[0] < 2:
-        raise ValueError("need at least 2 distinct training points")
-
-    f_mean = f.mean()
-    f_scale = f.std()
-    degenerate = f_scale == 0
-    if degenerate:
-        f_scale = 1.0
-    g = (f - f_mean) / f_scale
-
-    d2_flat = ((x[:, None, :] - x[None, :, :]) ** 2).reshape(n * n, dim)
-    const = 0.5 * n * (1.0 + np.log(2 * np.pi))
-
+    x, f = _training_data(train_x, train_f)
+    dim = x.shape[1]
+    likelihood = _Likelihood(x, f)
     seen = {}
-    # Unit-signal kernel per lengthscale vector, flat; a step that moves only
-    # the noise ratio reuses it. Adding the ratio to a copy's diagonal gives
-    # the floats `+ ratio * eye` gave: its off-diagonal adds were + 0.0.
-    kernels = {}
 
     def neg_loglik(logp):
         key = logp.tobytes()
         if key not in seen:
-            seen[key] = _neg_loglik(logp)
+            seen[key] = likelihood(logp)
         return seen[key]
-
-    def _neg_loglik(logp):
-        key = logp[:dim].tobytes()
-        if key not in kernels:
-            kernels[key] = np.exp(-(d2_flat @ np.exp(-logp[:dim])))
-        b = kernels[key].copy()
-        b[:: n + 1] += max(np.exp(logp[dim]), NOISE_RATIO_FLOOR)
-        try:
-            c = cho_factor(b.reshape(n, n), overwrite_a=True)
-        except np.linalg.LinAlgError:
-            return np.inf, 1.0
-        alpha, info = dpotrs(c, g, lower=1)
-        if info != 0:
-            return np.inf, 1.0
-        sv = max(g @ alpha / n, 1e-12)
-        return 0.5 * n * np.log(sv) + np.log(c.diagonal()).sum() + const, sv
 
     spans = np.ptp(x, axis=0)
     spans[spans == 0] = 1.0
@@ -210,7 +267,7 @@ def fit(
     hi = np.concatenate([np.log(4e2 * spans**2), [np.log(10.0)]])
     starts = [np.concatenate([np.log(spans**2 / 4), [np.log(1e-2)]])]
     if warm_start is not None:
-        starts.append(np.asarray(warm_start, dtype=float))
+        starts.append(_log_params("warm_start", warm_start, dim))
     rng = np.random.default_rng(seed)
     while len(starts) < FIT_RESTARTS:
         starts.append(lo + rng.uniform(0.0, 1.0, dim + 1) * (hi - lo))
@@ -222,19 +279,19 @@ def fit(
             best_val, best_p, best_sv = val, p, sv
     if best_p is None or not np.isfinite(best_val):
         raise ValueError("likelihood evaluation failed for all hyperparameters")
+    return likelihood.surrogate(best_p, best_sv)
 
-    ls = np.exp(best_p[:dim])
-    ratio = max(np.exp(best_p[dim]), NOISE_RATIO_FLOOR)
-    sv = best_sv * f_scale**2
-    if degenerate:
-        sv = 1.0
-        ratio = NOISE_RATIO_FLOOR
-    return GpSurrogate(
-        train_x=x,
-        train_f=f,
-        lengthscales=ls,
-        signal_var=sv,
-        noise_var=ratio * sv,
-        mean_offset=f_mean,
-        log_params=best_p,
-    )
+
+def build(train_x, train_f, log_params) -> GpSurrogate:
+    """Surrogate at fixed log parameters, with the signal variance in
+    closed form: the step `fit` takes at each point of its search, taken
+    once. At `fit(x, f).log_params` it returns `fit`'s surrogate field
+    for field; `bo.maximize` uses it between refits.
+    """
+    x, f = _training_data(train_x, train_f)
+    p = _log_params("log_params", log_params, x.shape[1])
+    likelihood = _Likelihood(x, f)
+    val, sv = likelihood(p)
+    if not np.isfinite(val):
+        raise ValueError("training covariance does not factor at log_params")
+    return likelihood.surrogate(p, sv)

@@ -123,12 +123,13 @@ def cho_solve_gp_predict(
     return mean, np.maximum(var, 0.0)
 
 
-def gp_neg_log_likelihood(train_x, train_f, log_params):
+def gp_neg_log_likelihood(train_x, train_f, log_params, signal_var=None):
     """Negative log marginal likelihood that a GP fit minimizes, by a
     checked Cholesky solve: the values standardized, unit-signal kernel
     exp(-sum_j d_j^2 / ls_j) with ls = exp(log_params[:-1]), noise ratio
-    exp(log_params[-1]) floored at 1e-8, and the signal variance
-    at its closed-form optimum."""
+    exp(log_params[-1]) floored at 1e-8, times the signal variance of the
+    standardized values: `signal_var` when given, else its closed-form
+    optimum."""
     x = _as2d(train_x)
     f = np.asarray(train_f, dtype=float)
     g = (f - f.mean()) / f.std()
@@ -136,9 +137,13 @@ def gp_neg_log_likelihood(train_x, train_f, log_params):
     k = _se_matrix(x, x, np.exp(log_params[:-1]), 1.0)
     k += max(np.exp(log_params[-1]), 1e-8) * np.eye(n)
     chol = cho_factor(k, lower=True)
-    sv = g @ cho_solve(chol, g) / n
-    return 0.5 * n * np.log(sv) + np.log(np.diag(chol[0])).sum() + 0.5 * n * (
-        1.0 + np.log(2 * np.pi)
+    quad = g @ cho_solve(chol, g)
+    sv = quad / n if signal_var is None else signal_var
+    return (
+        0.5 * quad / sv
+        + 0.5 * n * np.log(sv)
+        + np.log(np.diag(chol[0])).sum()
+        + 0.5 * n * np.log(2 * np.pi)
     )
 
 

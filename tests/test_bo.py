@@ -11,6 +11,7 @@ from scipy.stats import qmc
 
 import plumeplace
 from plumeplace import gp
+from plumeplace import bo
 from plumeplace.bo import (
     BoConfig,
     ObjectiveError,
@@ -174,6 +175,39 @@ class TestMaximize:
         trace = maximize(lambda p: -np.sum((p - center) ** 2), cfg, 0)
         assert np.linalg.norm(trace.points[trace.values.argmax()] - center) <= 0.05 * np.sqrt(200.0)
 
+    @pytest.mark.parametrize("iters, refits", [(30, 6), (3, 1), (0, 0)])
+    def test_refits_on_schedule(self, monkeypatch, iters, refits):
+        calls = []  # (name, seed or None, log parameters passed in, surrogate)
+        fit_, build_ = gp.fit, gp.build
+
+        def recording_fit(x, f, seed, warm_start):
+            calls.append(("fit", seed, warm_start, fit_(x, f, seed=seed, warm_start=warm_start)))
+            return calls[-1][3]
+
+        def recording_build(x, f, log_params):
+            calls.append(("build", None, log_params, build_(x, f, log_params)))
+            return calls[-1][3]
+
+        monkeypatch.setattr(gp, "fit", recording_fit)
+        monkeypatch.setattr(gp, "build", recording_build)
+        cfg = BoConfig(domain=[[0.0, 4.0]], init_count=5, iter_count=iters, acq_candidates=64)
+        maximize(lambda p: np.sin(3 * p[0]) + p[0], cfg, 3)
+        assert bo.REFIT_EVERY == 5
+        assert [name for name, *_ in calls] == [
+            "fit" if it % 5 == 0 else "build" for it in range(iters)
+        ]
+        assert sum(name == "fit" for name, *_ in calls) == refits
+        assert len({seed for name, seed, *_ in calls if name == "fit"}) == refits
+        # a refit warm-starts from, and a build keeps, the last refit's optimum
+        last = None
+        for name, _, log_params, surrogate in calls:
+            if last is None:
+                assert log_params is None
+            else:
+                np.testing.assert_array_equal(log_params, last)
+            if name == "fit":
+                last = surrogate.log_params
+
     def test_objective_failure_carries_point(self):
         def bad(p):
             raise RuntimeError("boom")
@@ -196,6 +230,11 @@ class TestConfigAndTrace:
     def test_rejects_degenerate_box(self):
         with pytest.raises(ValueError):
             BoConfig(domain=[[1.0, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_bounds(self, bad):
+        with pytest.raises(ValueError, match="domain bounds must be finite"):
+            BoConfig(domain=[[0.0, 1.0], [0.0, bad]])
 
     def test_rejects_small_init(self):
         with pytest.raises(ValueError):

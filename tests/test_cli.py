@@ -356,9 +356,9 @@ class TestErrors:
 GOLDEN_SHA256 = {
     "placement.json":
         "030307cde9cd379ef4c70748689ccdcb73458ee53ba1cb409e6875fb613396d1",
-    # re-recorded when gp.FIT_RESTARTS went from 8 to 4
+    # re-recorded when bo.maximize went to a refit every bo.REFIT_EVERY iterations
     "bo-traces.csv":
-        "a5d0660e03e376b4387acba9978e640264130bf6b8cd90ee342c0e8cf83d44ec",
+        "0ae079ddb3dadc961f31a125ad278f21f4ffc20dd8ac94cb0647baa68e91f1c7",
     "surface.csv":
         "690d750e77019b38385e66dc11bb73c82c545f40f9df7b33d5d570a31668790b",
     "report.json":

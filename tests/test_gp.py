@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from plumeplace import gp
-from plumeplace.gp import GpSurrogate, fit, predict
+from plumeplace.gp import GpSurrogate, build, fit, predict
 
 from oracles import cho_solve_gp_predict, dense_gp_predict, gp_neg_log_likelihood, se_kernel
 
@@ -114,6 +114,11 @@ class TestPredict:
         mean_o, var_o = cho_solve_gp_predict(x, f, g.lengthscales, 2.3, 1e-5, f.mean(), x_new)
         np.testing.assert_array_equal(mean, mean_o)
         np.testing.assert_array_equal(var, var_o)
+
+    @pytest.mark.parametrize("x_new", [[[0.0, 1.0]], np.zeros((3, 2)), np.zeros((2, 1, 1))])
+    def test_rejects_points_of_another_width(self, x_new):
+        with pytest.raises(ValueError, match="x_new must have 1 columns"):
+            predict(toy_surrogate(), x_new)
 
     def test_variance_never_exceeds_prior(self):
         rng = np.random.default_rng(1)
@@ -257,6 +262,14 @@ class TestFit:
         with pytest.raises(ValueError, match=name):
             fit(data["train_x"], data["train_f"])
 
+    @pytest.mark.parametrize("warm", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [0.1, np.nan, 0.3],
+                                      [0.1, 0.2, -np.inf], [[0.1, 0.2, 0.3]]])
+    def test_rejects_bad_warm_start(self, warm):
+        rng = np.random.default_rng(10)
+        x = rng.uniform(0, 5, (10, 2))
+        with pytest.raises(ValueError, match="warm_start must be 3 finite values"):
+            fit(x, np.sin(x[:, 0]), warm_start=warm)
+
     def test_rejects_row_count_mismatch(self):
         rng = np.random.default_rng(9)
         with pytest.raises(ValueError, match=r"train_x has 10 rows, train_f has shape \(9,\)"):
@@ -289,3 +302,72 @@ class TestFit:
                 signal_var=1.0,
                 noise_var=1e-18,
             )
+
+
+def grown_training_set(seed, n_fit=16, n_more=6):
+    """A fit's data and the same data with points added after it, as the
+    BO loop has them between refits."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 5.0, (n_fit + n_more, 2))
+    f = np.sin(x[:, 0]) * x[:, 1] + rng.normal(0.0, 0.05, n_fit + n_more)
+    return x, f, fit(x[:n_fit], f[:n_fit], seed=seed).log_params
+
+
+class TestBuild:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_at_fitted_log_params_reproduces_fit(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        x = rng.uniform(0.0, 5.0, (18, 2))
+        # the last case has constant values: the degenerate surrogate
+        f = np.sin(x[:, 0]) * x[:, 1] + 0.1 * x[:, 0] if seed < 4 else np.full(18, 3.0)
+        fitted = fit(x, f, seed=seed)
+        built = build(x, f, fitted.log_params)
+        for name in ("train_x", "train_f", "lengthscales", "signal_var", "noise_var",
+                     "mean_offset", "log_params", "chol"):
+            np.testing.assert_array_equal(getattr(built, name), getattr(fitted, name), err_msg=name)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_predict_matches_dense_oracle(self, seed):
+        x, f, kept = grown_training_set(500 + seed)
+        g = build(x, f, kept)
+        x_new = np.random.default_rng(seed).uniform(-1.0, 6.0, (40, 2))
+        mean, var = predict(g, x_new)
+        mean_o, var_o = dense_gp_predict(
+            x, f, g.lengthscales, g.signal_var, g.noise_var, g.mean_offset, x_new
+        )
+        assert np.max(np.abs(mean - mean_o) / np.maximum(np.abs(mean_o), 1e-12)) < 1e-8
+        assert np.max(np.abs(var - var_o) / np.maximum(np.abs(var_o), 1e-12)) < 1e-8
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_signal_var_minimises_likelihood(self, seed):
+        x, f, kept = grown_training_set(600 + seed)
+        g = build(x, f, kept)
+        sv = g.signal_var / f.std() ** 2  # the standardised values' signal variance
+        at_sv = gp_neg_log_likelihood(x, f, kept, signal_var=sv)
+        assert at_sv == pytest.approx(gp_neg_log_likelihood(x, f, kept), rel=1e-12)
+        for factor in (0.5, 0.9, 0.99, 1.01, 1.1, 2.0):
+            assert at_sv < gp_neg_log_likelihood(x, f, kept, signal_var=factor * sv)
+        assert g.noise_var / g.signal_var == pytest.approx(max(np.exp(kept[-1]), 1e-8), rel=1e-12)
+        np.testing.assert_allclose(g.lengthscales, np.exp(kept[:-1]), rtol=1e-15)
+
+    def test_does_not_search(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("build ran a search")
+
+        x, f, kept = grown_training_set(7)
+        monkeypatch.setattr(gp, "_coordinate_search", no_search)
+        build(x, f, kept)
+
+    @pytest.mark.parametrize("log_params", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4], [np.nan, 0.2, 0.3],
+                                            [0.1, np.inf, 0.3], [[0.1, 0.2, 0.3]]])
+    def test_rejects_bad_log_params(self, log_params):
+        x, f, _ = grown_training_set(8)
+        with pytest.raises(ValueError, match="log_params must be 3 finite values"):
+            build(x, f, log_params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_training_data(self, bad):
+        x, f, kept = grown_training_set(9)
+        f[2] = bad
+        with pytest.raises(ValueError, match="train_f"):
+            build(x, f, kept)
