@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 import plumeplace
-from plumeplace import gp
-from plumeplace import bo
+from plumeplace import bo, gp
 from plumeplace.bo import (
     BoConfig,
     ObjectiveError,

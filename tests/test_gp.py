@@ -350,6 +350,11 @@ class TestBuild:
         assert g.noise_var / g.signal_var == pytest.approx(max(np.exp(kept[-1]), 1e-8), rel=1e-12)
         np.testing.assert_allclose(g.lengthscales, np.exp(kept[:-1]), rtol=1e-15)
 
+    def test_noise_ratio_is_floored(self):
+        x, f, kept = grown_training_set(10)
+        g = build(x, f, np.append(kept[:-1], np.log(1e-12)))
+        assert g.noise_var / g.signal_var == pytest.approx(gp.NOISE_RATIO_FLOOR, rel=1e-12)
+
     def test_does_not_search(self, monkeypatch):
         def no_search(*args):
             raise AssertionError("build ran a search")
