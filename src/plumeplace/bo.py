@@ -11,10 +11,18 @@ low-discrepancy candidate set and polishes the best candidate with a
 local coordinate search that scores the two steps along a coordinate,
 up then down, in one surrogate prediction. Everything is deterministic
 for a fixed seed.
+
+Both designs are drawn here in numpy: the candidates by Owen's
+randomized Halton algorithm (Owen 2017, arXiv:1706.02808), the initial
+design by a scrambled Latin hypercube. They equal, draw for draw, the
+`scipy.stats.qmc` samplers `Halton(dim, seed=seed)` and
+`LatinHypercube(dim, seed=rng)`, which the tests hold them to; the
+library itself never imports `scipy.stats`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +103,68 @@ def expected_improvement(mu, sigma, f_best: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _primes(count: int) -> list[int]:
+    """The first count primes."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _halton(dim: int, n: int, seed: int) -> np.ndarray:
+    """(n, dim) points of Owen's randomized Halton sequence in [0, 1).
+
+    Coordinate d is the base-b radical inverse of the point index, b the
+    d-th prime, with its j-th digit mapped through the j-th of
+    ceil(54 / log2(b)) - 1 permutations of range(b); the permutations of
+    every base come from one default_rng(seed) stream, base by base.
+    Equals scipy.stats.qmc.Halton(dim, seed=seed).random(n) bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty((dim, n))
+    for d, base in enumerate(_primes(dim)):
+        perms = np.tile(np.arange(base), (math.ceil(54 / math.log2(base)) - 1, 1))
+        for perm in perms:
+            rng.shuffle(perm)
+        quotient, top = np.arange(n), n - 1
+        seq, b2r = np.zeros(n), 1.0 / base
+        for perm in perms:
+            if top:
+                seq += perm[quotient % base] * b2r
+                quotient //= base
+                top //= base
+            else:  # every quotient is 0 from here on, so every digit is too
+                seq += perm[0] * b2r
+            b2r /= base
+        out[d] = seq
+    # column-major, as scipy returns it: gp's kernel matrix over the
+    # candidates sums their coordinates about twice as fast when each
+    # coordinate is contiguous
+    return out.T
+
+
+def _latin_hypercube(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, dim) scrambled Latin hypercube in [0, 1): one point in each of
+    the n strata of every coordinate, uniform within its stratum. The
+    draws come from a child spawned off rng's seed sequence, so this
+    equals scipy.stats.qmc.LatinHypercube(dim, seed=rng).random(n) bit
+    for bit."""
+    child = rng.spawn(1)[0]
+    samples = child.uniform(size=(n, dim))
+    perms = np.tile(np.arange(1, n + 1), (dim, 1))
+    for perm in perms:
+        child.shuffle(perm)
+    return (perms.T - samples) / n
+
+
+def _scale(unit: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """Points of the unit cube mapped onto the (dim, 2) box."""
+    return unit * (box[:, 1] - box[:, 0]) + box[:, 0]
+
+
 def _ei_at(surrogate, pts, f_best):
     mean, var = gp.predict(surrogate, pts)
     return expected_improvement(mean, np.sqrt(var), f_best)
@@ -102,6 +172,9 @@ def _ei_at(surrogate, pts, f_best):
 
 def propose_next(surrogate: gp.GpSurrogate, cfg: BoConfig, f_best: float, seed: int) -> np.ndarray:
     """EI argmax over a Halton candidate set seeded by `seed`, plus local polish.
+
+    The candidates are `_halton(dim, acq_candidates, seed)` scaled to the
+    box, the same points as scipy's `qmc.Halton(dim, seed=seed)`.
 
     The polish makes 10 sweeps over the coordinates. At each coordinate
     it scores the step up and the step down (each clipped to the box) in
@@ -111,11 +184,9 @@ def propose_next(surrogate: gp.GpSurrogate, cfg: BoConfig, f_best: float, seed: 
     Ties (e.g. a flat zero-EI posterior) resolve to the first candidate
     in index order.
     """
-    from scipy.stats import qmc  # imported here: it is most of the library's start-up
-
     box = cfg.domain
     dim = box.shape[0]
-    cand = qmc.scale(qmc.Halton(dim, seed=seed).random(cfg.acq_candidates), box[:, 0], box[:, 1])
+    cand = _scale(_halton(dim, cfg.acq_candidates, seed), box)
     scores = _ei_at(surrogate, cand, f_best)
     best = int(np.argmax(scores))
     x, val = cand[best].copy(), scores[best]
@@ -138,6 +209,10 @@ def propose_next(surrogate: gp.GpSurrogate, cfg: BoConfig, f_best: float, seed: 
 def maximize(objective, cfg: BoConfig, seed: int) -> BoTrace:
     """Run the full loop from `seed`: initial design, then iter_count EI proposals.
 
+    The initial design is `_latin_hypercube` of a generator on the first
+    child of `seed`'s SeedSequence, the same points as scipy's
+    `qmc.LatinHypercube(dim, seed=rng)`.
+
     Iterations 0, REFIT_EVERY, 2 * REFIT_EVERY, ... refit the surrogate
     with `gp.fit`, seeded per iteration and warm-started at the previous
     refit's optimum; the others build it with `gp.build` at that optimum
@@ -146,15 +221,13 @@ def maximize(objective, cfg: BoConfig, seed: int) -> BoTrace:
     ObjectiveError with the failing point attached, and so does a
     non-finite objective value.
     """
-    from scipy.stats import qmc
-
     box = cfg.domain
     dim = box.shape[0]
     root = np.random.SeedSequence(seed)
     ss_init, ss_fit, ss_acq = root.spawn(3)
 
-    lhs = qmc.LatinHypercube(dim, seed=np.random.default_rng(ss_init))
-    points = list(qmc.scale(lhs.random(cfg.init_count), box[:, 0], box[:, 1]))
+    unit = _latin_hypercube(dim, cfg.init_count, np.random.default_rng(ss_init))
+    points = list(_scale(unit, box))
     values = []
     for p in points:
         values.append(_evaluate(objective, p))

@@ -120,6 +120,8 @@ class ExperimentConfig:
         for name in ("placement_members", "enkf_members", "grid_nx", "grid_ny", "n_sensors"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1{_where(name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}{_where('seed')}")
         if self.n_steps is not None and self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1{_where('n_steps')}")
         # the counts the timing derives obey MAX_COUNT too; the ratio is

@@ -141,6 +141,12 @@ def greedy_place(
     """
     if n_sensors < 1:
         raise ValueError("n_sensors must be >= 1")
+    if bo_cfg.domain.shape != (2, 2):
+        raise ValueError(
+            f"the BO domain must be the (2, 2) x and y bounds, got shape {bo_cfg.domain.shape}"
+        )
+    if not (np.isfinite(min_sep) and min_sep >= 0):
+        raise ValueError(f"min_sep must be finite and >= 0, got {min_sep}")
     selected: list[tuple[float, float]] = []
     bounds: list[float] = []
     traces: list[bo.BoTrace] = []

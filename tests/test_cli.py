@@ -303,6 +303,22 @@ class TestErrors:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_negative_seed(self, tiny_config, tmp_path, capsys, where):
+        # numpy's own "expected non-negative integer" named neither
+        path = tmp_path / "c.json"
+        doc = config_to_dict(tiny_config)
+        if where == "file":
+            doc["seed"] = -1
+        path.write_text(json.dumps(doc))
+        flags = ["--seed", -1] if where == "flag" else []
+        out = tmp_path / "o.json"
+        assert run(["place", "--config", path, "--out", out, *flags]) == 1
+        assert one_error_line(capsys) == (
+            "plumeplace: error: seed must be >= 0, got -1 (config key 'seed')\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "doc",
         [

@@ -412,6 +412,7 @@ class TestValidation:
             (("knn", "k"), 0, "(config section 'knn')"),
             (("meteo", "wind_speed_m_s"), 0.0, "(config key 'meteo.wind_speed_m_s')"),
             (("observation", "conc_floor"), 0.0, "(config key 'observation.conc_floor')"),
+            (("seed",), -1, "(config key 'seed')"),
         ],
     )
     def test_errors_name_the_file_key(self, keys, value, suffix):

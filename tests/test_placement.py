@@ -119,6 +119,20 @@ class TestGreedyPlace:
         with pytest.raises(ValueError, match="min_sep"):
             pl.greedy_place(small_ensemble, 2, bo_cfg, min_sep=1e9)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_rejects_domain_that_is_not_the_plane(self, small_ensemble, rows):
+        # a third row used to be dropped by the location key, a single row
+        # failed inside the objective
+        bo_cfg = BoConfig(domain=[[0.0, 10000.0]] * rows, init_count=4, iter_count=0)
+        with pytest.raises(ValueError, match=rf"got shape \({rows}, 2\)"):
+            pl.greedy_place(small_ensemble, 1, bo_cfg, min_sep=500.0)
+
+    @pytest.mark.parametrize("min_sep", [-5.0, np.nan, np.inf])
+    def test_rejects_bad_min_sep(self, small_ensemble, min_sep):
+        bo_cfg = BoConfig(domain=[[0.0, 10000.0], [-10000.0, 10000.0]], init_count=4, iter_count=0)
+        with pytest.raises(ValueError, match=f"min_sep must be finite and >= 0, got {min_sep}"):
+            pl.greedy_place(small_ensemble, 1, bo_cfg, min_sep=min_sep)
+
 
 class TestGridPlace:
     def test_grid_cardinality_and_surface(self, small_ensemble):
