@@ -305,7 +305,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("where", ["flag", "file"])
     def test_negative_seed(self, tiny_config, tmp_path, capsys, where):
-        # numpy's own "expected non-negative integer" named neither
+        # numpy's own message for a negative seed names no flag or key
         path = tmp_path / "c.json"
         doc = config_to_dict(tiny_config)
         if where == "file":

@@ -121,8 +121,7 @@ class TestGreedyPlace:
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_rejects_domain_that_is_not_the_plane(self, small_ensemble, rows):
-        # a third row used to be dropped by the location key, a single row
-        # failed inside the objective
+        # the location key and the forward model read exactly two coordinates
         bo_cfg = BoConfig(domain=[[0.0, 10000.0]] * rows, init_count=4, iter_count=0)
         with pytest.raises(ValueError, match=rf"got shape \({rows}, 2\)"):
             pl.greedy_place(small_ensemble, 1, bo_cfg, min_sep=500.0)
