@@ -60,12 +60,10 @@ class BoConfig:
         if np.any(box[:, 1] <= box[:, 0]):
             raise ValueError("domain box is degenerate")
         object.__setattr__(self, "domain", box)
-        if self.init_count < 2:
-            raise ValueError("init_count must be >= 2")
-        if self.iter_count < 0:
-            raise ValueError("iter_count must be >= 0")
-        if self.acq_candidates < 1:
-            raise ValueError("acq_candidates must be >= 1")
+        for name, least in (("init_count", 2), ("iter_count", 0), ("acq_candidates", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass
@@ -90,16 +88,14 @@ def expected_improvement(mu, sigma, f_best: float):
     sigma = np.asarray(sigma, dtype=float)
     if np.any(sigma < 0):
         raise ValueError("sigma must be >= 0")
-    out = np.zeros(np.broadcast(mu, sigma).shape)
-    mu_b, sigma_b = np.broadcast_arrays(mu, sigma)
-    pos = sigma_b > 0
-    diff = mu_b[pos] - f_best
     # (mu - f_best)*Phi(z) + sigma*phi(z): same closed form, but stays
-    # finite when z overflows at extreme mu/sigma ratios
-    with np.errstate(over="ignore"):
-        z = diff / sigma_b[pos]
-        out[pos] = diff * ndtr(z) + sigma_b[pos] * np.exp(-0.5 * z * z) / _SQRT_2PI
-    out = np.maximum(out, 0.0)
+    # finite when z overflows at extreme mu/sigma ratios. It runs on the
+    # whole arrays; where sigma is zero it is 0/0 or inf * 0, and zeroed.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        diff = mu - f_best
+        z = diff / sigma
+        ei = diff * ndtr(z) + sigma * np.exp(-0.5 * z * z) / _SQRT_2PI
+    out = np.maximum(np.where(sigma > 0, ei, 0.0), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -140,9 +136,9 @@ def _halton(dim: int, n: int, seed: int) -> np.ndarray:
                 seq += perm[0] * b2r
             b2r /= base
         out[d] = seq
-    # column-major, as scipy returns it: gp's kernel matrix over the
-    # candidates sums their coordinates about twice as fast when each
-    # coordinate is contiguous
+    # column-major, as scipy returns it, so the layout of the points
+    # matches scipy's too; gp's kernel matrix, which sums one coordinate
+    # at a time, costs the same on either layout
     return out.T
 
 

@@ -16,9 +16,17 @@ given: the wind speed and diffusion constants, the observation instants
 puff carrying cfg.release_mass, and the noise and concentration floor.
 An accident is one parameter row (release_y, wind_dir), the format of
 ExperimentConfig.draw_prior: the heading is an unknown of every member.
-simulate_accidents observes C accidents with one forward evaluation per
-instant, each with its own noise stream; simulate_observations is its
+simulate_accidents observes C accidents with one forward pass over all
+instants, each with its own noise stream; simulate_observations is its
 one-accident case.
+
+A puff's centre, radius and amplitude depend on its age alone, and the
+puffs alive at the observation instants share few ages (at 1 min
+spacing every age is a whole number of minutes). So the point path
+over all instants (simulate_ensemble, simulate_accidents) evaluates one
+footprint column per distinct age and sensor, then sums each instant's
+columns in release order: the floats log_concentrations_at gives
+instant by instant, bit for bit, for far fewer exponentials.
 
 The footprint is chosen by the sensors' form. At arbitrary points it is
 the joint exp(-(dx**2 + dy**2) / 2r**2), one exponential per member,
@@ -28,6 +36,7 @@ per member and puff, and the sum over puffs is a batched matrix product.
 The two agree to rounding (a few 1e-15 in log space); the separable form
 is slower on a handful of points, so points keep the joint one. Both
 read the puffs' centres, radii and amplitudes from one transport helper.
+Sensors at points must be finite (x, y) pairs (sensor_rows).
 
 Everything here is in meters, seconds and radians. Wind angle 0 points
 east (+x), pi/2 north (+y).
@@ -73,7 +82,7 @@ def simulate_observations(cfg: ExperimentConfig, truth, sensors, rng_seed: int) 
 
 def simulate_accidents(cfg: ExperimentConfig, truths, sensors, rng_seeds) -> np.ndarray:
     """simulate_observations of C accidents at once, shape (C, n_sensors,
-    n_times), with one forward evaluation per instant for all of them.
+    n_times), with one forward pass over all instants for all of them.
 
     truths is a (C, 2) array of (release_y, wind_dir) rows. Accident c
     draws its noise from its own stream rng_seeds[c], so row c is
@@ -121,38 +130,63 @@ def log_concentrations_at(
     if isinstance(sensors, Lattice):
         n_sensors = len(sensors.xs) * len(sensors.ys)
     else:
-        sensors = np.atleast_2d(np.asarray(sensors, dtype=float))
+        sensors = sensor_rows(sensors, "sensors")
         n_sensors = len(sensors)
     out = np.full((len(release_y), n_sensors), np.log(cfg.conc_floor))
-    puffs = _puffs(cfg, release_y, wind_dir, t)
-    if puffs is None:
+    ages = _ages(cfg, t)
+    if ages.size == 0:
         return out
-    px, py, two_r2, amp = puffs
+    puffs = _puffs(cfg, release_y, wind_dir, ages)
     if isinstance(sensors, Lattice):
+        px, py, two_r2, amp = puffs
         gx = np.exp(-((px[:, :, None] - sensors.xs) ** 2) / two_r2[:, None])  # (n, K, X)
         gy = np.exp(-((py[:, :, None] - sensors.ys) ** 2) / two_r2[:, None])  # (n, K, Y)
         gx *= amp[:, None]
         c = np.matmul(gx.transpose(0, 2, 1), gy).reshape(len(release_y), n_sensors)
         return np.log(np.maximum(c, cfg.conc_floor, out=c), out=c)
     for j, (sx, sy) in enumerate(sensors):
-        c = np.sum(amp * np.exp(-((px - sx) ** 2 + (py - sy) ** 2) / two_r2), axis=1)
+        c = np.sum(_footprint(puffs, sx, sy), axis=1)
         out[:, j] = np.log(np.maximum(c, cfg.conc_floor))
     return out
 
 
-def _puffs(cfg: ExperimentConfig, release_y, wind_dir, t):
-    """Centres px, py (n_members, K), twice the squared radii and the
-    peak amplitudes (K,) of the K puffs released before t, or None if
-    none is."""
+def sensor_rows(value, name: str) -> np.ndarray:
+    """value as an (S, 2) array of sensor points with S >= 1, the one
+    check of point sensors: a ValueError names `name` unless every row
+    is a finite (x, y) pair."""
+    expected = f"{name} must be an (S, 2) array of sensor locations with S >= 1"
+    try:
+        sensors = np.atleast_2d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError):  # ragged rows or not numbers
+        raise ValueError(f"{expected}, got {value!r}") from None
+    if sensors.ndim != 2 or sensors.shape[0] < 1 or sensors.shape[1] != 2:
+        raise ValueError(f"{expected}, got shape {np.shape(value)}")
+    if not np.all(np.isfinite(sensors)):
+        raise ValueError(f"{name} must be finite (x, y) pairs, got {sensors.tolist()}")
+    return sensors
+
+
+def _ages(cfg: ExperimentConfig, t: float) -> np.ndarray:
+    """Ages at time t of the puffs released before it, in release order."""
     released = cfg.release_times()
-    ages = t - released[released < t]
-    if ages.size == 0:
-        return None
+    return t - released[released < t]
+
+
+def _puffs(cfg: ExperimentConfig, release_y, wind_dir, ages):
+    """Centres px, py (n_members, K), twice the squared radii and the
+    peak amplitudes (K,) of puffs of the K given ages."""
     s = cfg.wind_speed_m_s * ages
     r2 = (cfg.p_y * s**cfg.q_y) ** 2
     px = np.outer(np.cos(wind_dir), s)
     py = release_y[:, None] + np.outer(np.sin(wind_dir), s)
     return px, py, 2 * r2, cfg.release_mass / (2 * np.pi * r2)
+
+
+def _footprint(puffs, sx, sy) -> np.ndarray:
+    """Each puff's concentration at the point (sx, sy), shaped like the
+    centres: the joint footprint amp * exp(-(dx**2 + dy**2) / 2r**2)."""
+    px, py, two_r2, amp = puffs
+    return amp * np.exp(-((px - sx) ** 2 + (py - sy) ** 2) / two_r2)
 
 
 def simulate_ensemble(cfg: ExperimentConfig, params: np.ndarray, sensor, rng_seed) -> np.ndarray:
@@ -189,10 +223,27 @@ def simulate_lattice(cfg: ExperimentConfig, params: np.ndarray, lattice: Lattice
 
 
 def _trajectories(cfg, params, sensors):
-    """log_concentrations_at of the (n_members, 2) parameter rows at every
-    instant of cfg.times(), shape (n_members, n_sensors, n_times)."""
+    """log_concentrations_at of the (n_members, 2) parameter rows at the
+    point sensors at every instant of cfg.times(), shape (n_members,
+    n_sensors, n_times), bit for bit, in one pass.
+
+    The footprint is evaluated once per distinct puff age and sensor.
+    Each instant then gathers its puffs' columns in release order; the
+    gather is C-contiguous, like the per-instant footprint, so its sum
+    groups the terms as log_concentrations_at's does.
+    """
     release_y, wind_dir = np.asarray(params, dtype=float).T
-    return np.stack(
-        [log_concentrations_at(cfg, release_y, wind_dir, sensors, t) for t in cfg.times()],
-        axis=-1,
-    )
+    sensors = sensor_rows(sensors, "sensors")
+    times = cfg.times()
+    out = np.full((len(release_y), len(sensors), len(times)), np.log(cfg.conc_floor))
+    ages = [_ages(cfg, t) for t in times]
+    distinct, inverse = np.unique(np.concatenate(ages), return_inverse=True)
+    columns = np.split(inverse, np.cumsum([a.size for a in ages])[:-1])
+    puffs = _puffs(cfg, release_y, wind_dir, distinct)
+    for j, (sx, sy) in enumerate(sensors):
+        g = _footprint(puffs, sx, sy)  # (n_members, n_distinct)
+        for k, idx in enumerate(columns):
+            if idx.size:
+                c = np.sum(np.take(g, idx, axis=1), axis=1)
+                out[:, j, k] = np.log(np.maximum(c, cfg.conc_floor))
+    return out

@@ -38,16 +38,6 @@ from .config import ExperimentConfig
 THETA_DIM = 2  # release_y, wind_dir
 
 
-def _sensor_rows(value, name: str) -> np.ndarray:
-    sensors = np.atleast_2d(np.asarray(value, dtype=float))
-    if sensors.ndim != 2 or sensors.shape[0] < 1 or sensors.shape[1] != 2:
-        raise ValueError(
-            f"{name} must be an (S, 2) array of sensor locations with S >= 1, "
-            f"got shape {np.shape(value)}"
-        )
-    return sensors
-
-
 @dataclass
 class AugmentedEnsemble:
     """Member array [release_y, wind_dir, ln u_1..ln u_S] at the sensors,
@@ -60,7 +50,7 @@ class AugmentedEnsemble:
 
     def __post_init__(self):
         self.members = np.asarray(self.members, dtype=float)
-        self.sensors = _sensor_rows(self.sensors, "sensors")
+        self.sensors = dispersion.sensor_rows(self.sensors, "sensors")
         if self.members.ndim not in (2, 3):
             raise ValueError(
                 f"members must be (n, 2 + S) or (C, n, 2 + S), got shape {self.members.shape}"
@@ -188,7 +178,7 @@ def assimilate_conditions(
     parameter ensembles, (C, n, 2), and the parameter ensembles after
     each analysis, (n_times, C, n, 2).
     """
-    sensors = _sensor_rows(placement, "placement")
+    sensors = dispersion.sensor_rows(placement, "placement")
     times = cfg.times()
     # per accident: the streams of its readings, prior and perturbations
     streams = [np.random.SeedSequence([int(s), 0x656E6B66]).spawn(3) for s in seeds]

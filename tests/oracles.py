@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive (quadratic scans, dense solves,
 the checked scipy.linalg wrappers, adaptive quadrature, scalar puff
-stepping) and shares no code with the library paths it checks. The one
-exception is per_job_compare: it checks that running a placement's
-conditions in lockstep changes nothing, so it runs each condition alone
-through the library's one-condition calls.
+stepping) and shares no code with the library paths it checks. Two
+exceptions check that a reorganisation of the library's work changes
+nothing, so they run the library's smaller calls: per_job_compare runs
+each of a placement's conditions alone through the one-condition calls,
+and per_instant_trajectories makes one log_concentrations_at call per
+observation instant.
 """
 
 import math
@@ -15,7 +17,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import digamma as _digamma
+from scipy.special import ndtr
 
+from plumeplace.dispersion import log_concentrations_at
 from plumeplace.enkf import assimilate_run
 from plumeplace.evaluate import draw_conditions
 from plumeplace.mi import knn_entropy
@@ -87,7 +91,9 @@ def se_kernel(x, x2, ls, signal_var: float = 1.0) -> float:
     return float(signal_var * np.exp(-np.sum((x - x2) ** 2 / ls)))
 
 
-def _se_matrix(a, b, lengthscales, signal_var):
+def se_matrix(a, b, lengthscales, signal_var):
+    """Squared-exponential covariance matrix, the squared coordinate
+    differences summed over the last axis of an (m, n, dim) stack."""
     d2 = (a[:, None, :] - b[None, :, :]) ** 2
     return signal_var * np.exp(-np.sum(d2 / lengthscales, axis=-1))
 
@@ -98,7 +104,7 @@ def dense_gp_predict(train_x, train_f, lengthscales, signal_var, noise_var, mean
     x_new = _as2d(x_new)
 
     def kmat(a, b):
-        return _se_matrix(a, b, lengthscales, signal_var)
+        return se_matrix(a, b, lengthscales, signal_var)
 
     k_tt = kmat(train_x, train_x) + noise_var * np.eye(len(train_x))
     k_nt = kmat(x_new, train_x)
@@ -114,10 +120,10 @@ def cho_solve_gp_predict(
     """GP prediction through the checked scipy.linalg Cholesky wrappers."""
     train_x = _as2d(train_x)
     x_new = _as2d(x_new)
-    k_tt = _se_matrix(train_x, train_x, lengthscales, signal_var)
+    k_tt = se_matrix(train_x, train_x, lengthscales, signal_var)
     k_tt[np.diag_indices(len(train_x))] += noise_var
     chol = cho_factor(k_tt, lower=True)
-    k_nt = _se_matrix(x_new, train_x, lengthscales, signal_var)
+    k_nt = se_matrix(x_new, train_x, lengthscales, signal_var)
     mean = mean_offset + k_nt @ cho_solve(chol, np.asarray(train_f, dtype=float) - mean_offset)
     var = signal_var - np.sum(k_nt * cho_solve(chol, k_nt.T).T, axis=1)
     return mean, np.maximum(var, 0.0)
@@ -134,7 +140,7 @@ def gp_neg_log_likelihood(train_x, train_f, log_params, signal_var=None):
     f = np.asarray(train_f, dtype=float)
     g = (f - f.mean()) / f.std()
     n = len(g)
-    k = _se_matrix(x, x, np.exp(log_params[:-1]), 1.0)
+    k = se_matrix(x, x, np.exp(log_params[:-1]), 1.0)
     k += max(np.exp(log_params[-1]), 1e-8) * np.eye(n)
     chol = cho_factor(k, lower=True)
     quad = g @ cho_solve(chol, g)
@@ -179,6 +185,19 @@ def quad_expected_improvement(mu, sigma, f_best):
         return (y - f_best) * np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
 
     return quad(integrand, f_best, np.inf, epsabs=1e-13, epsrel=1e-13)[0]
+
+
+def masked_expected_improvement(mu, sigma, f_best):
+    """Closed-form EI evaluated only where sigma > 0, on gathered
+    elements, and zero elsewhere."""
+    mu_b, sigma_b = np.broadcast_arrays(np.asarray(mu, float), np.asarray(sigma, float))
+    out = np.zeros(mu_b.shape)
+    pos = sigma_b > 0
+    diff = mu_b[pos] - f_best
+    with np.errstate(over="ignore"):
+        z = diff / sigma_b[pos]
+        out[pos] = diff * ndtr(z) + sigma_b[pos] * np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+    return np.maximum(out, 0.0)
 
 
 def eigh_first_canonical(q, d, ridge=1e-8):
@@ -301,6 +320,17 @@ def stepped_observations(cfg, truth, sensors, rng_seed):
             log_c[i, j] = math.log(max(concentration(live, sensor), cfg.conc_floor))
     rng = np.random.default_rng(rng_seed)
     return log_c + rng.normal(cfg.noise_mean, cfg.noise_std, log_c.shape)
+
+
+def per_instant_trajectories(cfg, params, sensors):
+    """Noise-free (n_members, n_sensors, n_times) trajectories of the
+    (n_members, 2) parameter rows, one log_concentrations_at call per
+    instant of cfg.times(), stacked on the last axis."""
+    release_y, wind_dir = np.asarray(params, dtype=float).T
+    return np.stack(
+        [log_concentrations_at(cfg, release_y, wind_dir, sensors, t) for t in cfg.times()],
+        axis=-1,
+    )
 
 
 def per_job_compare(cfg, placements, n_conditions, seed):

@@ -24,7 +24,7 @@ from plumeplace.bo import (
 )
 from plumeplace.gp import GpSurrogate, fit
 
-from oracles import sequential_polish
+from oracles import masked_expected_improvement, sequential_polish
 from source_scan import library_modules
 
 
@@ -55,6 +55,29 @@ class TestExpectedImprovement:
     @settings(max_examples=200, deadline=None)
     def test_never_negative(self, mu, sigma, f_best):
         assert expected_improvement(mu, sigma, f_best) >= 0.0
+
+    def test_equals_masked_closed_form_bit_for_bit(self):
+        # the whole-array form against gathers of the sigma > 0 elements:
+        # sigma == 0 above, at (0/0) and below the incumbent, and z large
+        # enough that z * z overflows; the suite turns any warning into an
+        # error
+        rng = np.random.default_rng(3)
+        mu = np.concatenate([rng.normal(0.0, 2.0, 500), [0.5, 0.5, 0.4, 0.6, 1e200, -1e200, 0.5]])
+        sigma = np.concatenate(
+            [rng.uniform(0.0, 3.0, 500), [0.0, 0.0, 0.0, 0.0, 1e-200, 1e-200, 1e-300]]
+        )
+        sigma[::7] = 0.0
+        for f_best in (0.5, -1.0, 2.0):
+            out = expected_improvement(mu, sigma, f_best)
+            np.testing.assert_array_equal(out, masked_expected_improvement(mu, sigma, f_best))
+            assert np.all(np.isfinite(out))
+            assert np.all(out[sigma == 0] == 0.0)
+        # broadcast and scalar arguments
+        np.testing.assert_array_equal(
+            expected_improvement(mu[:5], 0.7, 0.5), masked_expected_improvement(mu[:5], 0.7, 0.5)
+        )
+        assert expected_improvement(0.5, 0.0, 0.5) == 0.0
+        assert expected_improvement(1e200, 1e-200, 0.0) == 1e200
 
     def test_strictly_increasing_in_mu(self):
         mus = np.linspace(-3, 3, 41)
@@ -242,6 +265,17 @@ class TestConfigAndTrace:
     def test_rejects_small_init(self):
         with pytest.raises(ValueError):
             BoConfig(domain=[[0.0, 1.0]], init_count=1)
+
+    @pytest.mark.parametrize("name", ["init_count", "iter_count", "acq_candidates"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, "4", None])
+    def test_counts_must_be_integers(self, name, value):
+        # a float count failed later, inside numpy, without its name
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= [012], got "):
+            BoConfig(domain=[[0.0, 1.0]], **{name: value})
+
+    def test_counts_may_be_numpy_integers(self):
+        cfg = BoConfig(domain=[[0.0, 1.0]], init_count=np.int64(3), iter_count=np.uint32(0))
+        assert len(maximize(lambda p: float(p[0]), cfg, 0).values) == 3
 
 
 ORACLE_SEEDS = [*range(30), 2**32 - 1]

@@ -6,17 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plumeplace import dispersion
 from plumeplace.config import ExperimentConfig
 from plumeplace.dispersion import (
     Lattice,
     log_concentrations_at,
+    sensor_rows,
     simulate_accidents,
     simulate_ensemble,
     simulate_lattice,
     simulate_observations,
 )
 
-from oracles import PuffState, concentration, step_puff, stepped_observations
+from oracles import (
+    PuffState,
+    concentration,
+    per_instant_trajectories,
+    step_puff,
+    stepped_observations,
+)
 
 CFG = ExperimentConfig()  # the stepper reads its wind speed and diffusion constants
 EAST = 0.0  # the oracle's heading, toward +x
@@ -298,3 +306,117 @@ class TestValidation:
     def test_puff_invariants(self):
         with pytest.raises(ValueError):
             PuffState(x=0.0, y=0.0, s=-1.0, r=0.0, mass=1.0)
+
+
+DESK = ExperimentConfig().with_profile("desk")
+ON_PLUME = [(900.0, -300.0), (2400.0, 200.0), (4000.0, 0.0)]
+
+
+class TestOnePassTrajectories:
+    """_trajectories, one footprint per distinct puff age and sensor,
+    against one log_concentrations_at call per instant: bit for bit."""
+
+    @pytest.mark.parametrize(
+        "interval, release, n_steps, total",
+        [
+            (1.0, 10.0, 10, 30.0),  # desk: 10 puffs, ages 60..600 s
+            (1.0, 10.0, None, 30.0),  # the full profile's 31 instants
+            (0.7, 16.1, None, 20.0),  # ages that are not whole minutes
+            (0.3, 4.0, 40, 30.0),
+            (1.7, 40.0, 12, 30.0),  # the release outlasts the window
+        ],
+    )
+    def test_timing_cases(self, interval, release, n_steps, total):
+        cfg = replace(
+            DESK, interval_min=interval, release_duration_min=release, n_steps=n_steps,
+            total_min=total,
+        )
+        params = cfg.draw_prior(200, np.random.default_rng(5))
+        out = dispersion._trajectories(cfg, params, ON_PLUME)
+        oracle = per_instant_trajectories(cfg, params, ON_PLUME)
+        assert out.shape == (200, len(ON_PLUME), len(cfg.times()))
+        np.testing.assert_array_equal(out, oracle)
+        # the plume reaches the sensors, and instants with 8 or more
+        # puffs sum them in numpy's pairwise blocks
+        assert np.mean(out > math.log(cfg.conc_floor)) > 0.2
+        released = cfg.release_times()
+        assert max(np.sum(released < t) for t in cfg.times()) >= 8
+
+    @given(
+        interval=st.one_of(st.sampled_from([0.3, 0.7, 1.7]), st.floats(0.2, 3.0)),
+        release=st.floats(0.1, 30.0),
+        n_steps=st.one_of(st.none(), st.integers(1, 40)),
+        total=st.floats(1.0, 40.0),
+        members=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        sensors=st.lists(
+            st.tuples(st.floats(-500.0, 8000.0), st.floats(-4000.0, 4000.0)),
+            min_size=1, max_size=3,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_instant_stack(self, interval, release, n_steps, total, members, seed,
+                                      sensors):
+        cfg = replace(
+            DESK, interval_min=interval, release_duration_min=release, n_steps=n_steps,
+            total_min=total,
+        )
+        params = cfg.draw_prior(members, np.random.default_rng(seed))
+        np.testing.assert_array_equal(
+            dispersion._trajectories(cfg, params, sensors),
+            per_instant_trajectories(cfg, params, sensors),
+        )
+
+    def test_one_transport_pass_per_location(self, monkeypatch):
+        # the saved work: one _puffs call over the distinct ages, and no
+        # per-instant forward call
+        calls = []
+        puffs = dispersion._puffs
+
+        def counting(cfg, release_y, wind_dir, ages):
+            calls.append(ages)
+            return puffs(cfg, release_y, wind_dir, ages)
+
+        def per_instant(*args):
+            raise AssertionError("simulate_ensemble made a per-instant forward call")
+
+        monkeypatch.setattr(dispersion, "_puffs", counting)
+        monkeypatch.setattr(dispersion, "log_concentrations_at", per_instant)
+        params = DESK.draw_prior(50, np.random.default_rng(1))
+        simulate_ensemble(DESK, params, (1000.0, 0.0), rng_seed=0)
+        assert len(calls) == 1
+        # desk: 55 (instant, puff) pairs, 10 distinct ages 60..600 s
+        np.testing.assert_array_equal(calls[0], 60.0 * np.arange(1, 11))
+
+
+BAD_SENSORS = [
+    ((1000.0,), r"must be an \(S, 2\) array"),
+    ((1000.0, 0.0, 5.0), r"must be an \(S, 2\) array"),
+    ((np.nan, 0.0), r"must be finite \(x, y\) pairs"),
+    ((1000.0, np.inf), r"must be finite \(x, y\) pairs"),
+]
+
+
+class TestPointSensors:
+    """Every point path takes finite (x, y) pairs only."""
+
+    def test_rows_pass_through(self):
+        rows = sensor_rows([(1.0, 2.0), (3.0, 4.0)], "sensors")
+        np.testing.assert_array_equal(rows, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(sensor_rows((5.0, 6.0), "sensors"), [[5.0, 6.0]])
+
+    @pytest.mark.parametrize("sensor, message", BAD_SENSORS)
+    def test_simulate_ensemble(self, sensor, message):
+        params = DESK.draw_prior(5, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="sensors " + message):
+            simulate_ensemble(DESK, params, sensor, rng_seed=0)
+
+    @pytest.mark.parametrize("sensor, message", BAD_SENSORS)
+    def test_simulate_accidents(self, sensor, message):
+        with pytest.raises(ValueError, match="sensors " + message):
+            simulate_accidents(DESK, np.zeros((2, 2)), [(500.0, 0.0), sensor], [0, 1])
+
+    @pytest.mark.parametrize("sensor, message", BAD_SENSORS)
+    def test_log_concentrations_at(self, sensor, message):
+        with pytest.raises(ValueError, match="sensors " + message):
+            log_concentrations_at(DESK, np.zeros(3), np.zeros(3), [sensor], 300.0)

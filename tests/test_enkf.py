@@ -276,6 +276,11 @@ class TestAssimilateRun:
         with pytest.raises(ValueError, match=r"placement must be an \(S, 2\) array"):
             assimilate_run(desk_config, placement, truth, seed=1)
 
+    @pytest.mark.parametrize("placement", [[(np.nan, 0.0)], [(2000.0, 0.0), (1000.0, np.inf)]])
+    def test_rejects_placement_that_is_not_finite(self, desk_config, placement):
+        with pytest.raises(ValueError, match=r"placement must be finite \(x, y\) pairs"):
+            assimilate_run(desk_config, placement, np.array([0.0, 0.0]), seed=1)
+
     def test_trace_shapes(self, desk_config):
         truth = np.array([0.0, 0.0])
         trace = assimilate_run(desk_config, [(2000.0, 0.0)], truth, seed=1)

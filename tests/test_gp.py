@@ -5,7 +5,13 @@ import scipy.linalg
 from plumeplace import gp
 from plumeplace.gp import GpSurrogate, build, fit, predict
 
-from oracles import cho_solve_gp_predict, dense_gp_predict, gp_neg_log_likelihood, se_kernel
+from oracles import (
+    cho_solve_gp_predict,
+    dense_gp_predict,
+    gp_neg_log_likelihood,
+    se_kernel,
+    se_matrix,
+)
 
 
 class TestSeKernel:
@@ -30,6 +36,20 @@ class TestSeKernel:
         k = gp._kernel_matrix(xa, xb, ls, 1.9)
         expected = [[se_kernel(a, b, ls, signal_var=1.9) for b in xb] for a in xa]
         np.testing.assert_allclose(k, expected, rtol=1e-14, atol=0)
+
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_library_kernel_matrix_equals_broadcast_sum_bit_for_bit(self, dim, order):
+        # summing per coordinate gives the floats of the (m, n, dim) sum,
+        # on row- and column-major points alike
+        rng = np.random.default_rng(dim)
+        for _ in range(10):
+            xa = np.asarray(rng.uniform(-3, 3, (301, dim)), order=order)
+            xb = np.asarray(rng.uniform(-3, 3, (37, dim)), order=order)
+            ls = rng.uniform(0.05, 5.0, dim)
+            sv = rng.uniform(0.1, 3.0)
+            np.testing.assert_array_equal(gp._kernel_matrix(xa, xb, ls, sv), se_matrix(xa, xb, ls, sv))
 
 
 class TestChoFactor:
@@ -114,6 +134,28 @@ class TestPredict:
         mean_o, var_o = cho_solve_gp_predict(x, f, g.lengthscales, 2.3, 1e-5, f.mean(), x_new)
         np.testing.assert_array_equal(mean, mean_o)
         np.testing.assert_array_equal(var, var_o)
+
+    def test_solves_the_mean_weights_once(self, monkeypatch):
+        # the weights are solved when the surrogate is built; each predict
+        # solves only for its variance
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-3, 3, (12, 2))
+        f = np.sin(x[:, 0]) + x[:, 1]
+        g = GpSurrogate(x, f, np.array([1.2, 0.6]), signal_var=1.5, noise_var=1e-4, mean_offset=0.3)
+        np.testing.assert_array_equal(
+            g.weights, scipy.linalg.cho_solve((g.chol, True), f - 0.3, check_finite=False)
+        )
+        calls = []
+        solve = gp.dpotrs
+
+        def counting(c, b, **kwargs):
+            calls.append(np.shape(b))
+            return solve(c, b, **kwargs)
+
+        monkeypatch.setattr(gp, "dpotrs", counting)
+        predict(g, rng.uniform(-3, 3, (5, 2)))
+        predict(g, rng.uniform(-3, 3, (7, 2)))
+        assert calls == [(12, 5), (12, 7)]
 
     @pytest.mark.parametrize("x_new", [[[0.0, 1.0]], np.zeros((3, 2)), np.zeros((2, 1, 1))])
     def test_rejects_points_of_another_width(self, x_new):

@@ -80,6 +80,24 @@ class TestObjective:
         assert np.argsort(bounds).tolist() == np.argsort(fulls).tolist()
 
 
+    @pytest.mark.parametrize(
+        "candidate, message",
+        [
+            ((1000.0,), r"must be an \(S, 2\) array"),
+            ((1000.0, 2000.0, 3.0), r"must be an \(S, 2\) array"),
+            ((np.nan, 0.0), r"must be finite \(x, y\) pairs"),
+        ],
+    )
+    def test_rejects_a_location_that_is_not_a_finite_pair(self, small_ensemble, candidate,
+                                                          message):
+        # a third coordinate was dropped, and NaN reached the CCA's SVD
+        with pytest.raises(ValueError, match="location " + message):
+            pl.objective(small_ensemble, [], candidate)
+        with pytest.raises(ValueError, match="location " + message):
+            pl.objective(small_ensemble, [candidate], (2000.0, 0.0))
+        assert not any(np.isnan(key).any() or len(key) != 2 for key in small_ensemble.obs_cache)
+
+
 class TestGreedyPlace:
     def test_structure_and_separation(self, small_ensemble):
         bo_cfg = BoConfig(
