@@ -161,7 +161,7 @@ def sensor_rows(value, name: str) -> np.ndarray:
         raise ValueError(f"{expected}, got {value!r}") from None
     if sensors.ndim != 2 or sensors.shape[0] < 1 or sensors.shape[1] != 2:
         raise ValueError(f"{expected}, got shape {np.shape(value)}")
-    if not np.all(np.isfinite(sensors)):
+    if not np.isfinite(sensors).all():
         raise ValueError(f"{name} must be finite (x, y) pairs, got {sensors.tolist()}")
     return sensors
 

@@ -30,8 +30,8 @@ _NOISE_TAG = 0x6F62  # distinguishes the observation-noise stream
 
 
 def _location_key(location) -> tuple[float, float]:
-    ((x, y),) = dispersion.sensor_rows([location], "location")
-    return (float(x), float(y))
+    x, y = dispersion.sensor_rows([location], "location")[0].tolist()
+    return (x, y)
 
 
 def _location_seed(seed: int, key: tuple[float, float]) -> np.random.SeedSequence:
