@@ -45,6 +45,16 @@ class TestTrajectoriesCache:
         assert a is b
         assert a.shape == (300, 8)
 
+    @pytest.mark.parametrize(
+        "location",
+        [(1500.0, -500.0), np.array([1500.0, -500.0]), (1500, -500), [1500.0, -500.0]],
+    )
+    def test_every_form_of_a_location_shares_one_entry(self, small_ensemble, location):
+        key = pl._location_key(location)
+        assert key == (1500.0, -500.0)
+        assert all(type(v) is float for v in key)
+        assert small_ensemble.trajectories(location) is small_ensemble.trajectories(key)
+
     def test_rebuild_is_bit_identical(self, small_ensemble):
         cfg = ExperimentConfig(placement_members=300, n_steps=8)
         fresh = pl.build_ensemble(cfg, 300, seed=42)
