@@ -50,9 +50,9 @@ def _check_rows(x: np.ndarray, f: np.ndarray) -> None:
 
 
 def _kernel_matrix(xa: np.ndarray, xb: np.ndarray, ls, signal_var) -> np.ndarray:
-    # summed one coordinate at a time, in coordinate order: the floats of
-    # a sum over a (m, n, dim) stack at any dim below numpy's pairwise
-    # block of 8, without its per-pair reduction or its layout cost
+    # one coordinate at a time, in coordinate order: the floats of summing
+    # an (m, n, dim) stack over its last axis (numpy adds fewer than 8
+    # terms in order), at a cost that does not depend on the points' layout
     d = (xa[:, 0, None] - xb[None, :, 0]) ** 2 / ls[0]
     for j in range(1, xa.shape[1]):
         d += (xa[:, j, None] - xb[None, :, j]) ** 2 / ls[j]

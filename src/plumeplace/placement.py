@@ -38,8 +38,7 @@ def _location_key(location) -> tuple[float, float]:
         type(v) is float and math.isfinite(v) for v in location
     ):
         return location
-    x, y = dispersion.sensor_rows([location], "location")[0].tolist()
-    return (x, y)
+    return tuple(dispersion.sensor_rows([location], "location")[0].tolist())
 
 
 def _location_seed(seed: int, key: tuple[float, float]) -> np.random.SeedSequence:
