@@ -8,10 +8,12 @@ conditional entropy used for ranking is their uniform average.
 
 A placement's conditions run in lockstep (enkf.assimilate_conditions):
 one forward evaluation per instant for all their members and one for
-all their truths, one stacked analysis, and per step one knn_entropy
-call for both 1D marginals of every condition. The joint 2D entropy
-keeps one k-d tree per condition. Each condition keeps its own streams,
-so its trace equals a run of that condition alone, bit for bit.
+all their truths, one stacked analysis, and per step two knn_entropy
+calls: one for both 1D marginals of every condition and one for every
+condition's 2D joint. release_y spans kilometres and wind_dir less than
+a radian, so a joint's radii are almost always release_y's own, which
+knn_entropy certifies without a k-d tree. Each condition keeps its own
+streams, so its trace equals a run of that condition alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ def _entropy_traces(thetas: np.ndarray, knn: KnnConfig) -> np.ndarray:
     for i, theta in enumerate(thetas):
         # (C, 2, n, 1): both marginals of every condition in one call
         out[:, i, :2] = knn_entropy(theta.swapaxes(-1, -2)[..., None], knn)
-        out[:, i, 2] = [knn_entropy(joint, knn) for joint in theta]
+        out[:, i, 2] = knn_entropy(theta, knn)
     return out
 
 

@@ -43,13 +43,13 @@ class KnnConfig:
 
 
 def _as_matrix(x, stacks: bool = False) -> np.ndarray:
-    """x as an (n, d) sample matrix; with stacks, a (..., n, 1) stack of
-    1D sample sets passes as it is."""
+    """x as an (n, d) sample matrix; with stacks, an (..., n, d) stack of
+    sample sets passes as it is."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    if x.ndim != 2 and not (stacks and x.ndim > 2 and x.shape[-1] == 1):
-        expected = "1D or 2D sample array" + (", or a (..., n, 1) stack" if stacks else "")
+    if x.ndim != 2 and not (stacks and x.ndim > 2):
+        expected = "1D or 2D sample array" + (", or an (..., n, d) stack" if stacks else "")
         raise ValueError(f"expected {expected}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("sample matrix contains non-finite values")
@@ -73,39 +73,70 @@ def _jittered(x: np.ndarray, scale: float) -> np.ndarray:
     return x * (1.0 + scale * _jitter_draw(x.shape[-2:]))
 
 
-def _knn_radii(block: np.ndarray, k: int) -> np.ndarray:
-    """Max-norm distance from each row to its k-th nearest other row.
+def _sorted_radii(v: np.ndarray, k: int) -> np.ndarray:
+    """k-th neighbor distance of each entry of a (B, n) stack of 1D sets.
 
-    block is an (n, d) sample matrix or a (..., n, 1) stack of 1D sets,
-    whose radii come back with the stack's leading shape. In 1D,
     fl(s_j - s_i) is monotone in s_j, so after sorting the k nearest
     neighbors are the j nearest on the left and the k - j nearest on the
     right, for some j. The k-th distance is thus the least, over j, of
     the larger of the j-th left gap and the (k - j)-th right gap, each
     from the same subtraction as the k-d tree's, bit for bit. Every set
-    of a stack is sorted along its last axis, all at once.
+    is sorted along its last axis, all at once.
     """
-    n = block.shape[-2]
+    n = v.shape[-1]
+    order = np.argsort(v, axis=-1)
+    s = np.take_along_axis(v, order, axis=-1)
+    padded = np.pad(s, [(0, 0), (k, k)], constant_values=(-np.inf, np.inf))
+    # gaps to the j-th neighbor on each side, j = 1..k, at index j - 1
+    left = [s - padded[:, k - j : k - j + n] for j in range(1, k + 1)]
+    right = [padded[:, k + j : k + j + n] - s for j in range(1, k + 1)]
+    kth = np.minimum(left[k - 1], right[k - 1])
+    for j in range(1, k):
+        np.minimum(kth, np.maximum(left[j - 1], right[k - j - 1]), out=kth)
+    radii = np.empty_like(s)
+    np.put_along_axis(radii, order, kth, axis=-1)
+    return radii
+
+
+def _knn_radii(block: np.ndarray, k: int) -> np.ndarray:
+    """Max-norm distance from each row to its k-th nearest other row.
+
+    block is an (n, d) sample matrix or an (..., n, d) stack of sets,
+    whose radii come back with the stack's leading shape. A set whose
+    widest column w dominates takes w's 1D radii r_w (_sorted_radii):
+    it is certified when every other column's spread is at most
+    min(r_w), and then r_w is exact, bit for bit:
+      - a max-norm distance is at least its |dw|, so radius >= r_w;
+      - the k nearest rows in w lie within r_w in every column, so
+        radius <= r_w.
+    A 1D set has no other column and always passes. The least 1D radius
+    is at most k * span_w / (n - k) (pigeonhole over the n - k windows
+    of k + 1 sorted points), so a set whose next widest spread exceeds
+    that bound cannot pass and skips the 1D radii. Every other set goes
+    to a k-d tree.
+    """
+    n, d = block.shape[-2:]
     if n < k + 1:
         raise ValueError(f"need at least k+1={k + 1} samples, got {n}")
-    if block.shape[-1] == 1:
-        v = block[..., 0]
-        order = np.argsort(v, axis=-1)
-        s = np.take_along_axis(v, order, axis=-1)
-        padded = np.pad(s, [(0, 0)] * (s.ndim - 1) + [(k, k)], constant_values=(-np.inf, np.inf))
-        # gaps to the j-th neighbor on each side, j = 1..k, at index j - 1
-        left = [s - padded[..., k - j : k - j + n] for j in range(1, k + 1)]
-        right = [padded[..., k + j : k + j + n] - s for j in range(1, k + 1)]
-        kth = np.minimum(left[k - 1], right[k - 1])
-        for j in range(1, k):
-            np.minimum(kth, np.maximum(left[j - 1], right[k - j - 1]), out=kth)
-        radii = np.empty_like(s)
-        np.put_along_axis(radii, order, kth, axis=-1)
-    else:
-        radii = cKDTree(block).query(block, k=k + 1, p=np.inf)[0][:, k]
+    flat = block.reshape(-1, n, d)
+    # one contiguous row per column: reductions along rows are fast
+    cols = np.ascontiguousarray(flat.swapaxes(1, 2))
+    spans = cols.max(axis=2) - cols.min(axis=2)
+    ranked = np.sort(spans, axis=1)
+    other = ranked[:, :-1].max(axis=1, initial=0.0)  # next widest spread, 0 in 1D
+    radii = np.empty(flat.shape[:2])
+    todo = np.ones(len(flat), dtype=bool)
+    cand = np.flatnonzero(other <= k * ranked[:, -1] / (n - k))
+    if cand.size:
+        r_w = _sorted_radii(cols[cand, np.argmax(spans[cand], axis=1)], k)
+        certified = other[cand] <= r_w.min(axis=1)
+        radii[cand[certified]] = r_w[certified]
+        todo[cand[certified]] = False
+    for b in np.flatnonzero(todo):
+        radii[b] = cKDTree(flat[b]).query(flat[b], k=k + 1, p=np.inf)[0][:, k]
     if np.any(radii <= 0):
         raise ValueError("duplicate-saturated input: k-th neighbor at distance 0 after jitter")
-    return radii
+    return radii.reshape(block.shape[:-1])
 
 
 def knn_entropy(x, cfg: KnnConfig = KnnConfig()):
@@ -114,10 +145,11 @@ def knn_entropy(x, cfg: KnnConfig = KnnConfig()):
     Under the max norm the estimator reads
         psi(N) - psi(k) + d*log 2 + (d/N) * sum_i log r_i
     with r_i the Chebyshev distance from sample i to its k-th neighbor,
-    from a sorted window in 1D and a k-d tree otherwise (see _knn_radii).
-    x is one sample set, (n,) or (n, d), and gives a float; or a
-    (..., n, 1) stack of 1D sets, and gives an array of the stack's
-    leading shape, each entry bit-equal to that set's own estimate.
+    from the sorted 1D radii of the widest column where a certificate
+    proves them exact, and from a k-d tree otherwise (see _knn_radii).
+    x is one sample set, (n,) or (n, d), and gives a float; or an
+    (..., n, d) stack of sets, and gives an array of the stack's leading
+    shape, each entry bit-equal to that set's own estimate.
     """
     x = _as_matrix(x, stacks=True)
     n, dim = x.shape[-2:]

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from plumeplace import mi
 from plumeplace.config import ExperimentConfig
 from plumeplace.evaluate import (
     EvaluationReport,
@@ -130,3 +132,22 @@ class TestComparePlacements:
         named = {"a": [(1500.0, 1000.0)], "b": [(2500.0, 2000.0)]}
         with pytest.raises(ValueError, match="n_conditions must be >= 1"):
             compare_placements(mini_cfg, named, n_conditions=0, seed=0)
+
+
+def test_desk_compare_builds_no_tree(monkeypatch):
+    """release_y spans kilometres and wind_dir under a radian, so every
+    joint's kNN radii are release_y's own and knn_entropy certifies them
+    without a k-d tree."""
+    builds = []
+
+    def tree(data, *args, **kwargs):
+        builds.append(len(data))
+        return cKDTree(data, *args, **kwargs)
+
+    monkeypatch.setattr(mi, "cKDTree", tree)
+    cfg = ExperimentConfig(seed=0).with_profile("desk")
+    placements = {"ref": [(3000.0, -1000.0), (3000.0, 1000.0), (6000.0, 0.0)]}
+    placements.update(random_placements(cfg, 2, seed=0))
+    report = compare_placements(cfg, placements, n_conditions=10, seed=0)
+    assert all(np.all(np.isfinite(t)) for t in report.traces.values())
+    assert builds == []

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from plumeplace import mi
 from plumeplace.mi import (
     _JITTER_SEED,
     KnnConfig,
@@ -200,9 +202,17 @@ class TestStackedKnnEntropy:
         for idx in np.ndindex(2, 3):
             assert stacked[idx] == knn_entropy(x[idx][:, 0])
 
-    def test_rejects_a_stack_of_2d_sets(self):
-        with pytest.raises(ValueError, match=r"\(\.\.\., n, 1\) stack"):
-            knn_entropy(np.zeros((2, 50, 2)))
+    def test_each_entry_of_a_stack_of_2d_sets_is_its_sets_estimate(self):
+        x = np.round(np.random.default_rng(10).standard_normal((2, 3, 200, 2)), 2)
+        x[0, :, :, 1] *= 1e3  # the first row's sets are certified, the second's need a tree
+        stacked = knn_entropy(x)
+        assert stacked.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert stacked[idx] == knn_entropy(x[idx])
+
+    def test_names_the_stack_it_takes(self):
+        with pytest.raises(ValueError, match=r"or an \(\.\.\., n, d\) stack, got shape \(\)"):
+            knn_entropy(np.float64(1.0))
 
     def test_ksg_mi_takes_no_stack(self):
         with pytest.raises(ValueError, match="expected 1D or 2D sample array, got"):
@@ -228,3 +238,126 @@ class TestJitterDraw:
         y = 10.0 + np.round(x + rng.standard_normal(300), 1)  # ties only the jitter breaks
         assert ksg_mi(x, y) == ksg_mi(x, y)
         assert knn_entropy(y) == knn_entropy(y)
+
+
+def _counting_trees(mp) -> list:
+    """Patch mi.cKDTree to record each tree it builds; returns the record."""
+    builds = []
+
+    def tree(data, *args, **kwargs):
+        builds.append(len(data))
+        return cKDTree(data, *args, **kwargs)
+
+    mp.setattr(mi, "cKDTree", tree)
+    return builds
+
+
+def _needs_tree(block, k) -> bool:
+    """Whether _knn_radii must query a tree for one (n, d) set: its next
+    widest spread exceeds the pigeonhole bound or its widest column's
+    least 1D radius."""
+    n = len(block)
+    spans = np.ptp(block, axis=0)
+    w = np.argmax(spans)
+    other = np.max(np.delete(spans, w), initial=0.0)
+    if other > k * spans[w] / (n - k):
+        return True
+    return other > brute_knn_radii(block[:, [w]], k).min()
+
+
+def _dominated(data, n, d, k):
+    """An (n, d) set with a drawn widest column w, rounded so that w has
+    ties (rounding to thousands makes k-fold ties common), and other
+    columns of one spread t drawn against the certificate: at most
+    min(r_w), its edge included; just above it, up to the pigeonhole
+    bound k * span_w / (n - k); or above that bound."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    decimals = data.draw(st.integers(min_value=-3, max_value=2), label="decimals")
+    offset = data.draw(st.sampled_from([0.0, 1e3, -7.3e5]), label="offset")
+    w = np.round(1e3 * rng.standard_normal(n), decimals) + offset
+    least = brute_knn_radii(w, k).min()
+    bound = k * np.ptp(w) / (n - k)
+    regime = data.draw(st.sampled_from(["certified", "between", "rejected"]), label="regime")
+    if regime == "certified":
+        t = least * data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="t / min(r_w)")
+    elif regime == "between":
+        f = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="f")
+        t = max(np.nextafter(least, np.inf), least + f * (bound - least))
+    else:
+        t = bound * data.draw(st.sampled_from([1.01, 2.0, 50.0]), label="t / bound")
+    u = rng.uniform(size=(n, d - 1))
+    u[:2] = [[0.0], [1.0]]  # each other column spans exactly t
+    wide = data.draw(st.integers(min_value=0, max_value=d - 1), label="widest column")
+    return np.insert(t * u, wide, w, axis=1)
+
+
+def _check_radii(stack, k):
+    """_knn_radii of an (..., n, d) stack equals brute force and cKDTree
+    for every set, bit for bit, and builds a tree exactly for the sets
+    the certificate cannot take; a zero radius anywhere is an error."""
+    n, d = stack.shape[-2:]
+    sets = stack.reshape(-1, n, d)
+    expected = np.stack([brute_knn_radii(block, k) for block in sets])
+    tree = np.stack([cKDTree(block).query(block, k=k + 1, p=np.inf)[0][:, k] for block in sets])
+    np.testing.assert_array_equal(tree, expected)
+    with pytest.MonkeyPatch.context() as mp:
+        builds = _counting_trees(mp)
+        if np.any(expected == 0):
+            with pytest.raises(ValueError, match="duplicate"):
+                _knn_radii(stack, k)
+            return
+        radii = _knn_radii(stack, k)
+    np.testing.assert_array_equal(radii, expected.reshape(stack.shape[:-1]))
+    assert len(builds) == sum(_needs_tree(block, k) for block in sets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_knn_radii_of_a_dominated_set_match_brute_force_and_the_tree(data):
+    n = data.draw(st.integers(min_value=8, max_value=80), label="n")
+    d = data.draw(st.sampled_from([2, 3]), label="d")
+    k = data.draw(st.integers(min_value=1, max_value=7), label="k")
+    _check_radii(_dominated(data, n, d, k), k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_knn_radii_of_a_mixed_stack_match_brute_force_and_the_tree(data):
+    n = data.draw(st.integers(min_value=8, max_value=80), label="n")
+    rows = data.draw(st.integers(min_value=1, max_value=5), label="B")
+    k = data.draw(st.integers(min_value=1, max_value=7), label="k")
+    stack = np.stack([_dominated(data, n, 2, k) for _ in range(rows)])
+    # tie-heavy standardised sets, which the pigeonhole bound sends to the tree
+    for b in range(rows):
+        if data.draw(st.booleans(), label=f"set {b} tie-heavy"):
+            stack[b] = _tie_heavy(data, max_dim=1, n=2 * n)[0].reshape(n, 2)
+    _check_radii(stack, k)
+
+
+class TestCertifiedRadii:
+    def test_ties_in_the_widest_column_only_take_the_trees_radii(self):
+        w = np.repeat(100.0 * np.arange(20), 5)  # each value five times: r_w = 0 at k = 4
+        block = np.column_stack([w, np.linspace(0.0, 1.0, 100)])
+        radii = _knn_radii(block, 4)
+        np.testing.assert_array_equal(radii, brute_knn_radii(block, 4))
+        assert radii.min() > 0
+
+    @pytest.mark.parametrize("other", [0.0, 2.5])
+    def test_duplicate_saturated_sets_still_raise(self, other):
+        w = np.repeat(100.0 * np.arange(20), 5)
+        with pytest.raises(ValueError, match="duplicate"):
+            _knn_radii(np.column_stack([w, np.full(100, other)]), 4)
+        with pytest.raises(ValueError, match="duplicate"):
+            _knn_radii(np.full((3, 50, 2), other), 4)
+
+    def test_ksg_mi_on_standardised_data_builds_one_tree_and_no_1d_radii(self, monkeypatch):
+        builds = _counting_trees(monkeypatch)
+
+        def unreachable(*args):
+            raise AssertionError("ksg_mi reached the 1D radii")
+
+        monkeypatch.setattr(mi, "_sorted_radii", unreachable)
+        z = np.random.default_rng(11).multivariate_normal([0, 0], [[1, 0.9], [0.9, 1]], size=500)
+        z = (z - z.mean(axis=0)) / z.std(axis=0)
+        ksg_mi(z[:, 0], z[:, 1])
+        assert builds == [500]
