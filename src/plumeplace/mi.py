@@ -87,12 +87,11 @@ def _sorted_radii(v: np.ndarray, k: int) -> np.ndarray:
     order = np.argsort(v, axis=-1)
     s = np.take_along_axis(v, order, axis=-1)
     padded = np.pad(s, [(0, 0), (k, k)], constant_values=(-np.inf, np.inf))
-    # gaps to the j-th neighbor on each side, j = 1..k, at index j - 1
-    left = [s - padded[:, k - j : k - j + n] for j in range(1, k + 1)]
-    right = [padded[:, k + j : k + j + n] - s for j in range(1, k + 1)]
-    kth = np.minimum(left[k - 1], right[k - 1])
+    kth = np.minimum(s - padded[:, :n], padded[:, 2 * k :] - s)  # j = k and j = 0
     for j in range(1, k):
-        np.minimum(kth, np.maximum(left[j - 1], right[k - j - 1]), out=kth)
+        left = s - padded[:, k - j : k - j + n]  # gap to the j-th neighbor on the left
+        right = padded[:, 2 * k - j : 2 * k - j + n] - s  # to the (k - j)-th on the right
+        np.minimum(kth, np.maximum(left, right), out=kth)
     radii = np.empty_like(s)
     np.put_along_axis(radii, order, kth, axis=-1)
     return radii
