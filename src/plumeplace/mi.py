@@ -5,6 +5,15 @@ Both estimators are k-nearest-neighbor based and work under the max
 construction, mutual information via the Kraskov-style estimator that
 counts marginal neighbors strictly inside the joint kNN distance.
 
+The kNN radii come from the sorted 1D radii r_w of a set's widest
+column whenever every other column's spread is at most min(r_w): a
+max-norm distance is at least its gap in w, so each radius is at least
+r_w, and the k nearest rows in w lie within r_w in every column, so it
+is at most r_w. A set whose next widest spread exceeds the pigeonhole
+bound k * span_w / (n - k) on min(r_w) goes straight to a k-d tree, as
+does every set the certificate fails. Either way the floats are the
+tree's, and a stack of sets is bit-equal to each set alone.
+
 Estimates are in nats. Samples are row-major: one row per sample.
 """
 
@@ -118,20 +127,20 @@ def _knn_radii(block: np.ndarray, k: int) -> np.ndarray:
     if n < k + 1:
         raise ValueError(f"need at least k+1={k + 1} samples, got {n}")
     flat = block.reshape(-1, n, d)
-    # one contiguous row per column: reductions along rows are fast
-    cols = np.ascontiguousarray(flat.swapaxes(1, 2))
+    cols = np.ascontiguousarray(flat.swapaxes(1, 2))  # one row per column: fast reductions
     spans = cols.max(axis=2) - cols.min(axis=2)
-    ranked = np.sort(spans, axis=1)
-    other = ranked[:, :-1].max(axis=1, initial=0.0)  # next widest spread, 0 in 1D
+    # each set's next widest (0 in 1D) and widest spread as Python floats, so
+    # a set the bound rejects pays no further numpy call before its tree
+    ranked = [([0.0] + sorted(s))[-2:] for s in spans.tolist()]
+    cand = [b for b, (other, widest) in enumerate(ranked) if other <= k * widest / (n - k)]
     radii = np.empty(flat.shape[:2])
-    todo = np.ones(len(flat), dtype=bool)
-    cand = np.flatnonzero(other <= k * ranked[:, -1] / (n - k))
-    if cand.size:
+    certified = []
+    if cand:
         r_w = _sorted_radii(cols[cand, np.argmax(spans[cand], axis=1)], k)
-        certified = other[cand] <= r_w.min(axis=1)
-        radii[cand[certified]] = r_w[certified]
-        todo[cand[certified]] = False
-    for b in np.flatnonzero(todo):
+        ok = np.array([ranked[b][0] for b in cand]) <= r_w.min(axis=1)
+        certified = [b for b, good in zip(cand, ok) if good]
+        radii[certified] = r_w[ok]
+    for b in sorted(set(range(len(flat))) - set(certified)):
         radii[b] = cKDTree(flat[b]).query(flat[b], k=k + 1, p=np.inf)[0][:, k]
     if np.any(radii <= 0):
         raise ValueError("duplicate-saturated input: k-th neighbor at distance 0 after jitter")
