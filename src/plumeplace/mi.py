@@ -12,7 +12,9 @@ r_w, and the k nearest rows in w lie within r_w in every column, so it
 is at most r_w. A set whose next widest spread exceeds the pigeonhole
 bound k * span_w / (n - k) on min(r_w) goes straight to a k-d tree, as
 does every set the certificate fails. Either way the floats are the
-tree's, and a stack of sets is bit-equal to each set alone.
+tree's, and a stack of sets is bit-equal to each set alone. ksg_mi's
+joints are unit-variance projections, which that bound always rejects,
+so they go to the tree directly.
 
 Estimates are in nats. Samples are row-major: one row per sample.
 """
@@ -29,6 +31,7 @@ from scipy.spatial import cKDTree
 # Fixed stream for tie-break jitter so repeated estimates are reproducible
 # and ksg_mi(x, y) == ksg_mi(y, x) bit for bit.
 _JITTER_SEED = 202306
+_SATURATED = "duplicate-saturated input: k-th neighbor at distance 0 after jitter"
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,15 @@ def _sorted_radii(v: np.ndarray, k: int) -> np.ndarray:
     return radii
 
 
+def _tree_radii(block: np.ndarray, k: int) -> np.ndarray:
+    """Max-norm distance from each row of one (n, d) set to its k-th
+    nearest other row, by a k-d tree; a zero distance is an error."""
+    radii = cKDTree(block).query(block, k=k + 1, p=np.inf)[0][:, k]
+    if np.any(radii <= 0):
+        raise ValueError(_SATURATED)
+    return radii
+
+
 def _knn_radii(block: np.ndarray, k: int) -> np.ndarray:
     """Max-norm distance from each row to its k-th nearest other row.
 
@@ -121,7 +133,7 @@ def _knn_radii(block: np.ndarray, k: int) -> np.ndarray:
     is at most k * span_w / (n - k) (pigeonhole over the n - k windows
     of k + 1 sorted points), so a set whose next widest spread exceeds
     that bound cannot pass and skips the 1D radii. Every other set goes
-    to a k-d tree.
+    to a k-d tree (_tree_radii).
     """
     n, d = block.shape[-2:]
     if n < k + 1:
@@ -129,21 +141,20 @@ def _knn_radii(block: np.ndarray, k: int) -> np.ndarray:
     flat = block.reshape(-1, n, d)
     cols = np.ascontiguousarray(flat.swapaxes(1, 2))  # one row per column: fast reductions
     spans = cols.max(axis=2) - cols.min(axis=2)
-    # each set's next widest (0 in 1D) and widest spread as Python floats, so
-    # a set the bound rejects pays no further numpy call before its tree
-    ranked = [([0.0] + sorted(s))[-2:] for s in spans.tolist()]
-    cand = [b for b, (other, widest) in enumerate(ranked) if other <= k * widest / (n - k)]
+    ranked = np.sort(spans, axis=1)
+    other = ranked[:, :-1].max(axis=1, initial=0.0)  # next widest spread, 0 in 1D
     radii = np.empty(flat.shape[:2])
-    certified = []
-    if cand:
+    todo = np.ones(len(flat), dtype=bool)
+    cand = np.flatnonzero(other <= k * ranked[:, -1] / (n - k))
+    if cand.size:
         r_w = _sorted_radii(cols[cand, np.argmax(spans[cand], axis=1)], k)
-        ok = np.array([ranked[b][0] for b in cand]) <= r_w.min(axis=1)
-        certified = [b for b, good in zip(cand, ok) if good]
-        radii[certified] = r_w[ok]
-    for b in sorted(set(range(len(flat))) - set(certified)):
-        radii[b] = cKDTree(flat[b]).query(flat[b], k=k + 1, p=np.inf)[0][:, k]
-    if np.any(radii <= 0):
-        raise ValueError("duplicate-saturated input: k-th neighbor at distance 0 after jitter")
+        ok = other[cand] <= r_w.min(axis=1)
+        if np.any(r_w[ok] <= 0):
+            raise ValueError(_SATURATED)
+        radii[cand[ok]] = r_w[ok]
+        todo[cand[ok]] = False
+    for b in np.flatnonzero(todo):
+        radii[b] = _tree_radii(flat[b], k)
     return radii.reshape(block.shape[:-1])
 
 
@@ -207,7 +218,12 @@ def ksg_mi(x, y, cfg: KnnConfig = KnnConfig()) -> float:
         raise ValueError("x and y must hold the same number of samples")
     xj = _jittered(x, cfg.jitter_scale)
     yj = _jittered(y, cfg.jitter_scale)
-    radii = _knn_radii(np.hstack([xj, yj]), cfg.k)
+    # cca.mi_lower_bound, the one caller, passes unit-variance projections.
+    # Two sets of one variance have spreads within a factor sqrt(n / 2) of
+    # each other (Popoviciu's inequality), so _knn_radii's pigeonhole bound
+    # would reject every such joint once n is in the hundreds: the tree
+    # takes it without the spans, which cost about 3 % of a grid placement.
+    radii = _tree_radii(np.hstack([xj, yj]), cfg.k)
     n_x, n_y = _strict_counts(xj, radii), _strict_counts(yj, radii)
     mean_psi = np.mean(special.digamma(n_x + 1) + special.digamma(n_y + 1))
     return float(-mean_psi + special.digamma(cfg.k) + special.digamma(len(x)))

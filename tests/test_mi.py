@@ -202,10 +202,12 @@ class TestStackedKnnEntropy:
         for idx in np.ndindex(2, 3):
             assert stacked[idx] == knn_entropy(x[idx][:, 0])
 
-    def test_each_entry_of_a_stack_of_2d_sets_is_its_sets_estimate(self):
+    def test_each_entry_of_a_stack_of_2d_sets_is_its_sets_estimate(self, monkeypatch):
         x = np.round(np.random.default_rng(10).standard_normal((2, 3, 200, 2)), 2)
         x[0, :, :, 1] *= 1e3  # the first row's sets are certified, the second's need a tree
+        builds = _counting_trees(monkeypatch)
         stacked = knn_entropy(x)
+        assert builds == [200] * 3
         assert stacked.shape == (2, 3)
         for idx in np.ndindex(2, 3):
             assert stacked[idx] == knn_entropy(x[idx])
@@ -252,17 +254,17 @@ def _counting_trees(mp) -> list:
     return builds
 
 
-def _needs_tree(block, k) -> bool:
-    """Whether _knn_radii must query a tree for one (n, d) set: its next
-    widest spread exceeds the pigeonhole bound or its widest column's
-    least 1D radius."""
+def _path(block, k) -> tuple[bool, bool]:
+    """(passes the pigeonhole bound, needs a tree) for one (n, d) set: its
+    next widest spread is at most k * span_w / (n - k), and it exceeds
+    that bound or its widest column's least 1D radius."""
     n = len(block)
     spans = np.ptp(block, axis=0)
     w = np.argmax(spans)
     other = np.max(np.delete(spans, w), initial=0.0)
     if other > k * spans[w] / (n - k):
-        return True
-    return other > brute_knn_radii(block[:, [w]], k).min()
+        return False, True
+    return True, other > brute_knn_radii(block[:, [w]], k).min()
 
 
 def _dominated(data, n, d, k):
@@ -293,8 +295,9 @@ def _dominated(data, n, d, k):
 
 def _check_radii(stack, k):
     """_knn_radii of an (..., n, d) stack equals brute force and cKDTree
-    for every set, bit for bit, and builds a tree exactly for the sets
-    the certificate cannot take; a zero radius anywhere is an error."""
+    for every set, bit for bit, takes 1D radii exactly for the sets that
+    pass the pigeonhole bound and builds a tree exactly for the sets the
+    certificate cannot take; a zero radius anywhere is an error."""
     n, d = stack.shape[-2:]
     sets = stack.reshape(-1, n, d)
     expected = np.stack([brute_knn_radii(block, k) for block in sets])
@@ -302,13 +305,18 @@ def _check_radii(stack, k):
     np.testing.assert_array_equal(tree, expected)
     with pytest.MonkeyPatch.context() as mp:
         builds = _counting_trees(mp)
+        sorted_sets = []
+        sorted_radii = mi._sorted_radii
+        mp.setattr(mi, "_sorted_radii", lambda v, k: (sorted_sets.append(len(v)), sorted_radii(v, k))[1])
         if np.any(expected == 0):
             with pytest.raises(ValueError, match="duplicate"):
                 _knn_radii(stack, k)
             return
         radii = _knn_radii(stack, k)
     np.testing.assert_array_equal(radii, expected.reshape(stack.shape[:-1]))
-    assert len(builds) == sum(_needs_tree(block, k) for block in sets)
+    paths = [_path(block, k) for block in sets]
+    assert sum(sorted_sets) == sum(passes for passes, _ in paths)
+    assert len(builds) == sum(tree for _, tree in paths)
 
 
 @settings(max_examples=300, deadline=None)
