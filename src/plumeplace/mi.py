@@ -109,9 +109,15 @@ def _sorted_radii(v: np.ndarray, k: int) -> np.ndarray:
     return radii
 
 
+def _check_count(n: int, k: int) -> None:
+    if n < k + 1:
+        raise ValueError(f"need at least k+1={k + 1} samples, got {n}")
+
+
 def _tree_radii(block: np.ndarray, k: int) -> np.ndarray:
     """Max-norm distance from each row of one (n, d) set to its k-th
     nearest other row, by a k-d tree; a zero distance is an error."""
+    _check_count(len(block), k)
     radii = cKDTree(block).query(block, k=k + 1, p=np.inf)[0][:, k]
     if np.any(radii <= 0):
         raise ValueError(_SATURATED)
@@ -136,8 +142,7 @@ def _knn_radii(block: np.ndarray, k: int) -> np.ndarray:
     to a k-d tree (_tree_radii).
     """
     n, d = block.shape[-2:]
-    if n < k + 1:
-        raise ValueError(f"need at least k+1={k + 1} samples, got {n}")
+    _check_count(n, k)
     flat = block.reshape(-1, n, d)
     cols = np.ascontiguousarray(flat.swapaxes(1, 2))  # one row per column: fast reductions
     spans = cols.max(axis=2) - cols.min(axis=2)

@@ -122,6 +122,10 @@ class TestKsgMi:
         cfg = KnnConfig(k=5, jitter_scale=0.0)
         assert ksg_mi(x, y, cfg) == pytest.approx(brute_ksg_mi(x, y, 5), abs=1e-12)
 
+    def test_needs_k_plus_one_samples(self):
+        with pytest.raises(ValueError, match="need at least k\\+1=7 samples, got 5"):
+            ksg_mi(np.arange(5.0), np.arange(5.0) ** 2, KnnConfig(k=6))
+
     def test_sample_count_mismatch(self):
         with pytest.raises(ValueError):
             ksg_mi(np.arange(10.0), np.arange(11.0))
