@@ -13,8 +13,8 @@ is at most r_w. A set whose next widest spread exceeds the pigeonhole
 bound k * span_w / (n - k) on min(r_w) goes straight to a k-d tree, as
 does every set the certificate fails. Either way the floats are the
 tree's, and a stack of sets is bit-equal to each set alone. ksg_mi's
-joints are unit-variance projections, which that bound always rejects,
-so they go to the tree directly.
+joints are unit-variance projections, which that bound rejects once n
+is in the hundreds, so they go to the tree directly.
 
 Estimates are in nats. Samples are row-major: one row per sample.
 """
