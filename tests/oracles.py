@@ -333,6 +333,13 @@ def per_instant_trajectories(cfg, params, sensors):
     )
 
 
+def np_exp_footprint(puffs, sx, sy):
+    """dispersion._footprint with np.exp over the whole array, as it was
+    before the exact exponential that skips numpy's per-lane slow path."""
+    px, py, two_r2, amp = puffs
+    return amp * np.exp(-((px - sx) ** 2 + (py - sy) ** 2) / two_r2)
+
+
 def per_job_compare(cfg, placements, n_conditions, seed):
     """compare_placements one (placement, condition) job at a time: one
     assimilate_run per job and three knn_entropy calls (release_y,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from plumeplace import dispersion
 from plumeplace.config import ExperimentConfig
@@ -21,6 +22,7 @@ from plumeplace.dispersion import (
 from oracles import (
     PuffState,
     concentration,
+    np_exp_footprint,
     per_instant_trajectories,
     step_puff,
     stepped_observations,
@@ -387,6 +389,86 @@ class TestOnePassTrajectories:
         assert len(calls) == 1
         # desk: 55 (instant, puff) pairs, 10 distinct ages 60..600 s
         np.testing.assert_array_equal(calls[0], 60.0 * np.arange(1, 11))
+
+
+# the edges of _exp's lanes: the vector path's floor, np.exp's last
+# subnormal (5e-324 just above -745.1332191019412) and its +0 region
+EDGES = [-700.0, -746.0, -745.1332191019412, -745.13321910194, 0.0, -0.0, math.inf,
+         -math.inf, math.nan, -math.nan]
+EXPONENTS = st.one_of(
+    st.floats(-50.0, 0.0),
+    st.floats(-746.0, -700.0, exclude_max=True),  # the subnormal and slow band
+    st.floats(max_value=-746.0, exclude_max=True),  # np.exp is +0
+    st.sampled_from(EDGES),
+)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestExactExp:
+    """_exp against np.exp, bit for bit. It rests on two facts about
+    np.exp, which these tests also hold: a lane's bits do not depend on
+    its neighbours, and every exponent below -746 gives +0."""
+
+    @given(
+        arrays(
+            np.float64,
+            st.one_of(
+                array_shapes(min_dims=1, max_dims=1, min_side=1, max_side=70),
+                array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=9),
+            ),
+            elements=EXPONENTS,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bits_equal_np_exp(self, x):
+        expected = np.exp(x)
+        work = x.copy()
+        out = dispersion._exp(work)
+        assert out is work
+        np.testing.assert_array_equal(bits(out), bits(expected))
+        # lane independence: each lane alone gives the bits it gives in x
+        alone = np.array([np.exp(x.reshape(-1)[i : i + 1])[0] for i in range(x.size)])
+        np.testing.assert_array_equal(bits(alone), bits(expected.reshape(-1)))
+
+    @given(arrays(np.float64, st.integers(1, 70),
+                  elements=st.floats(max_value=-746.0, exclude_max=True)))
+    @settings(max_examples=100, deadline=None)
+    def test_np_exp_is_positive_zero_below_746(self, x):
+        assert not bits(np.exp(x)).any()
+
+    @pytest.mark.parametrize("fill", [-10.0, -720.0, -800.0])
+    def test_edges_among_any_neighbours(self, fill):
+        # each edge at every position of a 17-lane array whose other lanes
+        # sit on the fast path, in the slow band or in the +0 region
+        for value in EDGES:
+            for i in range(17):
+                x = np.full(17, fill)
+                x[i] = value
+                np.testing.assert_array_equal(bits(dispersion._exp(x.copy())), bits(np.exp(x)))
+
+    def test_footprint_and_log_concentrations_equal_np_exp(self, monkeypatch):
+        # sensors where most exponents lie below -700, as in compare,
+        # and one near the plume so that some readings clear the floor
+        sensors = [(9000.0, 5000.0), (6000.0, 0.0), (5000.0, 800.0), (4000.0, -2500.0),
+                   (600.0, 0.0)]
+        t = 240.0
+        params = DESK.draw_prior(200, np.random.default_rng(3))
+        puffs = dispersion._puffs(DESK, *params.T, dispersion._ages(DESK, t))
+        px, py, two_r2, _ = puffs
+        exponents = np.stack([-((px - sx) ** 2 + (py - sy) ** 2) / two_r2 for sx, sy in sensors])
+        assert np.mean(exponents < -700) >= 0.5
+        assert np.any((exponents >= -746) & (exponents < -700))
+        for sx, sy in sensors:
+            np.testing.assert_array_equal(
+                bits(dispersion._footprint(puffs, sx, sy)), bits(np_exp_footprint(puffs, sx, sy))
+            )
+        out = log_concentrations_at(DESK, *params.T, sensors, t)
+        monkeypatch.setattr(dispersion, "_footprint", np_exp_footprint)
+        np.testing.assert_array_equal(bits(out), bits(log_concentrations_at(DESK, *params.T, sensors, t)))
+        assert np.any(out > math.log(DESK.conc_floor))
 
 
 BAD_SENSORS = [
