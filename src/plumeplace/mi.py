@@ -97,8 +97,11 @@ def _sorted_radii(v: np.ndarray, k: int) -> np.ndarray:
     """
     n = v.shape[-1]
     order = np.argsort(v, axis=-1)
-    s = np.take_along_axis(v, order, axis=-1)
-    padded = np.pad(s, [(0, 0), (k, k)], constant_values=(-np.inf, np.inf))
+    padded = np.empty((len(v), n + 2 * k))  # s between k pads of -inf and +inf
+    padded[:, :k] = -np.inf
+    padded[:, k + n :] = np.inf
+    s = padded[:, k : k + n]
+    s[...] = np.take_along_axis(v, order, axis=-1)
     kth = np.minimum(s - padded[:, :n], padded[:, 2 * k :] - s)  # j = k and j = 0
     for j in range(1, k):
         left = s - padded[:, k - j : k - j + n]  # gap to the j-th neighbor on the left
