@@ -30,13 +30,19 @@ from .config import ExperimentConfig
 _NOISE_TAG = 0x6F62  # distinguishes the observation-noise stream
 
 
+def _is_key(location) -> bool:
+    """A finite float pair is a key already."""
+    return (
+        type(location) is tuple
+        and len(location) == 2
+        and all(type(v) is float and math.isfinite(v) for v in location)
+    )
+
+
 def _location_key(location) -> tuple[float, float]:
-    # a finite float pair is a key already and passes without
-    # sensor_rows' numpy check (about 10 us): a desk grid call keys
-    # 1,612 locations, most of them keys
-    if type(location) is tuple and len(location) == 2 and all(
-        type(v) is float and math.isfinite(v) for v in location
-    ):
+    # a key passes without sensor_rows' numpy check (about 10 us): a desk
+    # grid call keys about 920 locations, most of them keys
+    if _is_key(location):
         return location
     return tuple(dispersion.sensor_rows([location], "location")[0].tolist())
 
@@ -95,7 +101,11 @@ class PriorEnsemble:
     def fixed_block(self, fixed) -> cca.Block | None:
         """The stacked trajectories of the fixed sensors factored for CCA,
         or None for no sensor. The factor of the last set asked for is
-        kept, so a greedy step factors its fixed set once."""
+        kept, so a greedy step factors its fixed set once; a set of keys
+        equal to it is not keyed again."""
+        keys = self._fixed[0]
+        if len(fixed) == len(keys) and all(_is_key(s) and s == c for s, c in zip(fixed, keys)):
+            return self._fixed[1]
         key = tuple(_location_key(s) for s in fixed)
         if key and self._fixed[0] != key:
             self._fixed = (key, cca.factor(np.hstack([self.trajectories(s) for s in key])))

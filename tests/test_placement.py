@@ -75,6 +75,13 @@ class TestObjective:
         doubled = pl.objective(small_ensemble, [spot], spot)
         assert doubled == pytest.approx(base, abs=0.15)
 
+    def test_a_changed_fixed_set_of_one_size_is_factored_again(self, small_ensemble):
+        a, b, c = (2000.0, 1000.0), (3000.0, -500.0), (4000.0, 0.0)
+        first = pl.objective(small_ensemble, [a], c)
+        swapped = pl.objective(small_ensemble, [b], c)
+        fresh = pl.build_ensemble(small_ensemble.cfg, 300, seed=42)
+        assert swapped == pl.objective(fresh, [b], c) != first
+
     def test_ranking_matches_full_ksg_on_small_instance(self):
         # small instance where the full-space estimator is still reliable:
         # a narrow pipeline keeps the joint space at 4 dimensions with two
@@ -186,6 +193,33 @@ class TestGridPlace:
         grid = pl.GridSpec(nx=3, ny=3, domain=np.array([[0.0, 1.0], [0.0, 1.0]]))
         with pytest.raises(ValueError, match=r"n_sensors must be in \[1, 9\]"):
             pl.grid_place(small_ensemble, n_sensors, grid)
+
+    def test_keys_each_fixed_set_once(self, monkeypatch):
+        # the fixed sensors are keyed when the set changes, not on every
+        # objective call; a set of lists still goes through the key
+        cfg = ExperimentConfig(placement_members=100, n_steps=5)
+        grid = pl.GridSpec(nx=11, ny=21, domain=cfg.domain_m())
+        calls = []
+        key = pl._location_key
+
+        def counting(location):
+            calls.append(location)
+            return key(location)
+
+        monkeypatch.setattr(pl, "_location_key", counting)
+        result = pl.grid_place(pl.build_ensemble(cfg, 100, seed=4), 3, grid)
+        keyed = len(calls)
+        calls.clear()
+        fixed_block = pl.PriorEnsemble.fixed_block
+        monkeypatch.setattr(
+            pl.PriorEnsemble, "fixed_block", lambda ens, fixed: fixed_block(ens, [list(s) for s in fixed])
+        )
+        as_lists = pl.grid_place(pl.build_ensemble(cfg, 100, seed=4), 3, grid)
+        assert keyed < 1000 < len(calls)
+        assert result.locations == as_lists.locations
+        assert result.bound_values == as_lists.bound_values
+        for a, b in zip(result.traces, as_lists.traces, strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_upwind_edge_near_zero(self, small_ensemble):
         grid = pl.GridSpec(nx=11, ny=21, domain=np.array([[0.0, 10000.0], [-10000.0, 10000.0]]))
