@@ -211,9 +211,11 @@ class TestGridPlace:
         keyed = len(calls)
         calls.clear()
         fixed_block = pl.PriorEnsemble.fixed_block
-        monkeypatch.setattr(
-            pl.PriorEnsemble, "fixed_block", lambda ens, fixed: fixed_block(ens, [list(s) for s in fixed])
-        )
+
+        def fixed_as_lists(ens, fixed):
+            return fixed_block(ens, [list(s) for s in fixed])
+
+        monkeypatch.setattr(pl.PriorEnsemble, "fixed_block", fixed_as_lists)
         as_lists = pl.grid_place(pl.build_ensemble(cfg, 100, seed=4), 3, grid)
         assert keyed < 1000 < len(calls)
         assert result.locations == as_lists.locations
