@@ -14,10 +14,17 @@ The members of C conditions, accidents that share the sensors, can run
 in lockstep as one (C, n, 2 + S) stack; a plain (n, 2 + S) ensemble is
 the same code with no condition axis. The forecast then makes one
 forward evaluation for all C * n members, and the analysis updates
-every condition from its own covariance, with its own perturbation
-stream, so each condition's members are bit-equal to a run of that
-condition alone. assimilate_conditions runs the stack and
-assimilate_run is its one-condition case.
+every condition from its own covariance, with its own perturbations,
+so each condition's members are bit-equal to a run of that condition
+alone.
+
+All randomness of a run is drawn before it: draw_accidents spawns each
+accident's streams from its seed, keeps its readings' stream and draws
+its prior ensemble and every step's perturbations with their
+covariance. None of it depends on where the sensors are, only on how
+many, so placements of one sensor count share one draw.
+assimilate_conditions runs the stack on a draw, and assimilate_run is
+its one-condition case.
 
 Like placement.PriorEnsemble, the ensemble keeps its ExperimentConfig
 and no copies of its settings: forecast hands it to the forward model,
@@ -97,19 +104,43 @@ def _cov(x: np.ndarray) -> np.ndarray:
     return np.matmul(centred.swapaxes(-1, -2), centred) * (1.0 / (x.shape[-2] - 1))
 
 
-def analysis(ens: AugmentedEnsemble, obs, seed) -> AugmentedEnsemble:
+def _check_members(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"analysis needs at least 2 ensemble members, got {n}")
+
+
+def draw_perturbations(
+    cfg: ExperimentConfig, step_seeds, n: int, n_sensors: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The observation perturbations of analysis steps and their sample
+    covariances, filled in place.
+
+    For each step seed s, the (n, n_sensors) perturbations are
+    default_rng(s).normal(0, cfg.noise_std, (n, n_sensors)), so step_seeds
+    of any shape B give perturbations (*B, n, n_sensors) and covariances
+    (*B, n_sensors, n_sensors).
+    """
+    _check_members(n)
+    step_seeds = np.asarray(step_seeds)
+    eps = np.empty(step_seeds.shape + (n, n_sensors))
+    for idx, s in np.ndenumerate(step_seeds):
+        eps[idx] = np.random.default_rng(int(s)).normal(0.0, cfg.noise_std, (n, n_sensors))
+    return eps, _cov(eps)
+
+
+def analysis(ens: AugmentedEnsemble, obs, eps, eps_cov) -> AugmentedEnsemble:
     """Perturbed-observation Kalman update of the augmented state.
 
     The gain is S_e H^T [H S_e H^T + R_e]^{-1} with S_e the ensemble
-    sample covariance, R_e the empirical covariance of the actually
-    drawn perturbations and H the selection of the ln-u block, applied
-    by slicing. Each member sees its own perturbed observation: zero-mean
-    noise with the config's noise_std, and a residual corrected by its
-    noise_mean. Deterministic per seed.
+    sample covariance, R_e = eps_cov the empirical covariance of the
+    drawn perturbations eps and H the selection of the ln-u block,
+    applied by slicing. Each member sees its own perturbed observation:
+    its row of eps added to obs, and a residual corrected by the config's
+    noise_mean. draw_perturbations draws eps and eps_cov.
 
-    For a (C, n, 2 + S) stack, obs is (C, S) and seed holds one seed per
-    condition: condition c is updated from its own covariance and
-    perturbation stream, as if it were analysed alone.
+    For a (C, n, 2 + S) stack, obs is (C, S), eps (C, n, S) and eps_cov
+    (C, S, S): condition c is updated from its own covariance and
+    perturbations, as if it were analysed alone.
     """
     a = ens.members
     batch = a.shape[:-2]
@@ -122,18 +153,14 @@ def analysis(ens: AugmentedEnsemble, obs, seed) -> AugmentedEnsemble:
     if not np.all(np.isfinite(obs)):
         raise ValueError("observations must be finite")
     n = ens.n_members
-    if n < 2:
-        raise ValueError(f"analysis needs at least 2 ensemble members, got {n}")
-    seeds = np.reshape(seed, batch)
-    eps = np.reshape(
-        [
-            np.random.default_rng(int(s)).normal(0.0, ens.cfg.noise_std, (n, n_sensors))
-            for s in seeds.ravel()
-        ],
-        batch + (n, n_sensors),
-    )
+    _check_members(n)
+    if eps.shape != batch + (n, n_sensors) or eps_cov.shape != batch + (n_sensors, n_sensors):
+        raise ValueError(
+            f"expected perturbations of shape {batch + (n, n_sensors)} and their covariance, "
+            f"got shapes {eps.shape} and {eps_cov.shape}"
+        )
     cov = _cov(a)
-    innov_cov = cov[..., THETA_DIM:, THETA_DIM:] + _cov(eps)
+    innov_cov = cov[..., THETA_DIM:, THETA_DIM:] + eps_cov
     # reject a collapsed ensemble instead of amplifying roundoff;
     # covariance inflation is the documented remedy
     collapsed = np.flatnonzero(np.linalg.cond(innov_cov) > 1e12)
@@ -166,38 +193,65 @@ class PosteriorTrace:
     prior_theta: np.ndarray
 
 
+@dataclass
+class AccidentDraws:
+    """Every random number of C accidents' EnKF runs at S sensors, drawn
+    by draw_accidents. None depends on where the sensors are."""
+
+    reading_seeds: list[np.random.SeedSequence]  # C streams of the readings' noise
+    prior: np.ndarray  # (C, n, 2) prior parameter ensembles
+    eps: np.ndarray  # (n_times, C, n, S) perturbations of each analysis
+    eps_cov: np.ndarray  # (n_times, C, S, S) their sample covariances
+
+
+def draw_accidents(cfg: ExperimentConfig, seeds, n_sensors: int) -> AccidentDraws:
+    """Draw the EnKF randomness of one accident per seed, for S = n_sensors
+    sensors and cfg.enkf_members members.
+
+    Accident c's streams of readings, prior and perturbations are spawned
+    from seeds[c] alone, so its draws do not depend on the other seeds.
+    Every placement of S sensors can share one set of draws.
+    """
+    # per accident: the streams of its readings, prior and perturbations
+    streams = [np.random.SeedSequence([int(s), 0x656E6B66]).spawn(3) for s in seeds]
+    n = cfg.enkf_members
+    step_seeds = np.stack([ss[2].generate_state(len(cfg.times())) for ss in streams], axis=-1)
+    eps, eps_cov = draw_perturbations(cfg, step_seeds, n, n_sensors)
+    prior = np.stack([cfg.draw_prior(n, np.random.default_rng(ss[1])) for ss in streams])
+    return AccidentDraws([ss[0] for ss in streams], prior, eps, eps_cov)
+
+
 def assimilate_conditions(
-    cfg: ExperimentConfig, placement, truths, seeds
-) -> tuple[np.ndarray, np.ndarray]:
+    cfg: ExperimentConfig, placement, truths, draws: AccidentDraws
+) -> np.ndarray:
     """Simulate C accidents and assimilate them in lockstep.
 
-    truths is a (C, 2) array of (release_y, wind_dir) rows, and seeds
-    holds one seed per accident. Accident c draws its readings, its prior
-    ensemble and its perturbations from streams of seeds[c] alone, so it
-    runs exactly as it would alone (assimilate_run). Returns the prior
-    parameter ensembles, (C, n, 2), and the parameter ensembles after
-    each analysis, (n_times, C, n, 2).
+    truths is a (C, 2) array of (release_y, wind_dir) rows, and draws
+    holds their randomness (draw_accidents). Accident c uses only its own
+    draws, so it runs exactly as it would alone (assimilate_run). Returns
+    the parameter ensembles after each analysis, (n_times, C, n, 2); the
+    prior ensembles are draws.prior.
     """
     sensors = dispersion.sensor_rows(placement, "placement")
     times = cfg.times()
-    # per accident: the streams of its readings, prior and perturbations
-    streams = [np.random.SeedSequence([int(s), 0x656E6B66]).spawn(3) for s in seeds]
+    expected = (len(times), len(truths), cfg.enkf_members, sensors.shape[0])
+    if draws.eps.shape != expected:
+        raise ValueError(
+            f"draws of shape {draws.eps.shape} do not fit {expected} "
+            "(steps, accidents, members, sensors)"
+        )
+    truth_obs = dispersion.simulate_accidents(cfg, truths, sensors, draws.reading_seeds)
 
-    truth_obs = dispersion.simulate_accidents(cfg, truths, sensors, [ss[0] for ss in streams])
+    floor = np.full(draws.prior.shape[:-1] + (sensors.shape[0],), np.log(cfg.conc_floor))
+    ens = AugmentedEnsemble(cfg, sensors, np.concatenate([draws.prior, floor], axis=-1))
 
-    n = cfg.enkf_members
-    prior = np.stack([cfg.draw_prior(n, np.random.default_rng(ss[1])) for ss in streams])
-    floor = np.full(prior.shape[:-1] + (sensors.shape[0],), np.log(cfg.conc_floor))
-    ens = AugmentedEnsemble(cfg, sensors, np.concatenate([prior, floor], axis=-1))
-
-    step_seeds = np.stack([ss[2].generate_state(len(times)) for ss in streams], axis=-1)
-    thetas = np.empty((len(times),) + prior.shape)
+    thetas = np.empty((len(times),) + draws.prior.shape)
     for i, t in enumerate(times):
         ens = forecast(ens, t)
         ens = inflate(ens)
-        ens = analysis(ens, truth_obs[..., i], step_seeds[i])
+        ens = analysis(ens, truth_obs[..., i], draws.eps[i], draws.eps_cov[i])
         thetas[i] = ens.theta
-    return prior, thetas
+    return thetas
 
 
 def assimilate_run(cfg: ExperimentConfig, placement, truth, seed: int) -> PosteriorTrace:
@@ -206,10 +260,13 @@ def assimilate_run(cfg: ExperimentConfig, placement, truth, seed: int) -> Poster
     truth is the accident's (release_y, wind_dir) row. Its observations
     are generated once, then the filter alternates forecast and analysis
     at every observation instant, recording the parameter ensemble after
-    each analysis. This is assimilate_conditions for one condition.
+    each analysis. This is assimilate_conditions for one condition, with
+    the draws of its one seed.
     """
     truth = np.asarray(truth, dtype=float)
     if truth.shape != (2,):
         raise ValueError(f"truth must be a (release_y, wind_dir) row, got shape {truth.shape}")
-    prior, thetas = assimilate_conditions(cfg, placement, truth[None], [seed])
-    return PosteriorTrace(times=cfg.times(), thetas=list(thetas[:, 0]), prior_theta=prior[0])
+    sensors = dispersion.sensor_rows(placement, "placement")
+    draws = draw_accidents(cfg, [seed], sensors.shape[0])
+    thetas = assimilate_conditions(cfg, sensors, truth[None], draws)
+    return PosteriorTrace(times=cfg.times(), thetas=list(thetas[:, 0]), prior_theta=draws.prior[0])

@@ -14,6 +14,9 @@ condition's 2D joint. release_y spans kilometres and wind_dir less than
 a radian, so a joint's radii are almost always release_y's own, which
 knn_entropy certifies without a k-d tree. Each condition keeps its own
 streams, so its trace equals a run of that condition alone, bit for bit.
+The conditions' EnKF randomness (enkf.draw_accidents) depends on the
+sensor count only, so it is drawn once per sensor count, not once per
+placement.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dispersion
 from .config import ExperimentConfig
-from .enkf import assimilate_conditions
+from .enkf import assimilate_conditions, draw_accidents
 from .enkf import assimilate_run  # noqa: F401  (bench/layers.py wraps this attribute)
 from .mi import KnnConfig, knn_entropy
 
@@ -104,7 +108,10 @@ def compare_placements(
 ) -> EvaluationReport:
     """Assimilate every (placement, condition) pair and aggregate.
 
-    Per-condition seeds are shared across placements, so a placement
+    Each condition's draws (readings' noise stream, prior ensemble and
+    perturbations) are shared by every placement of one sensor count,
+    so placements are compared on the same random numbers, a
+    placement's traces do not depend on the others, and a placement
     listed twice under different names produces identical traces.
     """
     if len(placements) < 2:
@@ -120,10 +127,15 @@ def compare_placements(
     # the prior as one step of one condition
     prior_entropy = tuple(float(h) for h in _entropy_traces(prior[None, None], knn)[0, 0])
 
-    traces = {
-        name: _entropy_traces(assimilate_conditions(cfg, locs, conditions, run_seeds)[1], knn)
-        for name, locs in placements.items()
-    }
+    draws = {}  # sensor count -> the accidents' draws, shared by its placements
+    traces = {}
+    for name, locs in placements.items():
+        sensors = dispersion.sensor_rows(locs, "placement")
+        n_sensors = sensors.shape[0]
+        if n_sensors not in draws:
+            draws[n_sensors] = draw_accidents(cfg, run_seeds, n_sensors)
+        thetas = assimilate_conditions(cfg, sensors, conditions, draws[n_sensors])
+        traces[name] = _entropy_traces(thetas, knn)
     return EvaluationReport(
         placements=dict(placements),
         conditions=conditions,

@@ -13,7 +13,7 @@ from plumeplace import bo, gp, placement as pl
 from plumeplace.cca import mi_lower_bound
 from plumeplace.cli import main as cli_main
 from plumeplace.config import ExperimentConfig, save_config
-from plumeplace.enkf import AugmentedEnsemble, analysis
+from plumeplace.enkf import AugmentedEnsemble, analysis, draw_perturbations
 from plumeplace.evaluate import compare_placements, random_placements
 from plumeplace.mi import KnnConfig, ksg_mi
 
@@ -178,7 +178,7 @@ def test_criterion_5_enkf_linear_gaussian_oracle():
         ExperimentConfig().with_profile("desk"), noise_mean=0.0, noise_std=np.sqrt(noise_var)
     )
     ens = AugmentedEnsemble(cfg, np.array([[0.0, 0.0]]), members)
-    out = analysis(ens, np.array([obs_value]), seed=11)
+    out = analysis(ens, np.array([obs_value]), *draw_perturbations(cfg, 11, n, 1))
 
     gain = prior_var / (prior_var + noise_var)
     post_mean = prior_mean + gain * (obs_value - prior_mean)

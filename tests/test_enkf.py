@@ -13,10 +13,14 @@ from plumeplace.enkf import (
     analysis,
     assimilate_conditions,
     assimilate_run,
+    draw_accidents,
+    draw_perturbations,
     forecast,
     inflate,
 )
 from plumeplace.mi import knn_entropy
+
+from source_scan import definitions_calling
 
 
 def scenario_ensemble(theta, sensors, cfg=None, bias=None, noise_var=None):
@@ -30,6 +34,12 @@ def scenario_ensemble(theta, sensors, cfg=None, bias=None, noise_var=None):
         [theta, np.full((n, len(sensors)), np.log(cfg.conc_floor))]
     )
     return AugmentedEnsemble(cfg, np.asarray(sensors, dtype=float), members)
+
+
+def perturbed(ens, seed):
+    """The perturbations of an analysis of ens drawn from seed (one step
+    seed, or one per condition), and their covariance."""
+    return draw_perturbations(ens.cfg, seed, ens.n_members, ens.sensors.shape[0])
 
 
 class TestAugmentedEnsemble:
@@ -72,7 +82,7 @@ class TestAnalysis:
             members[:, :2], [(1000.0, 0.0), (2000.0, 0.0)], bias=-0.005, noise_var=0.01
         )
         ens.members = members.copy()
-        out = analysis(ens, np.array([-2.0, -4.0]), seed=1)
+        out = analysis(ens, np.array([-2.0, -4.0]), *perturbed(ens, 1))
         np.testing.assert_array_equal(out.members, members)
 
     def test_linear_gaussian_toy_matches_kalman(self):
@@ -86,7 +96,7 @@ class TestAnalysis:
         members = np.column_stack([theta, np.zeros(n), theta])
         ens = scenario_ensemble(members[:, :2], [(0.0, 0.0)], bias=0.0, noise_var=noise_var)
         ens.members = members.copy()
-        out = analysis(ens, np.array([obs_value]), seed=5)
+        out = analysis(ens, np.array([obs_value]), *perturbed(ens, 5))
 
         gain = prior_var / (prior_var + noise_var)
         post_mean = prior_mean + gain * (obs_value - prior_mean)
@@ -108,7 +118,7 @@ class TestAnalysis:
         for seed in range(300):
             ens = scenario_ensemble(theta, [(1000.0, 0.0)], bias=bias, noise_var=0.01)
             ens.members = members.copy()
-            out = analysis(ens, obs, seed=seed)
+            out = analysis(ens, obs, *perturbed(ens, seed))
             updates.append(out.members[0, 0] - members[0, 0])
         assert abs(np.mean(updates)) < 0.02
 
@@ -120,7 +130,7 @@ class TestAnalysis:
         members = np.hstack([theta, lnu])
         ens = scenario_ensemble(theta, [(1000.0, 0.0)], bias=0.0, noise_var=0.01)
         ens.members = members.copy()
-        out = analysis(ens, np.array([0.7]), seed=3)
+        out = analysis(ens, np.array([0.7]), *perturbed(ens, 3))
         np.testing.assert_array_equal(out.members[:, :2], theta)
         assert not np.array_equal(out.members[:, 2], members[:, 2])
 
@@ -131,12 +141,23 @@ class TestAnalysis:
         )
         ens.members = members.copy()
         with pytest.raises(np.linalg.LinAlgError, match="inflation"):
-            analysis(ens, np.array([-1.0, -2.0, -3.0]), seed=0)
+            analysis(ens, np.array([-1.0, -2.0, -3.0]), *perturbed(ens, 0))
 
     def test_rejects_single_member(self):
         ens = scenario_ensemble(np.array([[0.0, 0.0]]), [(1000.0, 0.0)])
         with pytest.raises(ValueError, match="at least 2 ensemble members, got 1"):
-            analysis(ens, np.array([-1.0]), seed=0)
+            analysis(ens, np.array([-1.0]), *perturbed(ens, 0))
+
+    def test_rejects_single_member_with_given_perturbations(self):
+        ens = scenario_ensemble(np.array([[0.0, 0.0]]), [(1000.0, 0.0)])
+        with pytest.raises(ValueError, match="at least 2 ensemble members, got 1"):
+            analysis(ens, np.array([-1.0]), np.zeros((1, 1)), np.ones((1, 1)))
+
+    def test_rejects_perturbations_of_another_shape(self):
+        ens = scenario_ensemble(np.zeros((20, 2)), [(1000.0, 0.0), (2000.0, 0.0)])
+        three = draw_perturbations(ens.cfg, 0, 20, 3)
+        with pytest.raises(ValueError, match=r"expected perturbations of shape \(20, 2\)"):
+            analysis(ens, np.array([-1.0, -2.0]), *three)
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(11)
@@ -144,8 +165,8 @@ class TestAnalysis:
         lnu = rng.normal(-10, 2, (100, 2))
         ens = scenario_ensemble(theta, [(1.0, 0.0), (2.0, 0.0)], bias=-0.005, noise_var=0.01)
         ens.members = np.hstack([theta, lnu])
-        a = analysis(ens, np.array([-9.0, -11.0]), seed=9)
-        b = analysis(ens, np.array([-9.0, -11.0]), seed=9)
+        a = analysis(ens, np.array([-9.0, -11.0]), *perturbed(ens, 9))
+        b = analysis(ens, np.array([-9.0, -11.0]), *perturbed(ens, 9))
         assert np.array_equal(a.members, b.members)
 
 
@@ -196,13 +217,13 @@ class TestStackedConditions:
         stepped = (
             forecast(stack, t),
             inflate(stack),
-            analysis(stack, obs, seeds),
+            analysis(stack, obs, *perturbed(stack, seeds)),
         )
         for c in range(n_conditions):
             one = (
                 forecast(alone(c), t),
                 inflate(alone(c)),
-                analysis(alone(c), obs[c], int(seeds[c])),
+                analysis(alone(c), obs[c], *perturbed(alone(c), int(seeds[c]))),
             )
             for batched, single in zip(stepped, one):
                 np.testing.assert_array_equal(batched.members[c], single.members)
@@ -218,26 +239,34 @@ class TestStackedConditions:
         ens = scenario_ensemble(members[0, :, :2], [(1.0, 0.0), (2.0, 0.0)],
                                 bias=0.0, noise_var=1e-18)
         ens.members = members
-        analysis(replace(ens, members=members[[0, 2]]), np.full((2, 2), -8.0), [1, 2])
+        analysis(replace(ens, members=members[[0, 2]]), np.full((2, 2), -8.0),
+                 *perturbed(ens, [1, 2]))
         with pytest.raises(np.linalg.LinAlgError, match=r"condition 1 .*inflation"):
-            analysis(ens, np.full((3, 2), -8.0), [1, 2, 3])
+            analysis(ens, np.full((3, 2), -8.0), *perturbed(ens, [1, 2, 3]))
 
     def test_rejects_observations_without_the_condition_axis(self):
         members = np.random.default_rng(4).normal(size=(2, 20, 3))
         ens = scenario_ensemble(members[0, :, :2], [(1.0, 0.0)])
         ens.members = members
         with pytest.raises(ValueError, match=r"expected observations of shape \(2, 1\)"):
-            analysis(ens, np.array([-1.0]), [1, 2])
+            analysis(ens, np.array([-1.0]), *perturbed(ens, [1, 2]))
 
     def test_conditions_run_as_they_would_alone(self, desk_config):
         truths = np.array([[-800.0, 0.05], [1200.0, -0.1], [0.0, 0.0]])
         placement = [(1500.0, 1000.0), (2500.0, -500.0)]
-        prior, thetas = assimilate_conditions(desk_config, placement, truths, [6, 7, 8])
+        draws = draw_accidents(desk_config, [6, 7, 8], len(placement))
+        thetas = assimilate_conditions(desk_config, placement, truths, draws)
         assert thetas.shape == (len(desk_config.times()), 3, desk_config.enkf_members, 2)
         for c, seed in enumerate([6, 7, 8]):
             trace = assimilate_run(desk_config, placement, truths[c], seed)
-            np.testing.assert_array_equal(prior[c], trace.prior_theta)
+            np.testing.assert_array_equal(draws.prior[c], trace.prior_theta)
             np.testing.assert_array_equal(thetas[:, c], trace.thetas)
+
+    def test_rejects_draws_for_another_sensor_count(self, desk_config):
+        truths = np.array([[-800.0, 0.05], [1200.0, -0.1]])
+        draws = draw_accidents(desk_config, [6, 7], 3)
+        with pytest.raises(ValueError, match=r"do not fit \(10, 2, 500, 2\)"):
+            assimilate_conditions(desk_config, [(1500.0, 1000.0), (2500.0, -500.0)], truths, draws)
 
 
 class TestAssimilateRun:
@@ -286,3 +315,13 @@ class TestAssimilateRun:
         trace = assimilate_run(desk_config, [(2000.0, 0.0)], truth, seed=1)
         assert len(trace.thetas) == len(desk_config.times())
         assert trace.thetas[0].shape == (desk_config.enkf_members, 2)
+
+
+def test_only_the_draws_call_default_rng():
+    """Every random number of the filter has one owner: draw_accidents and
+    the draw_perturbations it calls, so forecast, analysis and the
+    assimilation loops draw nothing and placements can share the draws."""
+    assert definitions_calling("enkf.py", {"default_rng"}) == {
+        "draw_accidents",
+        "draw_perturbations",
+    }

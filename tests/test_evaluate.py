@@ -113,8 +113,10 @@ class TestComparePlacements:
         named = {
             "one": [(700.0, 1400.0)],
             "three": [(600.0, 1000.0), (600.0, 1900.0), (1200.0, 1400.0)],
+            "one again": [(600.0, 1400.0)],
         }
         report = compare_placements(mini_cfg, named, n_conditions=3, seed=7)
+        assert list(report.traces) == list(named)
         traces, prior_entropy = per_job_compare(mini_cfg, named, 3, 7)
         assert report.prior_entropy == prior_entropy
         assert report.traces.keys() == traces.keys()
@@ -123,6 +125,14 @@ class TestComparePlacements:
             # the sensors sit near the accidents (release_y 1.0 to 1.9 km), so
             # every condition's posterior moves away from the prior
             assert np.all(expected[:, -1, 0] < prior_entropy[0] - 0.2)
+
+    def test_traces_do_not_depend_on_the_other_placements(self, mini_cfg):
+        a = [(1500.0, 1000.0), (1500.0, -1000.0)]
+        b = [(2500.0, 500.0), (2500.0, -500.0)]
+        c = [(1200.0, 0.0), (2000.0, 1500.0), (2000.0, -1500.0)]
+        ab = compare_placements(mini_cfg, {"a": a, "b": b}, n_conditions=2, seed=8)
+        ca = compare_placements(mini_cfg, {"c": c, "a": a}, n_conditions=2, seed=8)
+        np.testing.assert_array_equal(ab.traces["a"], ca.traces["a"])
 
     def test_requires_two_placements(self, mini_cfg):
         with pytest.raises(ValueError):
