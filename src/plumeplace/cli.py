@@ -118,8 +118,11 @@ def _cmd_place(args) -> int:
 
 def _cmd_grid_surface(args) -> int:
     cfg = _load(args)
-    ens = pl.build_ensemble(cfg, cfg.placement_members, cfg.seed)
     grid = pl.GridSpec(nx=cfg.grid_nx, ny=cfg.grid_ny, domain=cfg.domain_m())
+    nodes = grid.nx * grid.ny
+    if args.steps is not None and not 1 <= args.steps <= nodes:
+        raise ValueError(f"n_sensors must be in [1, {nodes}] for this grid, got {args.steps} (--steps)")
+    ens = pl.build_ensemble(cfg, cfg.placement_members, cfg.seed)
     result = pl.grid_place(ens, cfg.n_sensors if args.steps is None else args.steps, grid)
     _write_csv(
         args.out,
@@ -187,6 +190,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_assimilate(args) -> int:
     cfg = _load(args)
+    if args.summary:
+        cfg.check_entropy_members()
     _, locations = load_placement(args.placement)
     if (args.truth_release_km is None) != (args.truth_wind_deg is None):
         raise ValueError("--truth-release-km and --truth-wind-deg must be given together")

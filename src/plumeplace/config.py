@@ -181,6 +181,15 @@ class ExperimentConfig:
     def knn(self) -> KnnConfig:
         return KnnConfig(k=self.knn_k, jitter_scale=self.knn_jitter)
 
+    def check_entropy_members(self) -> None:
+        """An EnKF ensemble's kNN entropy needs k + 1 members; assimilation
+        alone needs 2, so construction does not check this."""
+        if self.enkf_members <= self.knn_k:
+            raise ValueError(
+                f"enkf_members must exceed knn k for kNN entropies, got {self.enkf_members} "
+                f"and {self.knn_k} (config keys {_KEYS['enkf_members']!r} and {_KEYS['knn_k']!r})"
+            )
+
     def domain_m(self) -> np.ndarray:
         return np.array(
             [

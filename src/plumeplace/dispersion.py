@@ -30,7 +30,7 @@ instant by instant, bit for bit, for far fewer exponentials.
 
 The footprint is chosen by the sensors' form. At arbitrary points it is
 the joint exp(-(dx**2 + dy**2) / 2r**2), one exponential per member,
-puff and point. On a Lattice, every node of an x-by-y grid, it is the
+puff and point. On a GridSpec, every node of an X-by-Y grid, it is the
 separable exp(-dx**2 / 2r**2) * exp(-dy**2 / 2r**2): X + Y exponentials
 per member and puff, and the sum over puffs is a batched matrix product.
 The two agree to rounding (a few 1e-15 in log space); the separable form
@@ -62,12 +62,21 @@ from .config import ExperimentConfig
 
 
 @dataclass(frozen=True)
-class Lattice:
-    """Sensors on every node of an x-by-y lattice, in x-major order:
-    (xs[i], ys[j]) is node i * len(ys) + j."""
+class GridSpec:
+    """Sensors on every node of an nx-by-ny grid over the domain box
+    [[x0, x1], [y0, y1]], x-major: (xs[i], ys[j]) is node i * ny + j."""
 
-    xs: np.ndarray
-    ys: np.ndarray
+    nx: int
+    ny: int
+    domain: np.ndarray
+
+    @property
+    def xs(self) -> np.ndarray:
+        return np.linspace(self.domain[0, 0], self.domain[0, 1], self.nx)
+
+    @property
+    def ys(self) -> np.ndarray:
+        return np.linspace(self.domain[1, 0], self.domain[1, 1], self.ny)
 
     def nodes(self) -> list[tuple[float, float]]:
         return [(float(x), float(y)) for x in self.xs for y in self.ys]
@@ -119,26 +128,20 @@ def simulate_accidents(cfg: ExperimentConfig, truths, sensors, rng_seeds) -> np.
     )
 
 
-def log_concentrations_at(
-    cfg: ExperimentConfig,
-    release_y: np.ndarray,
-    wind_dir: np.ndarray,
-    sensors,
-    t: float,
-) -> np.ndarray:
+def log_concentrations_at(cfg: ExperimentConfig, params, sensors, t: float) -> np.ndarray:
     """Clamped log-concentrations for a whole parameter ensemble at time t.
 
-    sensors is an (n_sensors, 2) array of points or a Lattice, whose
-    nodes are the sensors in Lattice order. Vectorized over members,
+    params holds (n_members, 2) accident rows (release_y, wind_dir);
+    sensors is an (n_sensors, 2) array of points or a GridSpec, whose
+    nodes are the sensors in x-major order. Vectorized over members,
     shape (n_members, n_sensors). A puff sits at spawn + speed * age *
-    (cos w, sin w), the closed form of the module docstring; a Lattice
+    (cos w, sin w), the closed form of the module docstring; a GridSpec
     takes the separable footprint, points the joint one. Noise-free: this
     is the model prediction, not a measurement.
     """
-    release_y = np.asarray(release_y, dtype=float)
-    wind_dir = np.asarray(wind_dir, dtype=float)
-    if isinstance(sensors, Lattice):
-        n_sensors = len(sensors.xs) * len(sensors.ys)
+    release_y, wind_dir = np.asarray(params, dtype=float).T
+    if isinstance(sensors, GridSpec):
+        n_sensors = sensors.nx * sensors.ny
     else:
         sensors = sensor_rows(sensors, "sensors")
         n_sensors = len(sensors)
@@ -147,7 +150,7 @@ def log_concentrations_at(
     if ages.size == 0:
         return out
     puffs = _puffs(cfg, release_y, wind_dir, ages)
-    if isinstance(sensors, Lattice):
+    if isinstance(sensors, GridSpec):
         px, py, two_r2, amp = puffs
         gx = np.exp(-((px[:, :, None] - sensors.xs) ** 2) / two_r2[:, None])  # (n, K, X)
         gy = np.exp(-((py[:, :, None] - sensors.ys) ** 2) / two_r2[:, None])  # (n, K, Y)
@@ -226,24 +229,23 @@ def simulate_ensemble(cfg: ExperimentConfig, params: np.ndarray, sensor, rng_see
     return clean + np.random.default_rng(rng_seed).normal(cfg.noise_mean, cfg.noise_std, clean.shape)
 
 
-def simulate_lattice(cfg: ExperimentConfig, params: np.ndarray, lattice: Lattice, rng_seeds) -> np.ndarray:
+def simulate_lattice(cfg: ExperimentConfig, params: np.ndarray, grid: GridSpec, rng_seeds) -> np.ndarray:
     """Noisy log-observation trajectories for an ensemble at every node of
-    a lattice, shape (n_nodes, n_members, n_times), with one forward
-    evaluation per instant.
+    a grid, shape (n_nodes, n_members, n_times), with one separable
+    forward evaluation per instant.
 
     Node i's noise is drawn from its own stream rng_seeds[i] exactly as
     simulate_ensemble draws it, so row i is simulate_ensemble at that
     node up to the rounding of the separable footprint.
     """
-    release_y, wind_dir = np.asarray(params, dtype=float).T
     times = cfg.times()
-    out = np.empty((len(lattice.xs) * len(lattice.ys), len(release_y), len(times)))
+    out = np.empty((grid.nx * grid.ny, len(params), len(times)))
     if len(rng_seeds) != len(out):
         raise ValueError(f"need one noise seed per node: {len(out)} nodes, {len(rng_seeds)} seeds")
     for row, seed in zip(out, rng_seeds):
         row[...] = np.random.default_rng(seed).normal(cfg.noise_mean, cfg.noise_std, row.shape)
     for j, t in enumerate(times):
-        out[:, :, j] += log_concentrations_at(cfg, release_y, wind_dir, lattice, t).T
+        out[:, :, j] += log_concentrations_at(cfg, params, grid, t).T
     return out
 
 

@@ -90,9 +90,7 @@ def forecast(ens: AugmentedEnsemble, t: float) -> AugmentedEnsemble:
     members of every condition go through one forward evaluation.
     """
     theta = ens.theta
-    lnu = dispersion.log_concentrations_at(
-        ens.cfg, theta[..., 0].ravel(), theta[..., 1].ravel(), ens.sensors, t
-    )
+    lnu = dispersion.log_concentrations_at(ens.cfg, theta.reshape(-1, THETA_DIM), ens.sensors, t)
     members = np.concatenate([theta, lnu.reshape(theta.shape[:-1] + (-1,))], axis=-1)
     return replace(ens, members=members)
 

@@ -84,13 +84,9 @@ class EvaluationReport:
         """(n_steps, 3) conditional entropy trace for one placement: the
         uniform average over conditions, since they are prior draws."""
         runs = self.traces[name]
-        weights = np.full(runs.shape[0], 1.0 / runs.shape[0])
-        return np.array(
-            [
-                [float(np.sum(weights * runs[:, t, c])) for c in range(3)]
-                for t in range(runs.shape[1])
-            ]
-        )
+        # each (step, column) cell sums its scaled conditions over a
+        # contiguous last axis: np.sum's pairwise sum of a 1D array
+        return np.sum(np.moveaxis(runs * (1.0 / runs.shape[0]), 0, -1).copy(), axis=-1)
 
     def final_release_entropy(self, name: str) -> float:
         return float(self.conditional(name)[-1, 0])
@@ -118,6 +114,7 @@ def compare_placements(
         raise ValueError("need at least two placements to compare")
     if n_conditions < 1:
         raise ValueError(f"n_conditions must be >= 1, got {n_conditions}")
+    cfg.check_entropy_members()
     conditions = draw_conditions(cfg, n_conditions, seed)
     knn = cfg.knn()
     run_seeds = np.random.SeedSequence([seed, 0x3A55]).generate_state(n_conditions)

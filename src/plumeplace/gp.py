@@ -27,7 +27,7 @@ FIT_RESTARTS = 4  # coordinate searches per fit
 FIT_BUDGET = 200  # likelihood steps per search
 
 
-def cho_factor(a, overwrite_a=False):
+def cho_factor(a):
     """Lower Cholesky factor of a symmetric positive-definite matrix: the
     LAPACK call of `scipy.linalg.cho_factor(a, lower=True,
     check_finite=False)` without its per-call checks, upper triangle
@@ -35,7 +35,7 @@ def cho_factor(a, overwrite_a=False):
     so one wrapper sees every factorisation (the benchmark counts
     likelihood evaluations per fit that way).
     """
-    c, info = dpotrf(a, lower=1, clean=0, overwrite_a=overwrite_a)
+    c, info = dpotrf(a, lower=1, clean=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotrf failed with info={info}: not positive definite")
     return c
@@ -97,7 +97,7 @@ class GpSurrogate:
         k = _kernel_matrix(self.train_x, self.train_x, self.lengthscales, self.signal_var)
         k[np.diag_indices(n)] += self.noise_var
         try:
-            self.chol = cho_factor(k, overwrite_a=True)
+            self.chol = cho_factor(k)
         except np.linalg.LinAlgError as exc:
             raise ValueError(
                 "training covariance is singular at the noise floor; "
@@ -209,7 +209,7 @@ class _Likelihood:
         b = self.kernels[key].copy()
         b[:: n + 1] += max(np.exp(logp[dim]), NOISE_RATIO_FLOOR)
         try:
-            c = cho_factor(b.reshape(n, n), overwrite_a=True)
+            c = cho_factor(b.reshape(n, n))
         except np.linalg.LinAlgError:
             return np.inf, 1.0
         alpha, info = dpotrs(c, g, lower=1)

@@ -9,11 +9,12 @@ cached per location so every candidate comparison sees the same random
 world; without that, objective noise across optimizer iterations would
 swamp the surrogate.
 
-The grid fills that cache for all its nodes in one pass, one lattice
-forward evaluation per instant, before its first step. The ensemble
-also keeps the CCA factors that do not change between candidates: the
-parameter block's, once, and the stacked fixed sensors' for the last
-fixed set, so each candidate adds only its own rows to the factor.
+The grid (dispersion.GridSpec) fills that cache for all its nodes in
+one pass, one separable forward evaluation per instant, before its
+first step. The ensemble also keeps the CCA factors that do not change
+between candidates: the parameter block's, once, and the stacked fixed
+sensors' for the last fixed set, so each candidate adds only its own
+rows to the factor.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import bo, cca, dispersion
 from .config import ExperimentConfig
+from .dispersion import GridSpec
 
 _NOISE_TAG = 0x6F62  # distinguishes the observation-noise stream
 
@@ -59,8 +61,9 @@ class PriorEnsemble:
     The config owns every model setting; the ensemble holds only its
     draws, the seed of its noise streams and the caches. Cache entries
     are reproducible from (location, seed): the noise stream is keyed by
-    the location's coordinate bits, so rebuilding a location yields a
-    bit-identical matrix. An entry, once made, never changes.
+    the location's coordinate bits, so rebuilding a point entry yields a
+    bit-identical matrix; an entry fill wrote has the same noise, and the
+    point path matches it to rounding. An entry, once made, never changes.
     """
 
     cfg: ExperimentConfig
@@ -79,16 +82,17 @@ class PriorEnsemble:
             )
         return self.obs_cache[key]
 
-    def fill(self, lattice: dispersion.Lattice) -> None:
-        """Cache every node of lattice, unless all are cached already, with
-        one forward evaluation per instant. Each node's entry is a view of
-        one (n_nodes, n_members, n_times) array and keeps its own noise
-        stream; a node cached before keeps its entry."""
-        keys = [_location_key(node) for node in lattice.nodes()]
+    def fill(self, grid: GridSpec) -> None:
+        """Cache every node of grid, unless all are cached already, with one
+        separable forward evaluation per instant (simulate_lattice). Each
+        node's entry is a view of one (n_nodes, n_members, n_times) array
+        and keeps its own noise stream; a node cached before keeps its
+        entry."""
+        keys = [_location_key(node) for node in grid.nodes()]
         if all(key in self.obs_cache for key in keys):
             return
         rows = dispersion.simulate_lattice(
-            self.cfg, self.params, lattice, [_location_seed(self.seed, key) for key in keys]
+            self.cfg, self.params, grid, [_location_seed(self.seed, key) for key in keys]
         )
         for key, row in zip(keys, rows):
             self.obs_cache.setdefault(key, row)
@@ -188,24 +192,6 @@ def greedy_place(
     return PlacementResult(locations=selected, bound_values=bounds, traces=traces)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Regular node grid covering the domain box."""
-
-    nx: int
-    ny: int
-    domain: np.ndarray
-
-    def lattice(self) -> dispersion.Lattice:
-        return dispersion.Lattice(
-            np.linspace(self.domain[0, 0], self.domain[0, 1], self.nx),
-            np.linspace(self.domain[1, 0], self.domain[1, 1], self.ny),
-        )
-
-    def nodes(self) -> list[tuple[float, float]]:
-        return self.lattice().nodes()
-
-
 def grid_place(ens: PriorEnsemble, n_sensors: int, grid: GridSpec) -> PlacementResult:
     """Exhaustive baseline: evaluate every grid node each greedy step.
 
@@ -214,11 +200,10 @@ def grid_place(ens: PriorEnsemble, n_sensors: int, grid: GridSpec) -> PlacementR
     selected nodes are excluded from later steps. The per-step surfaces
     are kept in the result's traces as (x, y, value) arrays.
     """
-    lattice = grid.lattice()
-    nodes = lattice.nodes()
+    nodes = grid.nodes()
     if not 1 <= n_sensors <= len(nodes):
         raise ValueError(f"n_sensors must be in [1, {len(nodes)}] for this grid, got {n_sensors}")
-    ens.fill(lattice)
+    ens.fill(grid)
     selected: list[tuple[float, float]] = []
     bounds: list[float] = []
     surfaces: list[np.ndarray] = []

@@ -326,11 +326,7 @@ def per_instant_trajectories(cfg, params, sensors):
     """Noise-free (n_members, n_sensors, n_times) trajectories of the
     (n_members, 2) parameter rows, one log_concentrations_at call per
     instant of cfg.times(), stacked on the last axis."""
-    release_y, wind_dir = np.asarray(params, dtype=float).T
-    return np.stack(
-        [log_concentrations_at(cfg, release_y, wind_dir, sensors, t) for t in cfg.times()],
-        axis=-1,
-    )
+    return np.stack([log_concentrations_at(cfg, params, sensors, t) for t in cfg.times()], axis=-1)
 
 
 def np_exp_footprint(puffs, sx, sy):
@@ -338,6 +334,17 @@ def np_exp_footprint(puffs, sx, sy):
     before the exact exponential that skips numpy's per-lane slow path."""
     px, py, two_r2, amp = puffs
     return amp * np.exp(-((px - sx) ** 2 + (py - sy) ** 2) / two_r2)
+
+
+def uniform_weight_conditional(runs):
+    """(n_steps, 3) uniform average of (n_conditions, n_steps, 3) traces,
+    as EvaluationReport.conditional once computed it: a weight vector of
+    1/C and one np.sum of weights times conditions per (step, column)
+    cell."""
+    weights = np.full(runs.shape[0], 1.0 / runs.shape[0])
+    return np.array(
+        [[float(np.sum(weights * runs[:, t, c])) for c in range(3)] for t in range(runs.shape[1])]
+    )
 
 
 def per_job_compare(cfg, placements, n_conditions, seed):

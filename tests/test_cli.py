@@ -221,8 +221,38 @@ class TestErrors:
             ["grid-surface", "--config", config_path, "--out", tmp_path / "s.csv", "--steps", 0]
         )
         assert code == 1
-        assert "plumeplace: error: n_sensors must be in [1, 35]" in capsys.readouterr().err
+        assert one_error_line(capsys) == (
+            "plumeplace: error: n_sensors must be in [1, 35] for this grid, got 0 (--steps)\n"
+        )
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("command", ["compare", "assimilate"])
+    def test_entropy_members_name_their_keys(self, tiny_config, one_sensor, tmp_path, capsys,
+                                              command):
+        # 6 members cannot give a kNN entropy with k = 6; assimilate needs
+        # entropies for --summary only, and must not write --out first
+        path = tmp_path / "c.json"
+        save_config(replace(tiny_config, enkf_members=6), path)
+        out, summary = tmp_path / "o", tmp_path / "summary.csv"
+        if command == "compare":
+            extra = ["--placements", one_sensor, one_sensor, "--random", 1, "--conditions", 1]
+        else:
+            extra = ["--placement", one_sensor, "--summary", summary]
+        assert run([command, "--config", path, *extra, "--out", out]) == 1
+        assert one_error_line(capsys) == (
+            "plumeplace: error: enkf_members must exceed knn k for kNN entropies, got 6 and 6 "
+            "(config keys 'ensemble.enkf_members' and 'knn.k')\n"
+        )
+        assert not out.exists() and not summary.exists()
+
+    def test_assimilate_without_summary_needs_no_entropy_members(
+        self, tiny_config, one_sensor, tmp_path
+    ):
+        path = tmp_path / "c.json"
+        save_config(replace(tiny_config, enkf_members=6), path)
+        out = tmp_path / "o.csv"
+        assert run(["assimilate", "--config", path, "--placement", one_sensor, "--out", out]) == 0
+        assert out.exists()
 
     def test_compare_negative_random(self, config_path, one_sensor, tmp_path, capsys):
         code = run(

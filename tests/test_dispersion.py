@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from plumeplace import dispersion
 from plumeplace.config import ExperimentConfig
 from plumeplace.dispersion import (
-    Lattice,
+    GridSpec,
     log_concentrations_at,
     sensor_rows,
     simulate_accidents,
@@ -257,43 +257,45 @@ class TestSimulateEnsemble:
 
 class TestLatticeFootprint:
     @pytest.mark.parametrize(
-        "xs, ys",
+        "grid",
         [
-            (np.linspace(0.0, 10000.0, 11), np.linspace(-10000.0, 10000.0, 21)),  # desk grid
-            (np.linspace(0.0, 3000.0, 7), np.linspace(-3500.0, 3500.0, 9)),  # on the plume
+            GridSpec(11, 21, np.array([[0.0, 10000.0], [-10000.0, 10000.0]])),
+            GridSpec(7, 9, np.array([[0.0, 3000.0], [-3500.0, 3500.0]])),
         ],
+        ids=["desk-grid", "on-the-plume"],
     )
-    def test_equals_point_footprint(self, desk_config, xs, ys):
+    def test_equals_point_footprint(self, desk_config, grid):
         # separable against joint exponentials: rounding only, and the
         # floor in the same places
         params = desk_config.draw_prior(200, np.random.default_rng(21))
-        lattice = Lattice(xs, ys)
-        points = np.array(lattice.nodes())
+        points = np.array(grid.nodes())
         floor = math.log(desk_config.conc_floor)
         above = 0
         for t in desk_config.times():
-            grid = log_concentrations_at(desk_config, *params.T, lattice, t)
-            point = log_concentrations_at(desk_config, *params.T, points, t)
-            np.testing.assert_allclose(grid, point, rtol=0, atol=1e-14)
-            assert np.array_equal(grid == floor, point == floor)
+            separable = log_concentrations_at(desk_config, params, grid, t)
+            point = log_concentrations_at(desk_config, params, points, t)
+            np.testing.assert_allclose(separable, point, rtol=0, atol=1e-14)
+            assert np.array_equal(separable == floor, point == floor)
             above += np.sum(point > floor)
         assert above > 0
 
     def test_nodes_are_x_major(self):
-        lattice = Lattice(np.array([0.0, 1.0]), np.array([5.0, 6.0, 7.0]))
-        assert lattice.nodes() == [(0.0, 5.0), (0.0, 6.0), (0.0, 7.0), (1.0, 5.0), (1.0, 6.0), (1.0, 7.0)]
+        grid = GridSpec(2, 3, np.array([[0.0, 1.0], [5.0, 7.0]]))
+        np.testing.assert_array_equal(grid.xs, [0.0, 1.0])
+        np.testing.assert_array_equal(grid.ys, [5.0, 6.0, 7.0])
+        assert grid.nodes() == [(0.0, 5.0), (0.0, 6.0), (0.0, 7.0), (1.0, 5.0), (1.0, 6.0), (1.0, 7.0)]
 
     def test_before_any_release_reads_floor(self, desk_config):
         params = desk_config.draw_prior(5, np.random.default_rng(2))
-        out = log_concentrations_at(desk_config, *params.T, Lattice(np.zeros(2), np.zeros(3)), 0.0)
+        out = log_concentrations_at(desk_config, params, GridSpec(2, 3, np.zeros((2, 2))), 0.0)
         assert out.shape == (5, 6)
         assert np.all(out == math.log(desk_config.conc_floor))
 
     def test_rows_carry_each_nodes_noise_stream(self, desk_config):
         params = desk_config.draw_prior(50, np.random.default_rng(3))
-        lattice = Lattice(np.array([500.0, 9000.0]), np.array([-200.0, 0.0, 9000.0]))
-        rows = simulate_lattice(desk_config, params, lattice, list(range(6)))
-        for seed, (node, row) in enumerate(zip(lattice.nodes(), rows)):
+        grid = GridSpec(2, 3, np.array([[500.0, 9000.0], [-200.0, 200.0]]))
+        rows = simulate_lattice(desk_config, params, grid, list(range(6)))
+        for seed, (node, row) in enumerate(zip(grid.nodes(), rows)):
             np.testing.assert_allclose(
                 row, simulate_ensemble(desk_config, params, node, seed), rtol=0, atol=1e-13
             )
@@ -301,7 +303,7 @@ class TestLatticeFootprint:
     def test_rejects_a_seed_count_other_than_the_nodes(self, desk_config):
         params = desk_config.draw_prior(50, np.random.default_rng(3))
         with pytest.raises(ValueError, match="one noise seed per node: 4 nodes, 3 seeds"):
-            simulate_lattice(desk_config, params, Lattice(np.zeros(2), np.zeros(2)), [0, 1, 2])
+            simulate_lattice(desk_config, params, GridSpec(2, 2, np.zeros((2, 2))), [0, 1, 2])
 
 
 class TestValidation:
@@ -465,9 +467,9 @@ class TestExactExp:
             np.testing.assert_array_equal(
                 bits(dispersion._footprint(puffs, sx, sy)), bits(np_exp_footprint(puffs, sx, sy))
             )
-        out = log_concentrations_at(DESK, *params.T, sensors, t)
+        out = log_concentrations_at(DESK, params, sensors, t)
         monkeypatch.setattr(dispersion, "_footprint", np_exp_footprint)
-        oracle = log_concentrations_at(DESK, *params.T, sensors, t)
+        oracle = log_concentrations_at(DESK, params, sensors, t)
         np.testing.assert_array_equal(bits(out), bits(oracle))
         assert np.any(out > math.log(DESK.conc_floor))
 
@@ -502,4 +504,4 @@ class TestPointSensors:
     @pytest.mark.parametrize("sensor, message", BAD_SENSORS)
     def test_log_concentrations_at(self, sensor, message):
         with pytest.raises(ValueError, match="sensors " + message):
-            log_concentrations_at(DESK, np.zeros(3), np.zeros(3), [sensor], 300.0)
+            log_concentrations_at(DESK, np.zeros((3, 2)), [sensor], 300.0)

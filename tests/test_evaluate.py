@@ -13,7 +13,7 @@ from plumeplace.evaluate import (
     random_placements,
 )
 
-from oracles import per_job_compare
+from oracles import per_job_compare, uniform_weight_conditional
 
 
 def report_of(runs) -> EvaluationReport:
@@ -38,6 +38,17 @@ class TestConditionalEntropy:
     def test_single_condition(self):
         runs = [[[7.3, -1.0, 2.5], [0.1, 0.2, 0.3]]]
         np.testing.assert_array_equal(report_of(runs).conditional("p"), runs[0])
+
+    @pytest.mark.parametrize("n_conditions", [1, 7, 8, 10, 13, 129])
+    def test_equals_the_weight_loop_bit_for_bit(self, n_conditions):
+        # 8 and 129 conditions reach numpy's unrolled pairwise sum and its
+        # 128-element blocks
+        rng = np.random.default_rng(n_conditions)
+        runs = rng.normal(7.0, 1.5, (n_conditions, 10, 3)) * rng.uniform(0.5, 2.0, (1, 10, 3))
+        out = report_of(runs).conditional("p")
+        expected = uniform_weight_conditional(runs)
+        assert out.shape == expected.shape == (10, 3)
+        np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
 
     @given(
         st.lists(st.floats(-10, 10), min_size=1, max_size=8),

@@ -243,20 +243,20 @@ class TestGridCache:
         xs = np.linspace(0.0, 10000.0, 4)
         ys = np.linspace(-10000.0, 10000.0, 5)
         assert grid.nodes() == [(float(x), float(y)) for x in xs for y in ys]
-        assert grid.lattice().nodes() == grid.nodes()
+        assert pl.GridSpec is dispersion.GridSpec
 
     def test_entries_carry_each_nodes_noise(self, setup):
         # against the point path of a fresh ensemble: the same noise bits,
         # so equal where both read the floor and within rounding elsewhere
         cfg, grid, ens = setup
-        ens.fill(grid.lattice())
+        ens.fill(grid)
         fresh = pl.build_ensemble(cfg, 100, seed=4)
         floor = np.log(cfg.conc_floor)
         at_floor = 0
         for node in grid.nodes():
             point = fresh.trajectories(node)
             clean = [
-                dispersion.log_concentrations_at(cfg, *fresh.params.T, [node], t) for t in cfg.times()
+                dispersion.log_concentrations_at(cfg, fresh.params, [node], t) for t in cfg.times()
             ]
             if np.all(np.asarray(clean) == floor):
                 at_floor += 1
@@ -268,24 +268,24 @@ class TestGridCache:
     def test_fill_keeps_entries_made_before(self, setup):
         _, grid, ens = setup
         first = ens.trajectories(grid.nodes()[7])
-        ens.fill(grid.lattice())
+        ens.fill(grid)
         assert ens.trajectories(grid.nodes()[7]) is first
         rows = [ens.trajectories(node) for node in grid.nodes()]
-        ens.fill(grid.lattice())
+        ens.fill(grid)
         assert all(ens.trajectories(n) is r for n, r in zip(grid.nodes(), rows))
 
     def test_one_lattice_pass_and_one_parameter_factor(self, setup, monkeypatch):
         cfg, grid, ens = setup
-        lattice_times, point_calls, factored = [], [], []
+        grid_times, point_calls, factored = [], [], []
         forward = dispersion.log_concentrations_at
         factor = cca.factor
 
-        def counting_forward(cfg, release_y, wind_dir, sensors, t):
-            if isinstance(sensors, dispersion.Lattice):
-                lattice_times.append(t)
+        def counting_forward(cfg, params, sensors, t):
+            if isinstance(sensors, dispersion.GridSpec):
+                grid_times.append(t)
             else:
                 point_calls.append(t)
-            return forward(cfg, release_y, wind_dir, sensors, t)
+            return forward(cfg, params, sensors, t)
 
         def counting_factor(x):
             factored.append(x is ens.params)
@@ -298,7 +298,7 @@ class TestGridCache:
         monkeypatch.setattr(dispersion, "simulate_ensemble", per_node)
         monkeypatch.setattr(cca, "factor", counting_factor)
         pl.grid_place(ens, 3, grid)
-        assert lattice_times == cfg.times().tolist()
+        assert grid_times == cfg.times().tolist()
         assert point_calls == []
         # the parameters once, each node alone in step 1, each later
         # step's fixed set once
