@@ -120,7 +120,9 @@ def _cmd_grid_surface(args) -> int:
     cfg = _load(args)
     grid = pl.GridSpec(nx=cfg.grid_nx, ny=cfg.grid_ny, domain=cfg.domain_m())
     nodes = grid.nx * grid.ny
-    if args.steps is not None and not 1 <= args.steps <= nodes:
+    if args.steps is None:
+        cfg.check_grid_sensors()
+    elif not 1 <= args.steps <= nodes:
         raise ValueError(f"n_sensors must be in [1, {nodes}] for this grid, got {args.steps} (--steps)")
     ens = pl.build_ensemble(cfg, cfg.placement_members, cfg.seed)
     result = pl.grid_place(ens, cfg.n_sensors if args.steps is None else args.steps, grid)

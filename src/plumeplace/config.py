@@ -190,6 +190,17 @@ class ExperimentConfig:
                 f"and {self.knn_k} (config keys {_KEYS['enkf_members']!r} and {_KEYS['knn_k']!r})"
             )
 
+    def check_grid_sensors(self) -> None:
+        """A grid placement picks n_sensors distinct nodes of the
+        grid_nx-by-grid_ny grid; a BO placement has no grid, so
+        construction does not check this."""
+        nodes = self.grid_nx * self.grid_ny
+        if not 1 <= self.n_sensors <= nodes:
+            raise ValueError(
+                f"n_sensors must be in [1, {nodes}] for this grid, got {self.n_sensors} (config "
+                f"keys {_KEYS['n_sensors']!r}, {_KEYS['grid_nx']!r} and {_KEYS['grid_ny']!r})"
+            )
+
     def domain_m(self) -> np.ndarray:
         return np.array(
             [

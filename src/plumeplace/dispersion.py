@@ -24,9 +24,19 @@ A puff's centre, radius and amplitude depend on its age alone, and the
 puffs alive at the observation instants share few ages (at 1 min
 spacing every age is a whole number of minutes). So the point path
 over all instants (simulate_ensemble, simulate_accidents) evaluates one
-footprint column per distinct age and sensor, then sums each instant's
-columns in release order: the floats log_concentrations_at gives
-instant by instant, bit for bit, for far fewer exponentials.
+footprint row per distinct age and sensor, then sums each instant's
+rows in release order: the floats log_concentrations_at gives instant
+by instant, bit for bit, for far fewer exponentials.
+
+The point footprint is puff-major: centres and footprints are
+(K, n_members) arrays, one row per puff. A reading sums K <= 10 puffs
+(desk and full profiles) over hundreds to thousands of members. In this
+layout every numpy call runs over n_members values; in the member-major
+layout (n_members, K), np.sum(..., axis=1) and each per-puff broadcast
+run numpy's inner loop once per member over only K values, which costs
+several times more. _sum_rows adds each member's K terms in the order
+numpy's pairwise sum adds a contiguous row, so the readings keep the
+member-major layout's bits.
 
 The footprint is chosen by the sensors' form. At arbitrary points it is
 the joint exp(-(dx**2 + dy**2) / 2r**2), one exponential per member,
@@ -35,7 +45,9 @@ separable exp(-dx**2 / 2r**2) * exp(-dy**2 / 2r**2): X + Y exponentials
 per member and puff, and the sum over puffs is a batched matrix product.
 The two agree to rounding (a few 1e-15 in log space); the separable form
 is slower on a handful of points, so points keep the joint one. Both
-read the puffs' centres, radii and amplitudes from one transport helper.
+read the puffs' centres, radii and amplitudes from one transport helper;
+the separable form reads the centres through transposed views and keeps
+its (n_members, K, X) arrays.
 Sensors at points must be finite (x, y) pairs (sensor_rows).
 
 Most puffs are far from a given point, so most joint exponents are
@@ -152,14 +164,14 @@ def log_concentrations_at(cfg: ExperimentConfig, params, sensors, t: float) -> n
     puffs = _puffs(cfg, release_y, wind_dir, ages)
     if isinstance(sensors, GridSpec):
         px, py, two_r2, amp = puffs
-        gx = np.exp(-((px[:, :, None] - sensors.xs) ** 2) / two_r2[:, None])  # (n, K, X)
-        gy = np.exp(-((py[:, :, None] - sensors.ys) ** 2) / two_r2[:, None])  # (n, K, Y)
-        gx *= amp[:, None]
+        gx = np.exp(-((px.T[:, :, None] - sensors.xs) ** 2) / two_r2)  # (n, K, X)
+        gy = np.exp(-((py.T[:, :, None] - sensors.ys) ** 2) / two_r2)  # (n, K, Y)
+        gx *= amp
         c = np.matmul(gx.transpose(0, 2, 1), gy).reshape(len(release_y), n_sensors)
         return np.log(np.maximum(c, cfg.conc_floor, out=c), out=c)
     for j, (sx, sy) in enumerate(sensors):
-        c = np.sum(_footprint(puffs, sx, sy), axis=1)
-        out[:, j] = np.log(np.maximum(c, cfg.conc_floor))
+        c = _sum_rows(_footprint(puffs, sx, sy))
+        out[:, j] = np.log(np.maximum(c, cfg.conc_floor, out=c), out=c)
     return out
 
 
@@ -186,20 +198,64 @@ def _ages(cfg: ExperimentConfig, t: float) -> np.ndarray:
 
 
 def _puffs(cfg: ExperimentConfig, release_y, wind_dir, ages):
-    """Centres px, py (n_members, K), twice the squared radii and the
-    peak amplitudes (K,) of puffs of the K given ages."""
-    s = cfg.wind_speed_m_s * ages
+    """Centres px, py (K, n_members), and twice the squared radii and the
+    peak amplitudes (K, 1) of puffs of the K given ages: puff-major, one
+    row per puff, so that the footprint and its sum over puffs run each
+    numpy call over all members (module docstring)."""
+    s = cfg.wind_speed_m_s * ages[:, None]
     r2 = (cfg.p_y * s**cfg.q_y) ** 2
-    px = np.outer(np.cos(wind_dir), s)
-    py = release_y[:, None] + np.outer(np.sin(wind_dir), s)
+    px = s * np.cos(wind_dir)
+    py = release_y + s * np.sin(wind_dir)
     return px, py, 2 * r2, cfg.release_mass / (2 * np.pi * r2)
 
 
 def _footprint(puffs, sx, sy) -> np.ndarray:
-    """Each puff's concentration at the point (sx, sy), shaped like the
-    centres: the joint footprint amp * exp(-(dx**2 + dy**2) / 2r**2)."""
+    """Each puff's concentration at the point (sx, sy), a new (K,
+    n_members) array shaped like the centres: the joint footprint
+    amp * exp(-(dx**2 + dy**2) / 2r**2). The exponent is built in place
+    and divided by -2r**2, which gives the bits of negating it first:
+    IEEE division is sign-symmetric."""
     px, py, two_r2, amp = puffs
-    return amp * _exp(-((px - sx) ** 2 + (py - sy) ** 2) / two_r2)
+    x = (px - sx) ** 2
+    x += (py - sy) ** 2
+    x /= -two_r2
+    x = _exp(x)
+    x *= amp
+    return x
+
+
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """The sum of the K rows of a (K, n) array with the floats of
+    np.sum(a.T.copy(), axis=1), each column added in the order numpy's
+    pairwise sum adds a contiguous row of K terms. That order is
+    numpy's, not an API; TestSumRows pins it on the installed numpy.
+    Below 8 terms they are added in order. Up to 128, eight interleaved
+    partial sums are joined pairwise, then the rest are added in order.
+    Above 128, the two halves, the first a multiple of 8, are summed
+    alike and added. numpy also adds the 0.0 it starts from, which
+    changes only a sum of -0 terms, to +0; a footprint is never -0."""
+    k = len(a)
+    if k < 8:
+        out = a[0].copy()
+        for row in a[1:]:
+            out += row
+        return out
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        out = _sum_rows(a[:half])
+        out += _sum_rows(a[half:])
+        return out
+    r = a[:8].copy()
+    whole = k - k % 8
+    for i in range(8, whole, 8):
+        r += a[i : i + 8]
+    r[0::2] += r[1::2]  # r0 + r1, r2 + r3, r4 + r5, r6 + r7
+    r[0::4] += r[2::4]
+    out = r[0]
+    out += r[4]
+    for row in a[whole:]:
+        out += row
+    return out
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -254,10 +310,10 @@ def _trajectories(cfg, params, sensors):
     point sensors at every instant of cfg.times(), shape (n_members,
     n_sensors, n_times), bit for bit, in one pass.
 
-    The footprint is evaluated once per distinct puff age and sensor.
-    Each instant then gathers its puffs' columns in release order; the
-    gather is C-contiguous, like the per-instant footprint, so its sum
-    groups the terms as log_concentrations_at's does.
+    The footprint is evaluated once per distinct puff age and sensor,
+    puff-major (n_distinct, n_members) like _puffs. Each instant then
+    gathers its puffs' rows in release order and sums them with
+    _sum_rows, as log_concentrations_at sums its own footprint.
     """
     release_y, wind_dir = np.asarray(params, dtype=float).T
     sensors = sensor_rows(sensors, "sensors")
@@ -265,12 +321,12 @@ def _trajectories(cfg, params, sensors):
     out = np.full((len(release_y), len(sensors), len(times)), np.log(cfg.conc_floor))
     ages = [_ages(cfg, t) for t in times]
     distinct, inverse = np.unique(np.concatenate(ages), return_inverse=True)
-    columns = np.split(inverse, np.cumsum([a.size for a in ages])[:-1])
+    rows = np.split(inverse, np.cumsum([a.size for a in ages])[:-1])
     puffs = _puffs(cfg, release_y, wind_dir, distinct)
     for j, (sx, sy) in enumerate(sensors):
-        g = _footprint(puffs, sx, sy)  # (n_members, n_distinct)
-        for k, idx in enumerate(columns):
+        g = _footprint(puffs, sx, sy)  # (n_distinct, n_members)
+        for k, idx in enumerate(rows):
             if idx.size:
-                c = np.sum(np.take(g, idx, axis=1), axis=1)
-                out[:, j, k] = np.log(np.maximum(c, cfg.conc_floor))
+                c = _sum_rows(np.take(g, idx, axis=0))
+                out[:, j, k] = np.log(np.maximum(c, cfg.conc_floor, out=c), out=c)
     return out

@@ -322,6 +322,38 @@ def stepped_observations(cfg, truth, sensors, rng_seed):
     return log_c + rng.normal(cfg.noise_mean, cfg.noise_std, log_c.shape)
 
 
+def member_major_log_concentrations(cfg, params, sensors, t):
+    """log_concentrations_at at point sensors in the member-major layout
+    the library used before its puff-major one: centres of shape
+    (n_members, K), one joint footprint per sensor summed along each
+    member's row by np.sum(..., axis=1), and np.exp over the whole
+    array."""
+    release_y, wind_dir = np.asarray(params, dtype=float).T
+    sensors = np.atleast_2d(np.asarray(sensors, dtype=float))
+    out = np.full((len(release_y), len(sensors)), np.log(cfg.conc_floor))
+    released = cfg.release_times()
+    ages = t - released[released < t]
+    if ages.size == 0:
+        return out
+    s = cfg.wind_speed_m_s * ages
+    r2 = (cfg.p_y * s**cfg.q_y) ** 2
+    px = np.outer(np.cos(wind_dir), s)
+    py = release_y[:, None] + np.outer(np.sin(wind_dir), s)
+    two_r2, amp = 2 * r2, cfg.release_mass / (2 * np.pi * r2)
+    for j, (sx, sy) in enumerate(sensors):
+        c = np.sum(amp * np.exp(-((px - sx) ** 2 + (py - sy) ** 2) / two_r2), axis=1)
+        out[:, j] = np.log(np.maximum(c, cfg.conc_floor))
+    return out
+
+
+def member_major_trajectories(cfg, params, sensors):
+    """(n_members, n_sensors, n_times) trajectories of
+    member_major_log_concentrations, one instant at a time."""
+    return np.stack(
+        [member_major_log_concentrations(cfg, params, sensors, t) for t in cfg.times()], axis=-1
+    )
+
+
 def per_instant_trajectories(cfg, params, sensors):
     """Noise-free (n_members, n_sensors, n_times) trajectories of the
     (n_members, 2) parameter rows, one log_concentrations_at call per

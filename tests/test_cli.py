@@ -226,6 +226,24 @@ class TestErrors:
         )
         assert not (tmp_path / "s.csv").exists()
 
+    def test_grid_config_sensors_beyond_node_count(self, tiny_config, tmp_path, capsys,
+                                                    monkeypatch):
+        # without --steps the count is the config's, checked before any
+        # ensemble is drawn
+        path = tmp_path / "c.json"
+        save_config(replace(tiny_config, n_sensors=36), path)
+
+        def no_ensemble(*args):
+            raise AssertionError("grid-surface drew an ensemble before checking n_sensors")
+
+        monkeypatch.setattr("plumeplace.placement.build_ensemble", no_ensemble)
+        assert run(["grid-surface", "--config", path, "--out", tmp_path / "s.csv"]) == 1
+        assert one_error_line(capsys) == (
+            "plumeplace: error: n_sensors must be in [1, 35] for this grid, got 36 "
+            "(config keys 'placement.n_sensors', 'grid.nx' and 'grid.ny')\n"
+        )
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("command", ["compare", "assimilate"])
     def test_entropy_members_name_their_keys(self, tiny_config, one_sensor, tmp_path, capsys,
                                               command):

@@ -22,6 +22,8 @@ from plumeplace.dispersion import (
 from oracles import (
     PuffState,
     concentration,
+    member_major_log_concentrations,
+    member_major_trajectories,
     np_exp_footprint,
     per_instant_trajectories,
     step_puff,
@@ -391,6 +393,88 @@ class TestOnePassTrajectories:
         assert len(calls) == 1
         # desk: 55 (instant, puff) pairs, 10 distinct ages 60..600 s
         np.testing.assert_array_equal(calls[0], 60.0 * np.arange(1, 11))
+
+
+# far from most members' plumes: most exponents lie below -700, as in
+# compare
+FAR = [(9000.0, 9000.0), (2000.0, -9000.0), (9000.0, 5000.0)]
+
+
+class TestPuffMajor:
+    """The puff-major (K, n_members) point footprint against the
+    member-major one it replaced (oracles), bit for bit."""
+
+    def test_log_concentrations_at_every_desk_instant(self):
+        params = DESK.draw_prior(300, np.random.default_rng(8))
+        near = [(150.0, 0.0), *ON_PLUME]  # the first is reached within a minute
+        sensors = near + FAR
+        floor = math.log(DESK.conc_floor)
+        live = []
+        for t in DESK.times():
+            out = log_concentrations_at(DESK, params, sensors, t)
+            np.testing.assert_array_equal(
+                bits(out), bits(member_major_log_concentrations(DESK, params, sensors, t))
+            )
+            assert np.any(out[:, : len(near)] > floor)
+            live.append(dispersion._ages(DESK, t).size)
+        assert live == list(range(1, 11))
+        px, py, two_r2, amp = dispersion._puffs(DESK, *params.T, dispersion._ages(DESK, 600.0))
+        assert px.shape == py.shape == (10, 300) and two_r2.shape == amp.shape == (10, 1)
+        exponents = np.stack([-((px - sx) ** 2 + (py - sy) ** 2) / two_r2 for sx, sy in FAR])
+        assert np.mean(exponents < -700) > 0.5
+
+    def test_trajectories_and_accidents(self):
+        params = DESK.draw_prior(200, np.random.default_rng(9))
+        sensors = ON_PLUME + FAR[:1]
+        np.testing.assert_array_equal(
+            bits(dispersion._trajectories(DESK, params, sensors)),
+            bits(member_major_trajectories(DESK, params, sensors)),
+        )
+        seeds = [3, 17, 2**33]
+        oracle = member_major_trajectories(DESK, params[:3], sensors)
+        for row, seed in zip(oracle, seeds):
+            row += np.random.default_rng(seed).normal(DESK.noise_mean, DESK.noise_std, row.shape)
+        np.testing.assert_array_equal(
+            bits(simulate_accidents(DESK, params[:3], sensors, seeds)), bits(oracle)
+        )
+
+    def test_more_than_128_live_puffs(self):
+        # a 200-minute release at 1-minute spacing: the row sum splits
+        # its puffs in two halves, recursively, as numpy's pairwise sum
+        cfg = replace(DESK, release_duration_min=200.0, interval_min=1.0, n_steps=None,
+                      total_min=240.0)
+        params = cfg.draw_prior(6, np.random.default_rng(10))
+        sensors = [(8000.0, 0.0), (12000.0, 500.0), *FAR[:1]]
+        out = dispersion._trajectories(cfg, params, sensors)
+        np.testing.assert_array_equal(
+            bits(out), bits(member_major_trajectories(cfg, params, sensors))
+        )
+        t = cfg.times()[-1]
+        assert dispersion._ages(cfg, t).size == 200
+        np.testing.assert_array_equal(
+            bits(log_concentrations_at(cfg, params, sensors, t)),
+            bits(member_major_log_concentrations(cfg, params, sensors, t)),
+        )
+        assert np.any(out[:, :2, -1] > math.log(cfg.conc_floor))
+
+
+class TestSumRows:
+    """_sum_rows of a (K, n) array gives np.sum's floats over the
+    C-contiguous (n, K) rows, which sums each row pairwise."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_np_sum_for_every_k_to_300(self, seed):
+        rng = np.random.default_rng(seed)
+        for k in range(1, 301):
+            # signed values over 200 decades, a fifth of them 0, so that
+            # a change of the order of the additions changes some bits;
+            # no -0, which a footprint never is (_sum_rows)
+            rows = rng.choice([-1.0, 1.0], (40, k)) * 10.0 ** rng.uniform(-100, 100, (40, k))
+            rows[rng.random((40, k)) < 0.2] = 0.0
+            rows[-1] = 0.0
+            expected = np.sum(rows, axis=1)
+            out = dispersion._sum_rows(np.ascontiguousarray(rows.T))
+            np.testing.assert_array_equal(bits(out), bits(expected), err_msg=f"K = {k}")
 
 
 # the edges of _exp's lanes: the vector path's floor, np.exp's last
