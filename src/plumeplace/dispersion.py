@@ -16,17 +16,19 @@ given: the wind speed and diffusion constants, the observation instants
 puff carrying cfg.release_mass, and the noise and concentration floor.
 An accident is one parameter row (release_y, wind_dir), the format of
 ExperimentConfig.draw_prior: the heading is an unknown of every member.
-simulate_accidents observes C accidents with one forward pass over all
-instants, each with its own noise stream; simulate_observations is its
-one-accident case.
+A sensor set is an (S, 2) array of points or a GridSpec. _trajectories
+is the one pass over all instants for both; simulate_ensemble adds one
+noise stream per sensor, simulate_accidents one per accident, and
+simulate_observations is its one-accident case. The EnKF forecast calls
+log_concentrations_at, the per-instant point path.
 
 A puff's centre, radius and amplitude depend on its age alone, and the
 puffs alive at the observation instants share few ages (at 1 min
-spacing every age is a whole number of minutes). So the point path
-over all instants (simulate_ensemble, simulate_accidents) evaluates one
-footprint row per distinct age and sensor, then sums each instant's
-rows in release order: the floats log_concentrations_at gives instant
-by instant, bit for bit, for far fewer exponentials.
+spacing every age is a whole number of minutes). So _trajectories
+evaluates the footprint once per distinct age, then sums each instant's
+rows in release order: the floats of one evaluation per instant (at
+points, log_concentrations_at's), bit for bit, for far fewer
+exponentials.
 
 The point footprint is puff-major: centres and footprints are
 (K, n_members) arrays, one row per puff. A reading sums K <= 10 puffs
@@ -45,10 +47,11 @@ separable exp(-dx**2 / 2r**2) * exp(-dy**2 / 2r**2): X + Y exponentials
 per member and puff, and the sum over puffs is a batched matrix product.
 The two agree to rounding (a few 1e-15 in log space); the separable form
 is slower on a handful of points, so points keep the joint one. Both
-read the puffs' centres, radii and amplitudes from one transport helper;
-the separable form reads the centres through transposed views and keeps
-its (n_members, K, X) arrays.
-Sensors at points must be finite (x, y) pairs (sensor_rows).
+read the puffs' centres, radii and amplitudes from one transport helper,
+and the separable factors are puff-major too, (K, n_members, X) arrays
+whose gathered rows the product reads through transposed views.
+Sensors at points must be finite (x, y) pairs (sensor_rows), and
+accidents (C, 2) rows (_accident_rows).
 
 Most puffs are far from a given point, so most joint exponents are
 hugely negative: over a desk compare call, 55 % of them lie below -700.
@@ -76,11 +79,29 @@ from .config import ExperimentConfig
 @dataclass(frozen=True)
 class GridSpec:
     """Sensors on every node of an nx-by-ny grid over the domain box
-    [[x0, x1], [y0, y1]], x-major: (xs[i], ys[j]) is node i * ny + j."""
+    [[x0, x1], [y0, y1]], x-major: (xs[i], ys[j]) is node i * ny + j.
+    nx and ny are integers >= 1 and the domain a finite box with
+    x0 < x1 and y0 < y1, kept as a float (2, 2) array."""
 
     nx: int
     ny: int
     domain: np.ndarray
+
+    def __post_init__(self):
+        for name in ("nx", "ny"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        expected = "domain must be a (2, 2) array of x and y bounds"
+        try:
+            box = np.array(self.domain, dtype=float)
+        except (TypeError, ValueError):  # ragged rows or not numbers
+            raise ValueError(f"{expected}, got {self.domain!r}") from None
+        if box.shape != (2, 2):
+            raise ValueError(f"{expected}, got shape {box.shape}")
+        if not np.isfinite(box).all() or np.any(box[:, 1] <= box[:, 0]):
+            raise ValueError(f"domain must be finite with x0 < x1 and y0 < y1, got {box.tolist()}")
+        object.__setattr__(self, "domain", box)
 
     @property
     def xs(self) -> np.ndarray:
@@ -120,55 +141,50 @@ def simulate_accidents(cfg: ExperimentConfig, truths, sensors, rng_seeds) -> np.
     simulate_observations(cfg, truths[c], sensors, rng_seeds[c]) bit for
     bit.
     """
-    truths = np.asarray(truths, dtype=float)
-    if truths.ndim != 2 or truths.shape[1] != 2:
-        raise ValueError(
-            f"truths must be (C, 2) (release_y, wind_dir) rows, got shape {truths.shape}"
-        )
-    if len(rng_seeds) != len(truths):
-        raise ValueError(
-            f"need one noise seed per accident: {len(truths)} accidents, {len(rng_seeds)} seeds"
-        )
+    truths = _accident_rows(truths, "truths")
     if len(sensors) == 0:
         raise ValueError("need at least one sensor")
-    clean = _trajectories(cfg, truths, sensors)
-    return np.stack(
-        [
-            rows + np.random.default_rng(seed).normal(cfg.noise_mean, cfg.noise_std, rows.shape)
-            for rows, seed in zip(clean, rng_seeds)
-        ]
-    )
+    clean = np.ascontiguousarray(_trajectories(cfg, truths, sensors).swapaxes(0, 1))
+    return _add_noise(cfg, clean, rng_seeds, "accident")
+
+
+def simulate_ensemble(cfg: ExperimentConfig, params, sensors, rng_seeds) -> np.ndarray:
+    """Noisy log-observation trajectories of an ensemble's (n_members, 2)
+    parameter rows at a sensor set, (S, 2) points or a GridSpec, shape
+    (n_sensors, n_members, n_times). Sensor i's noise comes from its own
+    stream rng_seeds[i], so a grid node's row is the point row of that
+    node up to the rounding of the separable footprint."""
+    return _add_noise(cfg, _trajectories(cfg, params, sensors), rng_seeds, "sensor")
+
+
+def _add_noise(cfg: ExperimentConfig, rows: np.ndarray, rng_seeds, what: str) -> np.ndarray:
+    """rows plus Gaussian noise (cfg.noise_mean, cfg.noise_std) in place,
+    row i's from its own stream rng_seeds[i]; `what` names a row."""
+    if len(rng_seeds) != len(rows):
+        raise ValueError(
+            f"need one noise seed per {what}: {len(rows)} {what}s, {len(rng_seeds)} seeds"
+        )
+    for row, seed in zip(rows, rng_seeds):
+        row += np.random.default_rng(seed).normal(cfg.noise_mean, cfg.noise_std, row.shape)
+    return rows
 
 
 def log_concentrations_at(cfg: ExperimentConfig, params, sensors, t: float) -> np.ndarray:
     """Clamped log-concentrations for a whole parameter ensemble at time t.
 
     params holds (n_members, 2) accident rows (release_y, wind_dir);
-    sensors is an (n_sensors, 2) array of points or a GridSpec, whose
-    nodes are the sensors in x-major order. Vectorized over members,
+    sensors is an (n_sensors, 2) array of points. Vectorized over members,
     shape (n_members, n_sensors). A puff sits at spawn + speed * age *
-    (cos w, sin w), the closed form of the module docstring; a GridSpec
-    takes the separable footprint, points the joint one. Noise-free: this
-    is the model prediction, not a measurement.
+    (cos w, sin w), the closed form of the module docstring. Noise-free:
+    this is the model prediction, not a measurement.
     """
-    release_y, wind_dir = np.asarray(params, dtype=float).T
-    if isinstance(sensors, GridSpec):
-        n_sensors = sensors.nx * sensors.ny
-    else:
-        sensors = sensor_rows(sensors, "sensors")
-        n_sensors = len(sensors)
-    out = np.full((len(release_y), n_sensors), np.log(cfg.conc_floor))
+    release_y, wind_dir = _accident_rows(params, "params").T
+    sensors = sensor_rows(sensors, "sensors")
+    out = np.full((len(release_y), len(sensors)), np.log(cfg.conc_floor))
     ages = _ages(cfg, t)
     if ages.size == 0:
         return out
     puffs = _puffs(cfg, release_y, wind_dir, ages)
-    if isinstance(sensors, GridSpec):
-        px, py, two_r2, amp = puffs
-        gx = np.exp(-((px.T[:, :, None] - sensors.xs) ** 2) / two_r2)  # (n, K, X)
-        gy = np.exp(-((py.T[:, :, None] - sensors.ys) ** 2) / two_r2)  # (n, K, Y)
-        gx *= amp
-        c = np.matmul(gx.transpose(0, 2, 1), gy).reshape(len(release_y), n_sensors)
-        return np.log(np.maximum(c, cfg.conc_floor, out=c), out=c)
     for j, (sx, sy) in enumerate(sensors):
         c = _sum_rows(_footprint(puffs, sx, sy))
         out[:, j] = np.log(np.maximum(c, cfg.conc_floor, out=c), out=c)
@@ -189,6 +205,18 @@ def sensor_rows(value, name: str) -> np.ndarray:
     if not np.isfinite(sensors).all():
         raise ValueError(f"{name} must be finite (x, y) pairs, got {sensors.tolist()}")
     return sensors
+
+
+def _accident_rows(value, name: str) -> np.ndarray:
+    """value as a float (C, 2) array of (release_y, wind_dir) rows, the
+    one check of accidents: a ValueError names `name` unless it has
+    that shape."""
+    rows = np.asarray(value, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise ValueError(
+            f"{name} must be (C, 2) (release_y, wind_dir) rows, got shape {rows.shape}"
+        )
+    return rows
 
 
 def _ages(cfg: ExperimentConfig, t: float) -> np.ndarray:
@@ -273,60 +301,45 @@ def _exp(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def simulate_ensemble(cfg: ExperimentConfig, params: np.ndarray, sensor, rng_seed) -> np.ndarray:
-    """Noisy log-observation trajectories for an ensemble at one sensor.
-
-    params is an (n_members, 2) array of (release_y, wind_dir); the
-    result is (n_members, n_times). The noise matrix comes from a single
-    stream keyed by rng_seed, so rebuilding the same location reproduces
-    the observations bit for bit.
-    """
-    clean = _trajectories(cfg, params, [sensor])[:, 0]
-    return clean + np.random.default_rng(rng_seed).normal(cfg.noise_mean, cfg.noise_std, clean.shape)
-
-
-def simulate_lattice(cfg: ExperimentConfig, params: np.ndarray, grid: GridSpec, rng_seeds) -> np.ndarray:
-    """Noisy log-observation trajectories for an ensemble at every node of
-    a grid, shape (n_nodes, n_members, n_times), with one separable
-    forward evaluation per instant.
-
-    Node i's noise is drawn from its own stream rng_seeds[i] exactly as
-    simulate_ensemble draws it, so row i is simulate_ensemble at that
-    node up to the rounding of the separable footprint.
-    """
-    times = cfg.times()
-    out = np.empty((grid.nx * grid.ny, len(params), len(times)))
-    if len(rng_seeds) != len(out):
-        raise ValueError(f"need one noise seed per node: {len(out)} nodes, {len(rng_seeds)} seeds")
-    for row, seed in zip(out, rng_seeds):
-        row[...] = np.random.default_rng(seed).normal(cfg.noise_mean, cfg.noise_std, row.shape)
-    for j, t in enumerate(times):
-        out[:, :, j] += log_concentrations_at(cfg, params, grid, t).T
-    return out
-
-
 def _trajectories(cfg, params, sensors):
-    """log_concentrations_at of the (n_members, 2) parameter rows at the
-    point sensors at every instant of cfg.times(), shape (n_members,
-    n_sensors, n_times), bit for bit, in one pass.
+    """Noise-free log-concentrations of the (n_members, 2) parameter rows
+    at a sensor set at every instant of cfg.times(), shape (n_sensors,
+    n_members, n_times), in one pass (module docstring).
 
-    The footprint is evaluated once per distinct puff age and sensor,
-    puff-major (n_distinct, n_members) like _puffs. Each instant then
-    gathers its puffs' rows in release order and sums them with
-    _sum_rows, as log_concentrations_at sums its own footprint.
+    Each instant gathers its puffs' rows of the per-age footprint in
+    release order. At points they are summed with _sum_rows, as
+    log_concentrations_at sums its own; on a GridSpec the gathered
+    (K, n_members, X) and (K, n_members, Y) factors go into the batched
+    matrix product, written into one (n_members, X, Y) buffer. A gather
+    along the first axis copies no more than its rows.
     """
-    release_y, wind_dir = np.asarray(params, dtype=float).T
-    sensors = sensor_rows(sensors, "sensors")
+    release_y, wind_dir = _accident_rows(params, "params").T
+    grid = isinstance(sensors, GridSpec)
+    if not grid:
+        sensors = sensor_rows(sensors, "sensors")
+    n = len(release_y)
     times = cfg.times()
-    out = np.full((len(release_y), len(sensors), len(times)), np.log(cfg.conc_floor))
+    n_sensors = sensors.nx * sensors.ny if grid else len(sensors)
+    # every instant follows the puff released at onset, so each is written
+    out = np.empty((n_sensors, n, len(times)))
     ages = [_ages(cfg, t) for t in times]
     distinct, inverse = np.unique(np.concatenate(ages), return_inverse=True)
     rows = np.split(inverse, np.cumsum([a.size for a in ages])[:-1])
     puffs = _puffs(cfg, release_y, wind_dir, distinct)
+    if grid:
+        px, py, two_r2, amp = (a[:, :, None] for a in puffs)
+        gx = np.exp(-((px - sensors.xs) ** 2) / two_r2)  # (n_distinct, n, X)
+        gy = np.exp(-((py - sensors.ys) ** 2) / two_r2)  # (n_distinct, n, Y)
+        gx *= amp
+        c = np.empty((n, sensors.nx, sensors.ny))
+        for k, idx in enumerate(rows):
+            np.matmul(gx[idx].transpose(1, 2, 0), gy[idx].transpose(1, 0, 2), out=c)
+            np.log(np.maximum(c, cfg.conc_floor, out=c), out=c)
+            out[:, :, k] = c.reshape(n, n_sensors).T
+        return out
     for j, (sx, sy) in enumerate(sensors):
         g = _footprint(puffs, sx, sy)  # (n_distinct, n_members)
         for k, idx in enumerate(rows):
-            if idx.size:
-                c = _sum_rows(np.take(g, idx, axis=0))
-                out[:, j, k] = np.log(np.maximum(c, cfg.conc_floor, out=c), out=c)
+            c = _sum_rows(np.take(g, idx, axis=0))
+            out[j, :, k] = np.log(np.maximum(c, cfg.conc_floor, out=c), out=c)
     return out

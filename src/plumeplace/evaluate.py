@@ -48,6 +48,8 @@ def _entropy_traces(thetas: np.ndarray, knn: KnnConfig) -> np.ndarray:
 def draw_conditions(cfg: ExperimentConfig, n_conditions: int, seed: int) -> np.ndarray:
     """Simulated accidents, an (n_conditions, 2) array of (release_y,
     wind_dir) rows: one prior draw per condition."""
+    if n_conditions < 0:
+        raise ValueError(f"condition count must be >= 0, got {n_conditions}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC04D]))
     return np.array([cfg.draw_prior(1, rng)[0] for _ in range(n_conditions)]).reshape(-1, 2)
 

@@ -9,8 +9,8 @@ cached per location so every candidate comparison sees the same random
 world; without that, objective noise across optimizer iterations would
 swamp the surrogate.
 
-The grid (dispersion.GridSpec) fills that cache for all its nodes in
-one pass, one separable forward evaluation per instant, before its
+The grid (dispersion.GridSpec) fills that cache for all its nodes with
+one simulate_ensemble call, one pass over all instants, before its
 first step. The ensemble also keeps the CCA factors that do not change
 between candidates: the parameter block's, once, and the stacked fixed
 sensors' for the last fixed set, so each candidate adds only its own
@@ -78,20 +78,20 @@ class PriorEnsemble:
         key = _location_key(location)
         if key not in self.obs_cache:
             self.obs_cache[key] = dispersion.simulate_ensemble(
-                self.cfg, self.params, key, _location_seed(self.seed, key)
-            )
+                self.cfg, self.params, [key], [_location_seed(self.seed, key)]
+            )[0]
         return self.obs_cache[key]
 
     def fill(self, grid: GridSpec) -> None:
         """Cache every node of grid, unless all are cached already, with one
-        separable forward evaluation per instant (simulate_lattice). Each
-        node's entry is a view of one (n_nodes, n_members, n_times) array
-        and keeps its own noise stream; a node cached before keeps its
-        entry."""
+        pass over all instants of the separable footprint (simulate_ensemble
+        on the grid). Each node's entry is a view of one (n_nodes,
+        n_members, n_times) array and keeps its own noise stream; a node
+        cached before keeps its entry."""
         keys = [_location_key(node) for node in grid.nodes()]
         if all(key in self.obs_cache for key in keys):
             return
-        rows = dispersion.simulate_lattice(
+        rows = dispersion.simulate_ensemble(
             self.cfg, self.params, grid, [_location_seed(self.seed, key) for key in keys]
         )
         for key, row in zip(keys, rows):

@@ -347,18 +347,48 @@ def member_major_log_concentrations(cfg, params, sensors, t):
 
 
 def member_major_trajectories(cfg, params, sensors):
-    """(n_members, n_sensors, n_times) trajectories of
+    """(n_sensors, n_members, n_times) trajectories of
     member_major_log_concentrations, one instant at a time."""
     return np.stack(
-        [member_major_log_concentrations(cfg, params, sensors, t) for t in cfg.times()], axis=-1
+        [member_major_log_concentrations(cfg, params, sensors, t).T for t in cfg.times()],
+        axis=-1,
     )
 
 
 def per_instant_trajectories(cfg, params, sensors):
-    """Noise-free (n_members, n_sensors, n_times) trajectories of the
+    """Noise-free (n_sensors, n_members, n_times) trajectories of the
     (n_members, 2) parameter rows, one log_concentrations_at call per
     instant of cfg.times(), stacked on the last axis."""
-    return np.stack([log_concentrations_at(cfg, params, sensors, t) for t in cfg.times()], axis=-1)
+    return np.stack(
+        [log_concentrations_at(cfg, params, sensors, t).T for t in cfg.times()], axis=-1
+    )
+
+
+def per_instant_lattice(cfg, params, grid, rng_seeds):
+    """Noisy (n_nodes, n_members, n_times) trajectories at every node of a
+    GridSpec, as the library computed them before its one pass over all
+    instants: node i's noise from its own stream rng_seeds[i] fills the
+    array first, and then each instant adds one separable evaluation
+    over the puffs released before it, in release order, with its own
+    transport and exponentials."""
+    times = cfg.times()
+    out = np.empty((grid.nx * grid.ny, len(params), len(times)))
+    for row, seed in zip(out, rng_seeds, strict=True):
+        row[...] = np.random.default_rng(seed).normal(cfg.noise_mean, cfg.noise_std, row.shape)
+    release_y, wind_dir = np.asarray(params, dtype=float).T
+    released = cfg.release_times()
+    for j, t in enumerate(times):
+        s = cfg.wind_speed_m_s * (t - released[released < t])[:, None]  # (K, 1)
+        r2 = (cfg.p_y * s**cfg.q_y) ** 2
+        px = s * np.cos(wind_dir)  # (K, n_members)
+        py = release_y + s * np.sin(wind_dir)
+        two_r2, amp = 2 * r2, cfg.release_mass / (2 * np.pi * r2)
+        gx = np.exp(-((px.T[:, :, None] - grid.xs) ** 2) / two_r2)  # (n_members, K, X)
+        gy = np.exp(-((py.T[:, :, None] - grid.ys) ** 2) / two_r2)  # (n_members, K, Y)
+        gx *= amp
+        c = np.matmul(gx.transpose(0, 2, 1), gy).reshape(len(params), -1)
+        out[:, :, j] += np.log(np.maximum(c, cfg.conc_floor)).T
+    return out
 
 
 def np_exp_footprint(puffs, sx, sy):

@@ -15,7 +15,6 @@ from plumeplace.dispersion import (
     sensor_rows,
     simulate_accidents,
     simulate_ensemble,
-    simulate_lattice,
     simulate_observations,
 )
 
@@ -25,10 +24,12 @@ from oracles import (
     member_major_log_concentrations,
     member_major_trajectories,
     np_exp_footprint,
+    per_instant_lattice,
     per_instant_trajectories,
     step_puff,
     stepped_observations,
 )
+from source_scan import callers_of
 
 CFG = ExperimentConfig()  # the stepper reads its wind speed and diffusion constants
 EAST = 0.0  # the oracle's heading, toward +x
@@ -232,7 +233,7 @@ class TestSimulateEnsemble:
         )
         cfg = replace(quiet, release_duration_min=2.0)  # puffs at 0 and 60 s
         sensor = (700.0, 150.0)
-        batch = simulate_ensemble(cfg, params, sensor, rng_seed=3)
+        batch = simulate_ensemble(cfg, params, [sensor], [3])[0]
         for i in range(len(params)):
             row = stepped_observations(cfg, params[i], [sensor], 4)[0]
             np.testing.assert_allclose(batch[i], row, rtol=1e-9, atol=1e-9)
@@ -245,16 +246,26 @@ class TestSimulateEnsemble:
         )
         cfg = replace(quiet, release_duration_min=2.0)
         sensor = (700.0, 150.0)
-        batch = simulate_ensemble(cfg, params, sensor, rng_seed=3)
+        batch = simulate_ensemble(cfg, params, [sensor], [3])[0]
         for i in range(len(params)):
             row = simulate_observations(cfg, params[i], [sensor], rng_seed=4)[0]
             np.testing.assert_array_equal(batch[i], row)
 
     def test_noise_reproducible_per_seed(self, desk_config):
         params = np.array([[0.0, 0.0], [500.0, 0.1]])
-        a = simulate_ensemble(desk_config, params, (500.0, 0.0), rng_seed=5)
-        b = simulate_ensemble(desk_config, params, (500.0, 0.0), rng_seed=5)
+        sensors = [(500.0, 0.0), (900.0, 50.0)]
+        a = simulate_ensemble(desk_config, params, sensors, [5, 6])
+        b = simulate_ensemble(desk_config, params, sensors, [5, 6])
+        assert a.shape == (2, 2, len(desk_config.times()))
         assert np.array_equal(a, b)
+        # each sensor keeps its own stream
+        alone = simulate_ensemble(desk_config, params, sensors[1:], [6])[0]
+        np.testing.assert_array_equal(a[1], alone)
+
+
+UNIT = [[0.0, 1.0], [0.0, 1.0]]
+BOUNDS = r"domain must be a \(2, 2\) array of x and y bounds"
+BOX = "domain must be finite with x0 < x1 and y0 < y1"
 
 
 class TestLatticeFootprint:
@@ -272,14 +283,11 @@ class TestLatticeFootprint:
         params = desk_config.draw_prior(200, np.random.default_rng(21))
         points = np.array(grid.nodes())
         floor = math.log(desk_config.conc_floor)
-        above = 0
-        for t in desk_config.times():
-            separable = log_concentrations_at(desk_config, params, grid, t)
-            point = log_concentrations_at(desk_config, params, points, t)
-            np.testing.assert_allclose(separable, point, rtol=0, atol=1e-14)
-            assert np.array_equal(separable == floor, point == floor)
-            above += np.sum(point > floor)
-        assert above > 0
+        separable = dispersion._trajectories(desk_config, params, grid)
+        point = dispersion._trajectories(desk_config, params, points)
+        np.testing.assert_allclose(separable, point, rtol=0, atol=1e-14)
+        assert np.array_equal(separable == floor, point == floor)
+        assert np.any(point > floor)
 
     def test_nodes_are_x_major(self):
         grid = GridSpec(2, 3, np.array([[0.0, 1.0], [5.0, 7.0]]))
@@ -289,23 +297,51 @@ class TestLatticeFootprint:
 
     def test_before_any_release_reads_floor(self, desk_config):
         params = desk_config.draw_prior(5, np.random.default_rng(2))
-        out = log_concentrations_at(desk_config, params, GridSpec(2, 3, np.zeros((2, 2))), 0.0)
-        assert out.shape == (5, 6)
+        out = log_concentrations_at(desk_config, params, [(0.0, 0.0), (100.0, 5.0)], 0.0)
+        assert out.shape == (5, 2)
         assert np.all(out == math.log(desk_config.conc_floor))
 
     def test_rows_carry_each_nodes_noise_stream(self, desk_config):
         params = desk_config.draw_prior(50, np.random.default_rng(3))
         grid = GridSpec(2, 3, np.array([[500.0, 9000.0], [-200.0, 200.0]]))
-        rows = simulate_lattice(desk_config, params, grid, list(range(6)))
-        for seed, (node, row) in enumerate(zip(grid.nodes(), rows)):
-            np.testing.assert_allclose(
-                row, simulate_ensemble(desk_config, params, node, seed), rtol=0, atol=1e-13
-            )
+        rows = simulate_ensemble(desk_config, params, grid, list(range(6)))
+        np.testing.assert_allclose(
+            rows, simulate_ensemble(desk_config, params, grid.nodes(), list(range(6))),
+            rtol=0, atol=1e-13,
+        )
 
     def test_rejects_a_seed_count_other_than_the_nodes(self, desk_config):
         params = desk_config.draw_prior(50, np.random.default_rng(3))
-        with pytest.raises(ValueError, match="one noise seed per node: 4 nodes, 3 seeds"):
-            simulate_lattice(desk_config, params, GridSpec(2, 2, np.zeros((2, 2))), [0, 1, 2])
+        grid = GridSpec(2, 2, np.array([[0.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="one noise seed per sensor: 4 sensors, 3 seeds"):
+            simulate_ensemble(desk_config, params, grid, [0, 1, 2])
+
+    @pytest.mark.parametrize(
+        "nx, ny, domain, message",
+        [
+            (0, 3, UNIT, "nx must be an integer >= 1, got 0"),
+            (3, -1, UNIT, "ny must be an integer >= 1, got -1"),
+            (2.5, 3, UNIT, "nx must be an integer >= 1, got 2.5"),
+            (3, 3.0, UNIT, "ny must be an integer >= 1, got 3.0"),
+            (3, None, UNIT, "ny must be an integer >= 1, got None"),
+            (3, 3, [0.0, 1.0], BOUNDS + r", got shape \(2,\)"),
+            (3, 3, [[0.0, 1.0], [0.0]], BOUNDS + ", got"),
+            (3, 3, [[0.0, np.nan], [0.0, 1.0]], BOX),
+            (3, 3, [[0.0, 1.0], [-np.inf, 1.0]], BOX),
+            (3, 3, [[1.0, 1.0], [0.0, 1.0]], BOX),
+            (3, 3, [[0.0, 1.0], [2.0, 1.0]], BOX),
+        ],
+    )
+    def test_grid_rejects_bad_fields(self, nx, ny, domain, message):
+        with pytest.raises(ValueError, match=message):
+            GridSpec(nx, ny, domain)
+
+    def test_grid_keeps_a_float_domain(self):
+        domain = [[0, 1000], [0, 1000]]
+        grid = GridSpec(np.int64(3), 3, domain)
+        assert grid.domain.dtype == float and grid.domain.shape == (2, 2)
+        domain[0][1] = 5  # the grid keeps its own copy
+        assert grid.nodes()[-1] == (1000.0, 1000.0)
 
 
 class TestValidation:
@@ -318,20 +354,24 @@ DESK = ExperimentConfig().with_profile("desk")
 ON_PLUME = [(900.0, -300.0), (2400.0, 200.0), (4000.0, 0.0)]
 
 
-class TestOnePassTrajectories:
-    """_trajectories, one footprint per distinct puff age and sensor,
-    against one log_concentrations_at call per instant: bit for bit."""
+TIMING_CASES = pytest.mark.parametrize(
+    "interval, release, n_steps, total",
+    [
+        (1.0, 10.0, 10, 30.0),  # desk: 10 puffs, ages 60..600 s
+        (1.0, 10.0, None, 30.0),  # the full profile's 31 instants
+        (0.7, 16.1, None, 20.0),  # ages that are not whole minutes
+        (0.3, 4.0, 40, 30.0),
+        (1.7, 40.0, 12, 30.0),  # the release outlasts the window
+    ],
+)
 
-    @pytest.mark.parametrize(
-        "interval, release, n_steps, total",
-        [
-            (1.0, 10.0, 10, 30.0),  # desk: 10 puffs, ages 60..600 s
-            (1.0, 10.0, None, 30.0),  # the full profile's 31 instants
-            (0.7, 16.1, None, 20.0),  # ages that are not whole minutes
-            (0.3, 4.0, 40, 30.0),
-            (1.7, 40.0, 12, 30.0),  # the release outlasts the window
-        ],
-    )
+
+class TestOnePassTrajectories:
+    """_trajectories, one footprint per distinct puff age, against one
+    forward evaluation per instant: bit for bit at points and on a
+    grid."""
+
+    @TIMING_CASES
     def test_timing_cases(self, interval, release, n_steps, total):
         cfg = replace(
             DESK, interval_min=interval, release_duration_min=release, n_steps=n_steps,
@@ -340,7 +380,7 @@ class TestOnePassTrajectories:
         params = cfg.draw_prior(200, np.random.default_rng(5))
         out = dispersion._trajectories(cfg, params, ON_PLUME)
         oracle = per_instant_trajectories(cfg, params, ON_PLUME)
-        assert out.shape == (200, len(ON_PLUME), len(cfg.times()))
+        assert out.shape == (len(ON_PLUME), 200, len(cfg.times()))
         np.testing.assert_array_equal(out, oracle)
         # the plume reaches the sensors, and instants with 8 or more
         # puffs sum them in numpy's pairwise blocks
@@ -373,9 +413,34 @@ class TestOnePassTrajectories:
             per_instant_trajectories(cfg, params, sensors),
         )
 
+    @TIMING_CASES
+    def test_lattice_equals_per_instant_lattice(self, interval, release, n_steps, total):
+        cfg = replace(
+            DESK, interval_min=interval, release_duration_min=release, n_steps=n_steps,
+            total_min=total,
+        )
+        self.check_lattice(cfg, 200)
+
+    @pytest.mark.parametrize("profile", ["desk", "full"])
+    def test_lattice_equals_per_instant_lattice_at_profile(self, profile):
+        cfg = ExperimentConfig().with_profile(profile)
+        self.check_lattice(cfg, cfg.placement_members)
+
+    @staticmethod
+    def check_lattice(cfg, members):
+        params = cfg.draw_prior(members, np.random.default_rng(6))
+        grid = GridSpec(cfg.grid_nx, cfg.grid_ny, cfg.domain_m())
+        seeds = [np.random.SeedSequence([6, i]) for i in range(cfg.grid_nx * cfg.grid_ny)]
+        out = simulate_ensemble(cfg, params, grid, seeds)
+        oracle = per_instant_lattice(cfg, params, grid, seeds)
+        np.testing.assert_array_equal(bits(out), bits(oracle))
+        # the plume reaches some nodes, so the sums over puffs count
+        clean = dispersion._trajectories(cfg, params, grid)
+        assert np.mean(clean > math.log(cfg.conc_floor)) > 0.01
+
     def test_one_transport_pass_per_location(self, monkeypatch):
         # the saved work: one _puffs call over the distinct ages, and no
-        # per-instant forward call
+        # per-instant forward call (TestGridCache counts the grid's)
         calls = []
         puffs = dispersion._puffs
 
@@ -389,7 +454,7 @@ class TestOnePassTrajectories:
         monkeypatch.setattr(dispersion, "_puffs", counting)
         monkeypatch.setattr(dispersion, "log_concentrations_at", per_instant)
         params = DESK.draw_prior(50, np.random.default_rng(1))
-        simulate_ensemble(DESK, params, (1000.0, 0.0), rng_seed=0)
+        simulate_ensemble(DESK, params, [(1000.0, 0.0)], [0])
         assert len(calls) == 1
         # desk: 55 (instant, puff) pairs, 10 distinct ages 60..600 s
         np.testing.assert_array_equal(calls[0], 60.0 * np.arange(1, 11))
@@ -431,7 +496,7 @@ class TestPuffMajor:
             bits(member_major_trajectories(DESK, params, sensors)),
         )
         seeds = [3, 17, 2**33]
-        oracle = member_major_trajectories(DESK, params[:3], sensors)
+        oracle = member_major_trajectories(DESK, params[:3], sensors).swapaxes(0, 1).copy()
         for row, seed in zip(oracle, seeds):
             row += np.random.default_rng(seed).normal(DESK.noise_mean, DESK.noise_std, row.shape)
         np.testing.assert_array_equal(
@@ -455,7 +520,7 @@ class TestPuffMajor:
             bits(log_concentrations_at(cfg, params, sensors, t)),
             bits(member_major_log_concentrations(cfg, params, sensors, t)),
         )
-        assert np.any(out[:, :2, -1] > math.log(cfg.conc_floor))
+        assert np.any(out[:2, :, -1] > math.log(cfg.conc_floor))
 
 
 class TestSumRows:
@@ -578,7 +643,7 @@ class TestPointSensors:
     def test_simulate_ensemble(self, sensor, message):
         params = DESK.draw_prior(5, np.random.default_rng(0))
         with pytest.raises(ValueError, match="sensors " + message):
-            simulate_ensemble(DESK, params, sensor, rng_seed=0)
+            simulate_ensemble(DESK, params, [sensor], [0])
 
     @pytest.mark.parametrize("sensor, message", BAD_SENSORS)
     def test_simulate_accidents(self, sensor, message):
@@ -589,3 +654,28 @@ class TestPointSensors:
     def test_log_concentrations_at(self, sensor, message):
         with pytest.raises(ValueError, match="sensors " + message):
             log_concentrations_at(DESK, np.zeros((3, 2)), [sensor], 300.0)
+
+
+BAD_PARAMS = [np.zeros((3, 3)), np.zeros(2), np.zeros((1, 3, 2))]
+
+
+class TestAccidentRows:
+    """Every path takes accidents as (C, 2) rows and names the argument."""
+
+    @pytest.mark.parametrize("params", BAD_PARAMS)
+    def test_log_concentrations_at(self, params):
+        with pytest.raises(ValueError, match=r"params must be \(C, 2\) \(release_y, wind_dir\)"):
+            log_concentrations_at(DESK, params, [(500.0, 0.0)], 300.0)
+
+    @pytest.mark.parametrize("params", BAD_PARAMS)
+    def test_simulate_ensemble(self, params):
+        with pytest.raises(ValueError, match=r"params must be \(C, 2\) \(release_y, wind_dir\)"):
+            simulate_ensemble(DESK, params, [(500.0, 0.0)], [0])
+
+
+def test_one_library_caller_per_forward_entry_point():
+    # the EnKF forecast reads one instant at a time, the placement caches
+    # whole sensor sets, and only dispersion runs the all-instants pass
+    assert callers_of({"log_concentrations_at"}) == {"enkf.py"}
+    assert callers_of({"simulate_ensemble"}) == {"placement.py"}
+    assert callers_of({"_trajectories"}) == {"dispersion.py"}

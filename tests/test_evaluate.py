@@ -80,6 +80,11 @@ class TestHelpers:
         lo, hi = mini_cfg.pipeline_y_m()
         assert np.all((lo <= a[:, 0]) & (a[:, 0] <= hi))
 
+    def test_conditions_reject_a_negative_count(self, mini_cfg):
+        assert draw_conditions(mini_cfg, 0, seed=1).shape == (0, 2)
+        with pytest.raises(ValueError, match="condition count must be >= 0, got -1"):
+            draw_conditions(mini_cfg, -1, seed=1)
+
     def test_random_placements_shape(self, mini_cfg):
         out = random_placements(mini_cfg, 3, seed=2)
         assert len(out) == 3

@@ -188,6 +188,11 @@ class TestGridPlace:
         assert result.locations[0] == (0.0, 0.0)
         assert result.locations[1] == (0.0, 0.5)
 
+    def test_domain_may_be_nested_lists(self, small_ensemble):
+        grid = pl.GridSpec(3, 3, [[0, 1000], [0, 1000]])
+        result = pl.grid_place(small_ensemble, 1, grid)
+        assert result.traces[0].shape == (9, 3)
+
     @pytest.mark.parametrize("n_sensors", [0, -1, 10])
     def test_rejects_bad_sensor_count(self, small_ensemble, n_sensors):
         grid = pl.GridSpec(nx=3, ny=3, domain=np.array([[0.0, 1.0], [0.0, 1.0]]))
@@ -275,31 +280,28 @@ class TestGridCache:
         assert all(ens.trajectories(n) is r for n, r in zip(grid.nodes(), rows))
 
     def test_one_lattice_pass_and_one_parameter_factor(self, setup, monkeypatch):
-        cfg, grid, ens = setup
-        grid_times, point_calls, factored = [], [], []
-        forward = dispersion.log_concentrations_at
+        # one transport pass over the distinct puff ages fills every node
+        _, grid, ens = setup
+        transports, factored = [], []
+        puffs = dispersion._puffs
         factor = cca.factor
 
-        def counting_forward(cfg, params, sensors, t):
-            if isinstance(sensors, dispersion.GridSpec):
-                grid_times.append(t)
-            else:
-                point_calls.append(t)
-            return forward(cfg, params, sensors, t)
+        def counting_puffs(cfg, release_y, wind_dir, ages):
+            transports.append(ages)
+            return puffs(cfg, release_y, wind_dir, ages)
+
+        def per_instant(*args):
+            raise AssertionError("grid_place made a per-instant forward call")
 
         def counting_factor(x):
             factored.append(x is ens.params)
             return factor(x)
 
-        def per_node(*args):
-            raise AssertionError("grid_place simulated one node at a time")
-
-        monkeypatch.setattr(dispersion, "log_concentrations_at", counting_forward)
-        monkeypatch.setattr(dispersion, "simulate_ensemble", per_node)
+        monkeypatch.setattr(dispersion, "_puffs", counting_puffs)
+        monkeypatch.setattr(dispersion, "log_concentrations_at", per_instant)
         monkeypatch.setattr(cca, "factor", counting_factor)
         pl.grid_place(ens, 3, grid)
-        assert grid_times == cfg.times().tolist()
-        assert point_calls == []
+        assert len(transports) == 1
         # the parameters once, each node alone in step 1, each later
         # step's fixed set once
         assert sum(factored) == 1
