@@ -309,9 +309,9 @@ def _trajectories(cfg, params, sensors):
     Each instant gathers its puffs' rows of the per-age footprint in
     release order. At points they are summed with _sum_rows, as
     log_concentrations_at sums its own; on a GridSpec the gathered
-    (K, n_members, X) and (K, n_members, Y) factors go into the batched
-    matrix product, written into one (n_members, X, Y) buffer. A gather
-    along the first axis copies no more than its rows.
+    (K, block, X) and (K, block, Y) factors of a block of members go
+    into the batched matrix product, written into one (block, X, Y)
+    buffer. A gather along the first axis copies no more than its rows.
     """
     release_y, wind_dir = _accident_rows(params, "params").T
     grid = isinstance(sensors, GridSpec)
@@ -331,11 +331,15 @@ def _trajectories(cfg, params, sensors):
         gx = np.exp(-((px - sensors.xs) ** 2) / two_r2)  # (n_distinct, n, X)
         gy = np.exp(-((py - sensors.ys) ** 2) / two_r2)  # (n_distinct, n, Y)
         gx *= amp
-        c = np.empty((n, sensors.nx, sensors.ny))
+        block = 128  # members per gather, which bounds the gathered copies
+        buffer = np.empty((block, sensors.nx, sensors.ny))
         for k, idx in enumerate(rows):
-            np.matmul(gx[idx].transpose(1, 2, 0), gy[idx].transpose(1, 0, 2), out=c)
-            np.log(np.maximum(c, cfg.conc_floor, out=c), out=c)
-            out[:, :, k] = c.reshape(n, n_sensors).T
+            for m in range(0, n, block):
+                x, y = gx[idx, m : m + block], gy[idx, m : m + block]
+                c = buffer[: x.shape[1]]
+                np.matmul(x.transpose(1, 2, 0), y.transpose(1, 0, 2), out=c)
+                np.log(np.maximum(c, cfg.conc_floor, out=c), out=c)
+                out[:, m : m + len(c), k] = c.reshape(len(c), n_sensors).T
         return out
     for j, (sx, sy) in enumerate(sensors):
         g = _footprint(puffs, sx, sy)  # (n_distinct, n_members)
