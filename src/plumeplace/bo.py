@@ -62,7 +62,7 @@ class BoConfig:
         object.__setattr__(self, "domain", box)
         for name, least in (("init_count", 2), ("iter_count", 0), ("acq_candidates", 1)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < least:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 

@@ -251,6 +251,13 @@ def _where(name: str) -> str:
     return f" (config key {_KEYS[name]!r})"
 
 
+def check_integer(value, name: str) -> None:
+    """Raise a ValueError that names the argument `name` unless value is
+    an integer, Python's or numpy's; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def json_int(value, key: str) -> int:
     """value if it is a JSON integer; anything else, a bool or an integral
     float such as 2.0 included, raises a ValueError that names key."""

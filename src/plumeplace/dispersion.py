@@ -36,9 +36,9 @@ The point footprint is puff-major: centres and footprints are
 layout every numpy call runs over n_members values; in the member-major
 layout (n_members, K), np.sum(..., axis=1) and each per-puff broadcast
 run numpy's inner loop once per member over only K values, which costs
-several times more. _sum_rows adds each member's K terms in the order
-numpy's pairwise sum adds a contiguous row, so the readings keep the
-member-major layout's bits.
+several times more. _sum_rows adds each member's K terms in release
+order, whatever the member count, so a member's reading has the same
+bits alone or in an ensemble.
 
 The footprint is chosen by the sensors' form. At arbitrary points it is
 the joint exp(-(dx**2 + dy**2) / 2r**2), one exponential per member,
@@ -90,7 +90,7 @@ class GridSpec:
     def __post_init__(self):
         for name in ("nx", "ny"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         expected = "domain must be a (2, 2) array of x and y bounds"
         try:
@@ -160,9 +160,13 @@ def simulate_ensemble(cfg: ExperimentConfig, params, sensors, rng_seeds) -> np.n
 def _add_noise(cfg: ExperimentConfig, rows: np.ndarray, rng_seeds, what: str) -> np.ndarray:
     """rows plus Gaussian noise (cfg.noise_mean, cfg.noise_std) in place,
     row i's from its own stream rng_seeds[i]; `what` names a row."""
-    if len(rng_seeds) != len(rows):
+    try:
+        n_seeds = len(rng_seeds)
+    except TypeError:  # a single seed, not one per row
+        raise ValueError(f"rng_seeds must hold one seed per {what}, got {rng_seeds!r}") from None
+    if n_seeds != len(rows):
         raise ValueError(
-            f"need one noise seed per {what}: {len(rows)} {what}s, {len(rng_seeds)} seeds"
+            f"need one noise seed per {what}: {len(rows)} {what}s, {n_seeds} seeds"
         )
     for row, seed in zip(rows, rng_seeds):
         row += np.random.default_rng(seed).normal(cfg.noise_mean, cfg.noise_std, row.shape)
@@ -253,35 +257,13 @@ def _footprint(puffs, sx, sy) -> np.ndarray:
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """The sum of the K rows of a (K, n) array with the floats of
-    np.sum(a.T.copy(), axis=1), each column added in the order numpy's
-    pairwise sum adds a contiguous row of K terms. That order is
-    numpy's, not an API; TestSumRows pins it on the installed numpy.
-    Below 8 terms they are added in order. Up to 128, eight interleaved
-    partial sums are joined pairwise, then the rest are added in order.
-    Above 128, the two halves, the first a multiple of 8, are summed
-    alike and added. numpy also adds the 0.0 it starts from, which
-    changes only a sum of -0 terms, to +0; a footprint is never -0."""
-    k = len(a)
-    if k < 8:
-        out = a[0].copy()
-        for row in a[1:]:
-            out += row
-        return out
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        out = _sum_rows(a[:half])
-        out += _sum_rows(a[half:])
-        return out
-    r = a[:8].copy()
-    whole = k - k % 8
-    for i in range(8, whole, 8):
-        r += a[i : i + 8]
-    r[0::2] += r[1::2]  # r0 + r1, r2 + r3, r4 + r5, r6 + r7
-    r[0::4] += r[2::4]
-    out = r[0]
-    out += r[4]
-    for row in a[whole:]:
+    """The sum of the K rows of a (K, n) array, added in release order:
+    ((a[0] + a[1]) + a[2]) + ... for every K and n. Not np.sum(a,
+    axis=0): numpy picks its order from the shape, and for n up to 3 it
+    sums pairwise along K, so a member's reading would depend on how
+    many members share the call."""
+    out = a[0].copy()
+    for row in a[1:]:
         out += row
     return out
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dispersion
-from .config import ExperimentConfig
+from .config import ExperimentConfig, check_integer
 from .enkf import assimilate_conditions, draw_accidents
 from .enkf import assimilate_run  # noqa: F401  (bench/layers.py wraps this attribute)
 from .mi import KnnConfig, knn_entropy
@@ -48,6 +48,7 @@ def _entropy_traces(thetas: np.ndarray, knn: KnnConfig) -> np.ndarray:
 def draw_conditions(cfg: ExperimentConfig, n_conditions: int, seed: int) -> np.ndarray:
     """Simulated accidents, an (n_conditions, 2) array of (release_y,
     wind_dir) rows: one prior draw per condition."""
+    check_integer(n_conditions, "n_conditions")
     if n_conditions < 0:
         raise ValueError(f"condition count must be >= 0, got {n_conditions}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC04D]))
@@ -56,6 +57,7 @@ def draw_conditions(cfg: ExperimentConfig, n_conditions: int, seed: int) -> np.n
 
 def random_placements(cfg: ExperimentConfig, count: int, seed: int) -> dict:
     """Uniformly random sensor sets over the domain, for comparison."""
+    check_integer(count, "count")
     if count < 0:
         raise ValueError(f"random placement count must be >= 0, got {count}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A4D]))
@@ -114,6 +116,7 @@ def compare_placements(
     """
     if len(placements) < 2:
         raise ValueError("need at least two placements to compare")
+    check_integer(n_conditions, "n_conditions")
     if n_conditions < 1:
         raise ValueError(f"n_conditions must be >= 1, got {n_conditions}")
     cfg.check_entropy_members()

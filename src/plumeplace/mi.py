@@ -48,7 +48,7 @@ class KnnConfig:
     jitter_scale: float = 1e-10
 
     def __post_init__(self):
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
             raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         if not np.isfinite(self.jitter_scale) or self.jitter_scale < 0:
             raise ValueError(f"jitter_scale must be finite and >= 0, got {self.jitter_scale!r}")

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import bo, cca, dispersion
-from .config import ExperimentConfig
+from .config import ExperimentConfig, check_integer
 from .dispersion import GridSpec
 
 _NOISE_TAG = 0x6F62  # distinguishes the observation-noise stream
@@ -119,6 +119,7 @@ class PriorEnsemble:
 def build_ensemble(cfg: ExperimentConfig, n_members: int, seed: int) -> PriorEnsemble:
     """Draw parameter members from cfg.draw_prior, seeded by `seed`;
     trajectories fill lazily."""
+    check_integer(n_members, "n_members")
     if n_members < 50:
         raise ValueError("need at least 50 ensemble members")
     return PriorEnsemble(cfg, cfg.draw_prior(n_members, np.random.default_rng(seed)), seed)
@@ -161,6 +162,7 @@ def greedy_place(
     stall the step. The steps' BO seeds derive from the ensemble's seed
     and the config's.
     """
+    check_integer(n_sensors, "n_sensors")
     if n_sensors < 1:
         raise ValueError("n_sensors must be >= 1")
     if bo_cfg.domain.shape != (2, 2):
@@ -201,6 +203,7 @@ def grid_place(ens: PriorEnsemble, n_sensors: int, grid: GridSpec) -> PlacementR
     are kept in the result's traces as (x, y, value) arrays.
     """
     nodes = grid.nodes()
+    check_integer(n_sensors, "n_sensors")
     if not 1 <= n_sensors <= len(nodes):
         raise ValueError(f"n_sensors must be in [1, {len(nodes)}] for this grid, got {n_sensors}")
     ens.fill(grid)

@@ -325,9 +325,9 @@ def stepped_observations(cfg, truth, sensors, rng_seed):
 def member_major_log_concentrations(cfg, params, sensors, t):
     """log_concentrations_at at point sensors in the member-major layout
     the library used before its puff-major one: centres of shape
-    (n_members, K), one joint footprint per sensor summed along each
-    member's row by np.sum(..., axis=1), and np.exp over the whole
-    array."""
+    (n_members, K), one joint footprint per sensor whose K columns are
+    added to each member's total in release order, and np.exp over the
+    whole array."""
     release_y, wind_dir = np.asarray(params, dtype=float).T
     sensors = np.atleast_2d(np.asarray(sensors, dtype=float))
     out = np.full((len(release_y), len(sensors)), np.log(cfg.conc_floor))
@@ -341,7 +341,10 @@ def member_major_log_concentrations(cfg, params, sensors, t):
     py = release_y[:, None] + np.outer(np.sin(wind_dir), s)
     two_r2, amp = 2 * r2, cfg.release_mass / (2 * np.pi * r2)
     for j, (sx, sy) in enumerate(sensors):
-        c = np.sum(amp * np.exp(-((px - sx) ** 2 + (py - sy) ** 2) / two_r2), axis=1)
+        terms = amp * np.exp(-((px - sx) ** 2 + (py - sy) ** 2) / two_r2)
+        c = terms[:, 0].copy()
+        for column in terms.T[1:]:
+            c += column
         out[:, j] = np.log(np.maximum(c, cfg.conc_floor))
     return out
 

@@ -267,7 +267,7 @@ class TestConfigAndTrace:
             BoConfig(domain=[[0.0, 1.0]], init_count=1)
 
     @pytest.mark.parametrize("name", ["init_count", "iter_count", "acq_candidates"])
-    @pytest.mark.parametrize("value", [2.5, 4.0, "4", None])
+    @pytest.mark.parametrize("value", [2.5, 4.0, "4", None, True])
     def test_counts_must_be_integers(self, name, value):
         # a float count failed later, inside numpy, without its name
         with pytest.raises(ValueError, match=f"^{name} must be an integer >= [012], got "):

@@ -20,6 +20,7 @@ from plumeplace.config import (
     load_config,
     save_config,
 )
+from plumeplace.dispersion import GridSpec, simulate_ensemble
 from plumeplace.enkf import assimilate_run
 from plumeplace.mi import KnnConfig
 from source_scan import callers_of, library_modules
@@ -447,3 +448,30 @@ def test_only_config_builds_model_settings():
     ]
     assert callers_of(CONFIG_BUILT) <= {"config.py"}
     assert held == []
+
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda cfg, ens, grid: placement.grid_place(ens, 2.0, grid), "n_sensors .* 2.0"),
+        (lambda cfg, ens, grid: placement.greedy_place(ens, 1.5, cfg.bo_config(), 1.0),
+         "n_sensors .* 1.5"),
+        (lambda cfg, ens, grid: placement.build_ensemble(cfg, 60.5, 0), "n_members .* 60.5"),
+        (lambda cfg, ens, grid: evaluate.compare_placements(
+            cfg, {"a": [(1.0, 0.0)], "b": [(2.0, 0.0)]}, 2.5, 0), "n_conditions .* 2.5"),
+        (lambda cfg, ens, grid: evaluate.random_placements(cfg, 1.5, 0), "count .* 1.5"),
+        (lambda cfg, ens, grid: evaluate.draw_conditions(cfg, 1.5, 0), "n_conditions .* 1.5"),
+        (lambda cfg, ens, grid: evaluate.draw_conditions(cfg, True, 0), "n_conditions .* True"),
+        (lambda cfg, ens, grid: simulate_ensemble(cfg, ens.params, [(1.0, 0.0)], 7),
+         "rng_seeds must hold one seed per sensor, got 7"),
+    ],
+    ids=["grid_place", "greedy_place", "build_ensemble", "compare_placements",
+         "random_placements", "draw_conditions", "draw_conditions-bool", "simulate_ensemble"],
+)
+def test_entry_points_refuse_non_integer_counts(tiny_config, call, message):
+    # a float count failed later, inside Python or numpy, without its name
+    ens = placement.build_ensemble(tiny_config, tiny_config.placement_members, 0)
+    grid = GridSpec(2, 2, [[100.0, 2000.0], [-500.0, 500.0]])
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(tiny_config, ens, grid)

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +31,7 @@ from oracles import (
     step_puff,
     stepped_observations,
 )
-from source_scan import callers_of
+from source_scan import callers_of, definitions_calling
 
 CFG = ExperimentConfig()  # the stepper reads its wind speed and diffusion constants
 EAST = 0.0  # the oracle's heading, toward +x
@@ -214,6 +216,22 @@ class TestSimulateAccidents:
         for row, truth, seed in zip(out, truths, seeds):
             np.testing.assert_array_equal(row, simulate_observations(desk_config, truth, SENSORS, seed))
 
+    def test_rows_equal_simulate_observations_whatever_the_member_count(self, desk_config):
+        # a reading's bits do not depend on how many accidents share the
+        # pass: at desk the last three instants sum 8 to 10 puffs, where
+        # numpy's own sum of one accident's puffs would go pairwise
+        cfg = desk_config
+        truths = cfg.draw_prior(200, np.random.default_rng(13))
+        seeds = list(range(200))
+        out = simulate_accidents(cfg, truths, ON_PLUME, seeds)
+        for row, truth, seed in zip(out, truths, seeds):
+            np.testing.assert_array_equal(
+                bits(row), bits(simulate_observations(cfg, truth, ON_PLUME, seed))
+            )
+        assert [dispersion._ages(cfg, t).size for t in cfg.times()[-3:]] == [8, 9, 10]
+        clean = dispersion._trajectories(cfg, truths, ON_PLUME)
+        assert np.mean(clean[:, :, -3:] > math.log(cfg.conc_floor)) > 0.2
+
     def test_rejects_a_seed_count_other_than_the_accident_count(self, desk_config):
         with pytest.raises(ValueError, match="one noise seed per accident: 2 accidents, 1 seeds"):
             simulate_accidents(desk_config, np.zeros((2, 2)), SENSORS, [0])
@@ -330,6 +348,8 @@ class TestLatticeFootprint:
             (3, 3, [[0.0, 1.0], [-np.inf, 1.0]], BOX),
             (3, 3, [[1.0, 1.0], [0.0, 1.0]], BOX),
             (3, 3, [[0.0, 1.0], [2.0, 1.0]], BOX),
+            (True, 3, UNIT, "nx must be an integer >= 1, got True"),
+            (3, True, UNIT, "ny must be an integer >= 1, got True"),
         ],
     )
     def test_grid_rejects_bad_fields(self, nx, ny, domain, message):
@@ -382,8 +402,8 @@ class TestOnePassTrajectories:
         oracle = per_instant_trajectories(cfg, params, ON_PLUME)
         assert out.shape == (len(ON_PLUME), 200, len(cfg.times()))
         np.testing.assert_array_equal(out, oracle)
-        # the plume reaches the sensors, and instants with 8 or more
-        # puffs sum them in numpy's pairwise blocks
+        # the plume reaches the sensors, and some instants sum 8 or more
+        # puffs, where numpy's own sum would switch to pairwise blocks
         assert np.mean(out > math.log(cfg.conc_floor)) > 0.2
         released = cfg.release_times()
         assert max(np.sum(released < t) for t in cfg.times()) >= 8
@@ -467,7 +487,8 @@ FAR = [(9000.0, 9000.0), (2000.0, -9000.0), (9000.0, 5000.0)]
 
 class TestPuffMajor:
     """The puff-major (K, n_members) point footprint against the
-    member-major one it replaced (oracles), bit for bit."""
+    member-major one it replaced (oracles), bit for bit: both add each
+    member's K puffs in release order."""
 
     def test_log_concentrations_at_every_desk_instant(self):
         params = DESK.draw_prior(300, np.random.default_rng(8))
@@ -504,8 +525,8 @@ class TestPuffMajor:
         )
 
     def test_more_than_128_live_puffs(self):
-        # a 200-minute release at 1-minute spacing: the row sum splits
-        # its puffs in two halves, recursively, as numpy's pairwise sum
+        # a 200-minute release at 1-minute spacing: 200 live puffs, still
+        # added one after another in release order
         cfg = replace(DESK, release_duration_min=200.0, interval_min=1.0, n_steps=None,
                       total_min=240.0)
         params = cfg.draw_prior(6, np.random.default_rng(10))
@@ -524,21 +545,19 @@ class TestPuffMajor:
 
 
 class TestSumRows:
-    """_sum_rows of a (K, n) array gives np.sum's floats over the
-    C-contiguous (n, K) rows, which sums each row pairwise."""
+    """_sum_rows of a (K, n) array adds its rows left to right, in
+    release order, for every K and n, a single member (n = 1) included."""
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_equals_np_sum_for_every_k_to_300(self, seed):
-        rng = np.random.default_rng(seed)
+    @pytest.mark.parametrize("n", [1, 2, 3, 40])
+    def test_equals_left_to_right_reduce_for_every_k_to_300(self, n):
+        rng = np.random.default_rng(n)
         for k in range(1, 301):
             # signed values over 200 decades, a fifth of them 0, so that
-            # a change of the order of the additions changes some bits;
-            # no -0, which a footprint never is (_sum_rows)
-            rows = rng.choice([-1.0, 1.0], (40, k)) * 10.0 ** rng.uniform(-100, 100, (40, k))
-            rows[rng.random((40, k)) < 0.2] = 0.0
-            rows[-1] = 0.0
-            expected = np.sum(rows, axis=1)
-            out = dispersion._sum_rows(np.ascontiguousarray(rows.T))
+            # a change of the order of the additions changes some bits
+            rows = rng.choice([-1.0, 1.0], (k, n)) * 10.0 ** rng.uniform(-100, 100, (k, n))
+            rows[rng.random((k, n)) < 0.2] = 0.0
+            expected = functools.reduce(operator.add, rows)
+            out = dispersion._sum_rows(rows)
             np.testing.assert_array_equal(bits(out), bits(expected), err_msg=f"K = {k}")
 
 
@@ -679,3 +698,9 @@ def test_one_library_caller_per_forward_entry_point():
     assert callers_of({"log_concentrations_at"}) == {"enkf.py"}
     assert callers_of({"simulate_ensemble"}) == {"placement.py"}
     assert callers_of({"_trajectories"}) == {"dispersion.py"}
+
+
+def test_every_sum_over_puffs_is_sum_rows():
+    # numpy's reductions pick their order from the shape, so one of them
+    # over puffs would make a reading depend on the member count
+    assert definitions_calling("dispersion.py", {"sum", "reduce"}) == set()

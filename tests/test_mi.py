@@ -32,7 +32,7 @@ class TestKnnConfig:
         with pytest.raises(ValueError):
             KnnConfig(k=0)
 
-    @pytest.mark.parametrize("k", [2.5, 6.0, "6", None])
+    @pytest.mark.parametrize("k", [2.5, 6.0, "6", None, True])
     def test_rejects_non_integer_k(self, k):
         with pytest.raises(ValueError, match="k must be an integer"):
             KnnConfig(k=k)
