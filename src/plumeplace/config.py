@@ -95,6 +95,11 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.type.startswith("int") and value is not None:  # a count or the seed
+                try:
+                    check_integer(value, f.name)
+                except ValueError as exc:
+                    raise ValueError(f"{exc}{_where(f.name)}") from None
             if isinstance(value, (float, tuple)) and not np.all(np.isfinite(value)):
                 raise ValueError(f"{f.name} must be finite, got {value!r}{_where(f.name)}")
             if f.name != "seed" and isinstance(value, int) and value > MAX_COUNT:

@@ -103,6 +103,18 @@ class GridSpec:
             raise ValueError(f"domain must be finite with x0 < x1 and y0 < y1, got {box.tolist()}")
         object.__setattr__(self, "domain", box)
 
+    def _key(self) -> tuple:
+        return self.nx, self.ny, self.domain.tobytes()
+
+    def __eq__(self, other):
+        """Grids are equal when nx, ny and the domain's bits are."""
+        if not isinstance(other, GridSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     @property
     def xs(self) -> np.ndarray:
         return np.linspace(self.domain[0, 0], self.domain[0, 1], self.nx)

@@ -382,6 +382,14 @@ class TestValidation:
             with pytest.raises(ValueError):
                 ExperimentConfig(**bad)
 
+    @pytest.mark.parametrize(
+        "name", [f.name for f in fields(ExperimentConfig) if f.type.startswith("int")]
+    )
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got .*\(config key"):
+            ExperimentConfig(**{name: value})
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_floats(self, value):
         for f in fields(ExperimentConfig):

@@ -363,6 +363,16 @@ class TestLatticeFootprint:
         domain[0][1] = 5  # the grid keeps its own copy
         assert grid.nodes()[-1] == (1000.0, 1000.0)
 
+    def test_grids_compare_and_hash_by_counts_and_domain_bits(self):
+        domain = [[0.0, 1000.0], [-500.0, 500.0]]
+        grid = GridSpec(3, 3, domain)
+        same = GridSpec(np.int64(3), 3, np.array(domain))
+        assert grid == same and hash(grid) == hash(same)
+        assert len({grid, same}) == 1
+        assert grid != GridSpec(3, 4, domain)
+        assert grid != GridSpec(3, 3, [[0.0, np.nextafter(1000.0, 0.0)], [-500.0, 500.0]])
+        assert grid != (3, 3, domain)
+
 
 class TestValidation:
     def test_puff_invariants(self):

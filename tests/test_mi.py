@@ -12,6 +12,7 @@ from plumeplace.mi import (
     _jittered,
     _knn_radii,
     _strict_counts,
+    _window_radii,
     knn_entropy,
     ksg_mi,
 )
@@ -23,6 +24,7 @@ from oracles import (
     brute_strict_counts,
     chebyshev_all_pairs,
 )
+from source_scan import definitions_calling
 
 GAUSS_ENTROPY = 1.4189385332046727  # 0.5 * ln(2*pi*e)
 
@@ -134,6 +136,14 @@ class TestKsgMi:
         with pytest.raises(ValueError, match="duplicate"):
             ksg_mi(np.zeros(50), np.zeros(50))
 
+    def test_k_wider_than_the_window_matches_brute_force(self):
+        # k = 70 needs more than the 32 rows a side the joint's window takes
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(300)
+        y = x + 0.3 * rng.standard_normal(300)
+        cfg = KnnConfig(k=70, jitter_scale=0.0)
+        assert ksg_mi(x, y, cfg) == pytest.approx(brute_ksg_mi(x, y, 70), abs=1e-12)
+
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
@@ -208,10 +218,12 @@ class TestStackedKnnEntropy:
 
     def test_each_entry_of_a_stack_of_2d_sets_is_its_sets_estimate(self, monkeypatch):
         x = np.round(np.random.default_rng(10).standard_normal((2, 3, 200, 2)), 2)
-        x[0, :, :, 1] *= 1e3  # the first row's sets are certified, the second's need a tree
-        builds = _counting_trees(monkeypatch)
+        x[0, :, :, 1] *= 1e3  # the first row's sets are certified, the second's need windows
+        builds, queried = _counting_trees(monkeypatch)
         stacked = knn_entropy(x)
-        assert builds == [200] * 3
+        jittered = _jittered(x[1], KnnConfig.jitter_scale)
+        assert queried == [rows for rows in (_path(b, 6)[1] for b in jittered) if rows]
+        assert builds == [200] * len(queried)
         assert stacked.shape == (2, 3)
         for idx in np.ndindex(2, 3):
             assert stacked[idx] == knn_entropy(x[idx])
@@ -246,37 +258,61 @@ class TestJitterDraw:
         assert knn_entropy(y) == knn_entropy(y)
 
 
-def _counting_trees(mp) -> list:
-    """Patch mi.cKDTree to record each tree it builds; returns the record."""
-    builds = []
+def _counting_trees(mp) -> tuple[list, list]:
+    """Patch mi.cKDTree to record the rows of each tree it builds and of
+    each kNN query made of one; returns both records."""
+    builds, queried = [], []
 
-    def tree(data, *args, **kwargs):
-        builds.append(len(data))
-        return cKDTree(data, *args, **kwargs)
+    class Tree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            builds.append(len(data))
+            super().__init__(data, *args, **kwargs)
 
-    mp.setattr(mi, "cKDTree", tree)
-    return builds
+        def query(self, x, *args, **kwargs):
+            queried.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    mp.setattr(mi, "cKDTree", Tree)
+    return builds, queried
 
 
-def _path(block, k) -> tuple[bool, bool]:
-    """(passes the pigeonhole bound, needs a tree) for one (n, d) set: its
-    next widest spread is at most k * span_w / (n - k), and it exceeds
-    that bound or its widest column's least 1D radius."""
+def _tree_rows(block, k, w) -> int:
+    """How many rows of one (n, d) set a window of w rows a side leaves
+    to the tree, by brute force: in the first column's stable order, the
+    rows whose k-th distance to the rows within w places exceeds the
+    first-column gap to the nearest row beyond them on either side."""
     n = len(block)
+    s = block[np.argsort(block[:, 0], kind="stable")]
+    dist = chebyshev_all_pairs(s)
+    left = 0
+    for i in range(n):
+        kth = np.sort(np.r_[dist[i, max(0, i - w) : i], dist[i, i + 1 : i + w + 1]])[k - 1]
+        lo, hi = i - w - 1, i + w + 1  # the nearest rows beyond the window
+        gaps = ([s[i, 0] - s[lo, 0]] if lo >= 0 else []) + ([s[hi, 0] - s[i, 0]] if hi < n else [])
+        left += any(gap < kth for gap in gaps)
+    return left
+
+
+def _path(block, k) -> tuple[bool, int]:
+    """(passes the whole-set certificate, rows left to the tree) for one
+    (n, d) set: its next widest spread is at most its widest column's
+    least 1D radius; otherwise the rows a window of k rows a side, the
+    widest column first, leaves to the tree."""
     spans = np.ptp(block, axis=0)
     w = np.argmax(spans)
     other = np.max(np.delete(spans, w), initial=0.0)
-    if other > k * spans[w] / (n - k):
-        return False, True
-    return True, other > brute_knn_radii(block[:, [w]], k).min()
+    if other <= brute_knn_radii(block[:, [w]], k).min():
+        return True, 0
+    return False, _tree_rows(np.roll(block, -w, axis=1), k, k)
 
 
 def _dominated(data, n, d, k):
     """An (n, d) set with a drawn widest column w, rounded so that w has
     ties (rounding to thousands makes k-fold ties common), and other
-    columns of one spread t drawn against the certificate: at most
-    min(r_w), its edge included; just above it, up to the pigeonhole
-    bound k * span_w / (n - k); or above that bound."""
+    columns of one spread t drawn against the whole-set certificate: at
+    most min(r_w), its edge included; just above it, up to
+    k * span_w / (n - k), the most min(r_w) can be (pigeonhole over the
+    n - k windows of k + 1 sorted points); or above that."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     decimals = data.draw(st.integers(min_value=-3, max_value=2), label="decimals")
     offset = data.draw(st.sampled_from([0.0, 1e3, -7.3e5]), label="offset")
@@ -299,16 +335,17 @@ def _dominated(data, n, d, k):
 
 def _check_radii(stack, k):
     """_knn_radii of an (..., n, d) stack equals brute force and cKDTree
-    for every set, bit for bit, takes 1D radii exactly for the sets that
-    pass the pigeonhole bound and builds a tree exactly for the sets the
-    certificate cannot take; a zero radius anywhere is an error."""
+    for every set, bit for bit, takes the 1D radii of every set's widest
+    column in one pass, and queries a tree at exactly the rows that
+    neither the whole-set certificate nor a window certifies; a zero
+    radius anywhere is an error."""
     n, d = stack.shape[-2:]
     sets = stack.reshape(-1, n, d)
     expected = np.stack([brute_knn_radii(block, k) for block in sets])
     tree = np.stack([cKDTree(block).query(block, k=k + 1, p=np.inf)[0][:, k] for block in sets])
     np.testing.assert_array_equal(tree, expected)
     with pytest.MonkeyPatch.context() as mp:
-        builds = _counting_trees(mp)
+        builds, queried = _counting_trees(mp)
         sorted_sets = []
         sorted_radii = mi._sorted_radii
         mp.setattr(mi, "_sorted_radii", lambda v, k: (sorted_sets.append(len(v)), sorted_radii(v, k))[1])
@@ -318,9 +355,9 @@ def _check_radii(stack, k):
             return
         radii = _knn_radii(stack, k)
     np.testing.assert_array_equal(radii, expected.reshape(stack.shape[:-1]))
-    paths = [_path(block, k) for block in sets]
-    assert sum(sorted_sets) == sum(passes for passes, _ in paths)
-    assert len(builds) == sum(tree for _, tree in paths)
+    assert sorted_sets == [len(sets)]
+    assert queried == [rows for _, rows in map(_path, sets, [k] * len(sets)) if rows]
+    assert builds == [n] * len(queried)
 
 
 @settings(max_examples=300, deadline=None)
@@ -339,7 +376,7 @@ def test_knn_radii_of_a_mixed_stack_match_brute_force_and_the_tree(data):
     rows = data.draw(st.integers(min_value=1, max_value=5), label="B")
     k = data.draw(st.integers(min_value=1, max_value=7), label="k")
     stack = np.stack([_dominated(data, n, 2, k) for _ in range(rows)])
-    # tie-heavy standardised sets, which the pigeonhole bound sends to the tree
+    # tie-heavy sets of columns alike in spread, which go to the window
     for b in range(rows):
         if data.draw(st.booleans(), label=f"set {b} tie-heavy"):
             stack[b] = _tie_heavy(data, max_dim=1, n=2 * n)[0].reshape(n, 2)
@@ -363,7 +400,7 @@ class TestCertifiedRadii:
             _knn_radii(np.full((3, 50, 2), other), 4)
 
     def test_ksg_mi_on_standardised_data_builds_one_tree_and_no_1d_radii(self, monkeypatch):
-        builds = _counting_trees(monkeypatch)
+        builds, queried = _counting_trees(monkeypatch)
 
         def unreachable(*args):
             raise AssertionError("ksg_mi reached the 1D radii")
@@ -372,4 +409,67 @@ class TestCertifiedRadii:
         z = np.random.default_rng(11).multivariate_normal([0, 0], [[1, 0.9], [0.9, 1]], size=500)
         z = (z - z.mean(axis=0)) / z.std(axis=0)
         ksg_mi(z[:, 0], z[:, 1])
+        joint = np.hstack([_jittered(z[:, [0]], 1e-10), _jittered(z[:, [1]], 1e-10)])
+        left = _tree_rows(joint, 6, 32)
+        assert 0 < left < 100
         assert builds == [500]
+        assert queried == [left]
+
+
+def _window_case(data):
+    """(block, k, w): an (n, d) set for a window of w >= k rows a side,
+    with n from k + 1 to past 2w + 1, so that windows reach both ends.
+    The columns are unit-variance and correlated, like ksg_mi's
+    projections; rounded, so that ties are common; or clamped at a
+    floor, as readings at the concentration floor are, and jittered or
+    not, so that exact duplicates can saturate a row."""
+    k = data.draw(st.integers(min_value=1, max_value=7), label="k")
+    w = data.draw(st.integers(min_value=k, max_value=12), label="w")
+    n = data.draw(st.integers(min_value=k + 1, max_value=2 * w + 40), label="n")
+    d = data.draw(st.integers(min_value=1, max_value=3), label="d")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    kind = data.draw(st.sampled_from(["correlated", "tie-heavy", "floor"]), label="kind")
+    if kind == "correlated":
+        rho = data.draw(st.sampled_from([0.0, 0.5, 0.9, 0.999, -0.9]), label="rho")
+        z = rng.standard_normal((n, d))
+        z[:, 1:] = rho * z[:, :1] + np.sqrt(1.0 - rho**2) * z[:, 1:]
+        block = (z - z.mean(axis=0)) / z.std(axis=0)
+    elif kind == "tie-heavy":
+        decimals = data.draw(st.integers(min_value=0, max_value=2), label="decimals")
+        block = np.round(3.0 * rng.standard_normal((n, d)), decimals)
+    else:
+        floor = data.draw(st.sampled_from([-1.0, 0.0, 1.0]), label="floor")
+        block = np.maximum(rng.standard_normal((n, d)), floor)
+        if data.draw(st.booleans(), label="jittered"):
+            block = _jittered(block, 1e-10)
+    return block, k, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_window_radii_match_brute_force_and_the_tree(data):
+    block, k, w = _window_case(data)
+    expected = brute_knn_radii(block, k)
+    if np.any(expected == 0):
+        with pytest.raises(ValueError, match="duplicate"):
+            _window_radii(block, k, w)
+        return
+    tree = cKDTree(block).query(block, k=k + 1, p=np.inf)[0][:, k]
+    np.testing.assert_array_equal(tree, expected)
+    np.testing.assert_array_equal(_window_radii(block, k, w), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_rows_tree_radius_does_not_depend_on_the_other_rows_queried(data):
+    block, k, _ = _window_case(data)
+    rows = data.draw(
+        st.lists(st.integers(0, len(block) - 1), min_size=1, unique=True), label="rows"
+    )
+    tree = cKDTree(block)
+    whole = tree.query(block, k=k + 1, p=np.inf)[0][:, k]
+    np.testing.assert_array_equal(tree.query(block[rows], k=k + 1, p=np.inf)[0][:, k], whole[rows])
+
+
+def test_only_the_window_and_the_strict_counts_build_trees():
+    assert definitions_calling("mi.py", {"cKDTree"}) == {"_window_radii", "_strict_counts"}
