@@ -1,14 +1,14 @@
 """plumeplace: information-driven sensor placement for release-source
 inference, verified by ensemble Kalman assimilation."""
 
-from .bo import BoConfig, BoTrace, expected_improvement, maximize, propose_next
+from .bo import BoTrace, expected_improvement, maximize, propose_next
 from .cca import CanonicalPair, first_canonical, mi_lower_bound
-from .config import ExperimentConfig, load_config, save_config
+from .config import BoConfig, ExperimentConfig, KnnConfig, load_config, save_config
 from .dispersion import simulate_observations
 from .enkf import AugmentedEnsemble, analysis, assimilate_run, draw_perturbations, forecast
 from .evaluate import EvaluationReport, compare_placements
 from .gp import GpSurrogate, fit, predict
-from .mi import KnnConfig, knn_entropy, ksg_mi
+from .mi import knn_entropy, ksg_mi
 from .placement import (
     GridSpec,
     PlacementResult,

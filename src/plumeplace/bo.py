@@ -18,6 +18,10 @@ design by a scrambled Latin hypercube. They equal, draw for draw, the
 `scipy.stats.qmc` samplers `Halton(dim, seed=seed)` and
 `LatinHypercube(dim, seed=rng)`, which the tests hold them to; the
 library itself never imports `scipy.stats`.
+
+The search box and loop sizes, `BoConfig`, are defined in `config`,
+which owns every setting and its input rules; bo imports the class from
+there.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import gp
+from .config import BoConfig
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 REFIT_EVERY = 5  # iterations per maximum-likelihood refit of the surrogate
@@ -40,30 +45,6 @@ class ObjectiveError(RuntimeError):
     def __init__(self, point, cause):
         super().__init__(f"objective failed at {np.asarray(point)!r}: {cause}")
         self.point = np.asarray(point, dtype=float)
-
-
-@dataclass(frozen=True)
-class BoConfig:
-    """Search box and loop sizes for the optimization."""
-
-    domain: np.ndarray  # (dim, 2) box bounds
-    init_count: int = 10
-    iter_count: int = 30
-    acq_candidates: int = 2048
-
-    def __post_init__(self):
-        box = np.atleast_2d(np.asarray(self.domain, dtype=float))
-        if box.ndim != 2 or box.shape[1] != 2:
-            raise ValueError("domain must be a (dim, 2) array of bounds")
-        if not np.all(np.isfinite(box)):
-            raise ValueError(f"domain bounds must be finite, got {box.tolist()}")
-        if np.any(box[:, 1] <= box[:, 0]):
-            raise ValueError("domain box is degenerate")
-        object.__setattr__(self, "domain", box)
-        for name, least in (("init_count", 2), ("iter_count", 0), ("acq_candidates", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass

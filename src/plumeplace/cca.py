@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mi import KnnConfig, ksg_mi
+from .config import KnnConfig
+from .mi import ksg_mi
 
 _REG = 1e-8
 

@@ -11,16 +11,23 @@ a key LAYOUT does not declare, raises a ValueError that names the key:
 an integer setting takes only a JSON integer, and a real setting or pair
 only JSON numbers, never a bool or a string.
 
-Every setting has one owner. The forward model (dispersion) reads the
-wind, diffusion, timing and observation settings from the
-ExperimentConfig itself, so ExperimentConfig checks them. The two
-sub-configs check their own values and hold the defaults
-ExperimentConfig shares with them: KnnConfig the neighbour settings and
-BoConfig the domain box and the loop sizes. ExperimentConfig rejects
-non-finite floats, builds the two, and checks what neither covers,
-including the counts it derives: the observation instants and the
-puffs. A range error names its file key, or the file sections of the
-sub-config that raised it.
+Every setting and every input rule has one owner, and it is this
+module. The forward model (dispersion) reads the wind, diffusion, timing
+and observation settings from the ExperimentConfig itself, so
+ExperimentConfig checks them. The two sub-configs, KnnConfig (the
+neighbour settings of mi) and BoConfig (the domain box and loop sizes of
+bo), check their own values and hold the defaults ExperimentConfig
+shares with them. ExperimentConfig rejects non-finite floats, checks its
+own counts, builds the two, and checks what neither covers, including
+the counts it derives: the observation instants and the puffs. A range
+error names its file key, or the file sections of the sub-config that
+raised it.
+
+One rule decides what a count is (check_count): an integer, Python's or
+numpy's but not a bool, in [least, MAX_COUNT]. One rule decides what a
+box is (check_box): a float (dims, 2) array of finite (low, high) bounds
+with low < high. Every entry point of the library that takes a count or
+a box calls them, with the name of its argument.
 
 Defaults encode the reference scenario: a 10 x 20 km domain with the
 pipeline on the y axis from -3 to 3 km, westerly wind at 4 m/s with a
@@ -37,15 +44,46 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .bo import BoConfig
-from .mi import KnnConfig
-
 PROFILES = ("full", "desk")
 # Every count (ensemble sizes, steps, grid nodes, sensors, BO sizes, k,
-# and the observation instants and puffs the timing derives) is at most
-# this, so a config that loads never asks numpy for an allocation it
-# cannot make.
+# the observation instants and puffs the timing derives, and every count
+# an entry point takes) is at most this, so no setting or argument asks
+# numpy for an allocation it cannot make.
 MAX_COUNT = 10**7
+
+
+@dataclass(frozen=True)
+class KnnConfig:
+    """Neighbor-count and tie-break settings for the kNN estimators.
+
+    Small k gives low bias / high variance and vice versa; 6 is a sane
+    default around a thousand samples. jitter_scale is a tiny
+    multiplicative perturbation applied before neighbor searches because
+    clamped observations produce exact duplicates.
+    """
+
+    k: int = 6
+    jitter_scale: float = 1e-10
+
+    def __post_init__(self):
+        check_count(self.k, "k")
+        if not np.isfinite(self.jitter_scale) or self.jitter_scale < 0:
+            raise ValueError(f"jitter_scale must be finite and >= 0, got {self.jitter_scale!r}")
+
+
+@dataclass(frozen=True)
+class BoConfig:
+    """Search box and loop sizes for the optimization."""
+
+    domain: np.ndarray  # (dim, 2) box bounds
+    init_count: int = 10
+    iter_count: int = 30
+    acq_candidates: int = 2048
+
+    def __post_init__(self):
+        object.__setattr__(self, "domain", check_box(self.domain, "domain"))
+        for name, least in (("init_count", 2), ("iter_count", 0), ("acq_candidates", 1)):
+            check_count(getattr(self, name), name, least)
 
 
 @dataclass(frozen=True)
@@ -95,17 +133,20 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type.startswith("int") and value is not None:  # a count or the seed
-                try:
-                    check_integer(value, f.name)
-                except ValueError as exc:
-                    raise ValueError(f"{exc}{_where(f.name)}") from None
             if isinstance(value, (float, tuple)) and not np.all(np.isfinite(value)):
                 raise ValueError(f"{f.name} must be finite, got {value!r}{_where(f.name)}")
-            if f.name != "seed" and isinstance(value, int) and value > MAX_COUNT:
-                raise ValueError(
-                    f"config key {_KEYS[f.name]!r} must be <= {MAX_COUNT}, got {value}"
-                )
+        # the counts ExperimentConfig owns, and the seed, which has no upper
+        # bound; KnnConfig and BoConfig check the counts they own
+        for name in ("n_steps", "placement_members", "enkf_members", "grid_nx", "grid_ny",
+                     "n_sensors", "seed"):
+            value = getattr(self, name)
+            try:
+                if name == "seed":
+                    check_count(value, name, 0, None)
+                elif value is not None:  # n_steps may be None
+                    check_count(value, name)
+            except ValueError as exc:
+                raise ValueError(f"{exc}{_where(name)}") from None
         # the sub-configs check the settings they own; an error names the
         # file sections the sub-config is built from
         for build, sections in ((self.knn, "'knn'"), (self.bo_config, "'domain_km' or 'bo'")):
@@ -122,13 +163,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be > 0{_where(name)}")
         if not 0 < self.q_y <= 1:
             raise ValueError(f"q_y must be in (0, 1]{_where('q_y')}")
-        for name in ("placement_members", "enkf_members", "grid_nx", "grid_ny", "n_sensors"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1{_where(name)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}{_where('seed')}")
-        if self.n_steps is not None and self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1{_where('n_steps')}")
         # the counts the timing derives obey MAX_COUNT too; the ratio is
         # checked first, so one that overflows never reaches int()
         if self.release_duration_min / self.interval_min > MAX_COUNT:
@@ -256,11 +290,32 @@ def _where(name: str) -> str:
     return f" (config key {_KEYS[name]!r})"
 
 
-def check_integer(value, name: str) -> None:
+def check_count(value, name: str, least: int = 1, most: int | None = MAX_COUNT) -> None:
     """Raise a ValueError that names the argument `name` unless value is
-    an integer, Python's or numpy's; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    a count: an integer, Python's or numpy's but not a bool, in [least,
+    most]. most=None, for a seed, sets no upper bound."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or value < least or (most is not None and value > most):
+        bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def check_box(value, name: str, dims: int | None = None) -> np.ndarray:
+    """value as a float (dims, 2) array of finite (low, high) bounds with
+    low < high, a copy; dims=None takes any number of rows but none.
+    Anything else, ragged or non-numeric input included, raises a
+    ValueError that names the argument `name`."""
+    rows = "dims" if dims is None else dims
+    expected = f"{name} must be a ({rows}, 2) array of (low, high) bounds"
+    try:
+        box = np.array(value, dtype=float)
+    except (TypeError, ValueError):  # ragged rows or not numbers
+        raise ValueError(f"{expected}, got {value!r}") from None
+    if box.ndim != 2 or box.shape[1] != 2 or not len(box) or dims not in (None, len(box)):
+        raise ValueError(f"{expected}, got shape {box.shape}")
+    if not np.isfinite(box).all() or np.any(box[:, 1] <= box[:, 0]):
+        raise ValueError(f"{name} must be finite with low < high, got {box.tolist()}")
+    return box
 
 
 def json_int(value, key: str) -> int:

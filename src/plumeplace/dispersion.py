@@ -73,35 +73,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, check_box, check_count
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Sensors on every node of an nx-by-ny grid over the domain box
     [[x0, x1], [y0, y1]], x-major: (xs[i], ys[j]) is node i * ny + j.
-    nx and ny are integers >= 1 and the domain a finite box with
-    x0 < x1 and y0 < y1, kept as a float (2, 2) array."""
+    nx and ny are counts and the domain a (2, 2) box, by the rules of
+    config.check_count and config.check_box; the grid keeps a float copy
+    of the domain."""
 
     nx: int
     ny: int
     domain: np.ndarray
 
     def __post_init__(self):
-        for name in ("nx", "ny"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        expected = "domain must be a (2, 2) array of x and y bounds"
-        try:
-            box = np.array(self.domain, dtype=float)
-        except (TypeError, ValueError):  # ragged rows or not numbers
-            raise ValueError(f"{expected}, got {self.domain!r}") from None
-        if box.shape != (2, 2):
-            raise ValueError(f"{expected}, got shape {box.shape}")
-        if not np.isfinite(box).all() or np.any(box[:, 1] <= box[:, 0]):
-            raise ValueError(f"domain must be finite with x0 < x1 and y0 < y1, got {box.tolist()}")
-        object.__setattr__(self, "domain", box)
+        check_count(self.nx, "nx")
+        check_count(self.ny, "ny")
+        object.__setattr__(self, "domain", check_box(self.domain, "domain", 2))
 
     def _key(self) -> tuple:
         return self.nx, self.ny, self.domain.tobytes()

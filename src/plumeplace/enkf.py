@@ -76,10 +76,6 @@ class AugmentedEnsemble:
     def theta(self) -> np.ndarray:
         return self.members[..., :THETA_DIM]
 
-    @property
-    def log_obs(self) -> np.ndarray:
-        return self.members[..., THETA_DIM:]
-
 
 def forecast(ens: AugmentedEnsemble, t: float) -> AugmentedEnsemble:
     """Predict every member's readings at the absolute time t.

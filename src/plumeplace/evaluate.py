@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dispersion
-from .config import ExperimentConfig, check_integer
+from .config import ExperimentConfig, KnnConfig, check_count
 from .enkf import assimilate_conditions, draw_accidents
 from .enkf import assimilate_run  # noqa: F401  (bench/layers.py wraps this attribute)
-from .mi import KnnConfig, knn_entropy
+from .mi import knn_entropy
 
 ENTROPY_COLUMNS = ("release_y", "wind_dir", "joint")
 
@@ -48,18 +48,14 @@ def _entropy_traces(thetas: np.ndarray, knn: KnnConfig) -> np.ndarray:
 def draw_conditions(cfg: ExperimentConfig, n_conditions: int, seed: int) -> np.ndarray:
     """Simulated accidents, an (n_conditions, 2) array of (release_y,
     wind_dir) rows: one prior draw per condition."""
-    check_integer(n_conditions, "n_conditions")
-    if n_conditions < 0:
-        raise ValueError(f"condition count must be >= 0, got {n_conditions}")
+    check_count(n_conditions, "n_conditions", 0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC04D]))
     return np.array([cfg.draw_prior(1, rng)[0] for _ in range(n_conditions)]).reshape(-1, 2)
 
 
 def random_placements(cfg: ExperimentConfig, count: int, seed: int) -> dict:
     """Uniformly random sensor sets over the domain, for comparison."""
-    check_integer(count, "count")
-    if count < 0:
-        raise ValueError(f"random placement count must be >= 0, got {count}")
+    check_count(count, "count", 0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A4D]))
     box = cfg.domain_m()
     out = {}
@@ -116,9 +112,7 @@ def compare_placements(
     """
     if len(placements) < 2:
         raise ValueError("need at least two placements to compare")
-    check_integer(n_conditions, "n_conditions")
-    if n_conditions < 1:
-        raise ValueError(f"n_conditions must be >= 1, got {n_conditions}")
+    check_count(n_conditions, "n_conditions")
     cfg.check_entropy_members()
     conditions = draw_conditions(cfg, n_conditions, seed)
     knn = cfg.knn()

@@ -17,12 +17,13 @@ row outside the window, on both sides, is at least that distance. Only
 the rows no window certifies reach a k-d tree. Either way the floats
 are the tree's, and a stack of sets is bit-equal to each set alone.
 
-Estimates are in nats. Samples are row-major: one row per sample.
+Estimates are in nats. Samples are row-major: one row per sample. The
+estimators' settings, KnnConfig, are defined in config, which owns every
+setting and its input rules; mi imports the class from there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,30 +31,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 from scipy.spatial import cKDTree
 
+from .config import KnnConfig
+
 # Fixed stream for tie-break jitter so repeated estimates are reproducible
 # and ksg_mi(x, y) == ksg_mi(y, x) bit for bit.
 _JITTER_SEED = 202306
 _SATURATED = "duplicate-saturated input: k-th neighbor at distance 0 after jitter"
-
-
-@dataclass(frozen=True)
-class KnnConfig:
-    """Neighbor-count and tie-break settings for the kNN estimators.
-
-    Small k gives low bias / high variance and vice versa; 6 is a sane
-    default around a thousand samples. jitter_scale is a tiny
-    multiplicative perturbation applied before neighbor searches because
-    clamped observations produce exact duplicates.
-    """
-
-    k: int = 6
-    jitter_scale: float = 1e-10
-
-    def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-        if not np.isfinite(self.jitter_scale) or self.jitter_scale < 0:
-            raise ValueError(f"jitter_scale must be finite and >= 0, got {self.jitter_scale!r}")
 
 
 def _as_matrix(x, stacks: bool = False) -> np.ndarray:

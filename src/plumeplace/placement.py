@@ -26,25 +26,21 @@ from functools import cached_property
 import numpy as np
 
 from . import bo, cca, dispersion
-from .config import ExperimentConfig, check_integer
+from .config import ExperimentConfig, check_box, check_count
 from .dispersion import GridSpec
 
 _NOISE_TAG = 0x6F62  # distinguishes the observation-noise stream
 
 
-def _is_key(location) -> bool:
-    """A finite float pair is a key already."""
-    return (
+def _location_key(location) -> tuple[float, float]:
+    # a finite float pair is a key already and passes without sensor_rows'
+    # numpy check (about 10 us): a desk grid call keys about 1,600
+    # locations, all of them keys
+    if (
         type(location) is tuple
         and len(location) == 2
         and all(type(v) is float and math.isfinite(v) for v in location)
-    )
-
-
-def _location_key(location) -> tuple[float, float]:
-    # a key passes without sensor_rows' numpy check (about 10 us): a desk
-    # grid call keys about 920 locations, most of them keys
-    if _is_key(location):
+    ):
         return location
     return tuple(dispersion.sensor_rows([location], "location")[0].tolist())
 
@@ -105,11 +101,7 @@ class PriorEnsemble:
     def fixed_block(self, fixed) -> cca.Block | None:
         """The stacked trajectories of the fixed sensors factored for CCA,
         or None for no sensor. The factor of the last set asked for is
-        kept, so a greedy step factors its fixed set once; a set of keys
-        equal to it is not keyed again."""
-        keys = self._fixed[0]
-        if len(fixed) == len(keys) and all(_is_key(s) and s == c for s, c in zip(fixed, keys)):
-            return self._fixed[1]
+        kept, so a greedy step factors its fixed set once."""
         key = tuple(_location_key(s) for s in fixed)
         if key and self._fixed[0] != key:
             self._fixed = (key, cca.factor(np.hstack([self.trajectories(s) for s in key])))
@@ -119,9 +111,7 @@ class PriorEnsemble:
 def build_ensemble(cfg: ExperimentConfig, n_members: int, seed: int) -> PriorEnsemble:
     """Draw parameter members from cfg.draw_prior, seeded by `seed`;
     trajectories fill lazily."""
-    check_integer(n_members, "n_members")
-    if n_members < 50:
-        raise ValueError("need at least 50 ensemble members")
+    check_count(n_members, "n_members", 50)
     return PriorEnsemble(cfg, cfg.draw_prior(n_members, np.random.default_rng(seed)), seed)
 
 
@@ -162,13 +152,8 @@ def greedy_place(
     stall the step. The steps' BO seeds derive from the ensemble's seed
     and the config's.
     """
-    check_integer(n_sensors, "n_sensors")
-    if n_sensors < 1:
-        raise ValueError("n_sensors must be >= 1")
-    if bo_cfg.domain.shape != (2, 2):
-        raise ValueError(
-            f"the BO domain must be the (2, 2) x and y bounds, got shape {bo_cfg.domain.shape}"
-        )
+    check_count(n_sensors, "n_sensors")
+    check_box(bo_cfg.domain, "bo_cfg.domain", 2)  # the plane: x and y bounds
     if not (np.isfinite(min_sep) and min_sep >= 0):
         raise ValueError(f"min_sep must be finite and >= 0, got {min_sep}")
     selected: list[tuple[float, float]] = []
@@ -203,9 +188,7 @@ def grid_place(ens: PriorEnsemble, n_sensors: int, grid: GridSpec) -> PlacementR
     are kept in the result's traces as (x, y, value) arrays.
     """
     nodes = grid.nodes()
-    check_integer(n_sensors, "n_sensors")
-    if not 1 <= n_sensors <= len(nodes):
-        raise ValueError(f"n_sensors must be in [1, {len(nodes)}] for this grid, got {n_sensors}")
+    check_count(n_sensors, "n_sensors", 1, len(nodes))
     ens.fill(grid)
     selected: list[tuple[float, float]] = []
     bounds: list[float] = []

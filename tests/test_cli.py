@@ -279,7 +279,7 @@ class TestErrors:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert "plumeplace: error: random placement count must be >= 0, got -3" in err
+        assert "plumeplace: error: count must be an integer in [0, 10000000], got -3" in err
 
     def test_placement_file_without_locations(self, config_path, tmp_path, capsys):
         placement = tmp_path / "p.json"
@@ -363,7 +363,7 @@ class TestErrors:
         out = tmp_path / "o.json"
         assert run(["place", "--config", path, "--out", out, *flags]) == 1
         assert one_error_line(capsys) == (
-            "plumeplace: error: seed must be >= 0, got -1 (config key 'seed')\n"
+            "plumeplace: error: seed must be an integer >= 0, got -1 (config key 'seed')\n"
         )
         assert not out.exists()
 

@@ -14,7 +14,9 @@ from plumeplace import evaluate, placement
 from plumeplace.config import (
     LAYOUT,
     MAX_COUNT,
+    BoConfig,
     ExperimentConfig,
+    KnnConfig,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -22,8 +24,20 @@ from plumeplace.config import (
 )
 from plumeplace.dispersion import GridSpec, simulate_ensemble
 from plumeplace.enkf import assimilate_run
-from plumeplace.mi import KnnConfig
 from source_scan import callers_of, library_modules
+
+
+SUB_CONFIG_SECTIONS = {"knn": "'knn'", "bo": "'domain_km' or 'bo'"}
+
+
+def count_error_names(field: str) -> tuple[str, str]:
+    """The name and the suffix of a count error of an ExperimentConfig
+    field: a count ExperimentConfig owns names the field and its file key,
+    a sub-config's count the sub-config's argument and its file sections."""
+    section, key = next((s, k) for s, k, name in LAYOUT if name == field)
+    if section in SUB_CONFIG_SECTIONS:
+        return key, f"(config section {SUB_CONFIG_SECTIONS[section]})"
+    return field, f"(config key {key if section is None else f'{section}.{key}'!r})"
 
 
 def default_doc_with(keys, value) -> dict:
@@ -277,8 +291,12 @@ class TestLayout:
         doc[section][key] = MAX_COUNT
         config_from_dict(doc)
         doc[section][key] = value
+        field = next(name for s, k, name in LAYOUT if (s, k) == (section, key))
+        name, suffix = count_error_names(field)
         with pytest.raises(
-            ValueError, match=f"^config key '{section}.{key}' must be <= {MAX_COUNT}, got {value}$"
+            ValueError,
+            match=rf"^{name} must be an integer in \[[01], {MAX_COUNT}\], got {value} "
+            + re.escape(suffix) + "$",
         ):
             config_from_dict(doc)
 
@@ -387,7 +405,10 @@ class TestValidation:
     )
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
     def test_counts_must_be_integers(self, name, value):
-        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got .*\(config key"):
+        arg, suffix = count_error_names(name)
+        with pytest.raises(
+            ValueError, match=rf"^{arg} must be an integer (in|>=) .*, got .* " + re.escape(suffix)
+        ):
             ExperimentConfig(**{name: value})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -458,28 +479,73 @@ def test_only_config_builds_model_settings():
     assert held == []
 
 
+def test_config_owns_the_input_rules():
+    """config.py defines the sub-configs, and no other library module
+    names np.integer: one rule (check_count) decides what a count is."""
+    classes = {
+        (node.name, file_name)
+        for file_name, tree in library_modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name in ("KnnConfig", "BoConfig")
+    }
+    integer = {
+        file_name
+        for file_name, tree in library_modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "integer"
+    }
+    assert classes == {("KnnConfig", "config.py"), ("BoConfig", "config.py")}
+    assert integer == {"config.py"}
+
+
 
 @pytest.mark.parametrize(
-    "call, message",
+    "call, bad, good, message",
     [
-        (lambda cfg, ens, grid: placement.grid_place(ens, 2.0, grid), "n_sensors .* 2.0"),
-        (lambda cfg, ens, grid: placement.greedy_place(ens, 1.5, cfg.bo_config(), 1.0),
-         "n_sensors .* 1.5"),
-        (lambda cfg, ens, grid: placement.build_ensemble(cfg, 60.5, 0), "n_members .* 60.5"),
-        (lambda cfg, ens, grid: evaluate.compare_placements(
-            cfg, {"a": [(1.0, 0.0)], "b": [(2.0, 0.0)]}, 2.5, 0), "n_conditions .* 2.5"),
-        (lambda cfg, ens, grid: evaluate.random_placements(cfg, 1.5, 0), "count .* 1.5"),
-        (lambda cfg, ens, grid: evaluate.draw_conditions(cfg, 1.5, 0), "n_conditions .* 1.5"),
-        (lambda cfg, ens, grid: evaluate.draw_conditions(cfg, True, 0), "n_conditions .* True"),
-        (lambda cfg, ens, grid: simulate_ensemble(cfg, ens.params, [(1.0, 0.0)], 7),
-         "rng_seeds must hold one seed per sensor, got 7"),
+        (lambda cfg, ens, grid, n: placement.grid_place(ens, n, grid), 2.0, np.int64(1),
+         "n_sensors .* 2.0"),
+        (lambda cfg, ens, grid, n: placement.greedy_place(ens, n, cfg.bo_config(), 1.0), 1.5,
+         np.int32(1), "n_sensors .* 1.5"),
+        (lambda cfg, ens, grid, n: placement.build_ensemble(cfg, n, 0), 60.5, np.int64(60),
+         "n_members .* 60.5"),
+        (lambda cfg, ens, grid, n: evaluate.compare_placements(
+            cfg, {"a": [(1.0, 0.0)], "b": [(2.0, 0.0)]}, n, 0), 2.5, np.int64(1),
+         "n_conditions .* 2.5"),
+        (lambda cfg, ens, grid, n: evaluate.random_placements(cfg, n, 0), 1.5, np.uint8(2),
+         "count .* 1.5"),
+        (lambda cfg, ens, grid, n: evaluate.draw_conditions(cfg, n, 0), 1.5, np.int64(2),
+         "n_conditions .* 1.5"),
+        (lambda cfg, ens, grid, n: evaluate.draw_conditions(cfg, n, 0), True, np.int16(0),
+         "n_conditions .* True"),
+        (lambda cfg, ens, grid, seeds: simulate_ensemble(cfg, ens.params, [(1.0, 0.0)], seeds),
+         7, [np.int64(7)], "rng_seeds must hold one seed per sensor, got 7"),
+        # a numpy count above MAX_COUNT was taken where a Python one was not
+        (lambda cfg, ens, grid, n: ExperimentConfig(placement_members=n), np.int64(10**9),
+         np.int64(60), rf"placement_members must be an integer in \[1, {MAX_COUNT}\], got "
+         r"np.int64\(1000000000\) \(config key 'ensemble.placement_members'\)$"),
+        (lambda cfg, ens, grid, n: KnnConfig(k=n), 10**9, np.int64(4),
+         rf"k must be an integer in \[1, {MAX_COUNT}\], got 1000000000$"),
+        (lambda cfg, ens, grid, n: BoConfig(domain=[[0.0, 1.0]], acq_candidates=n), 10**9,
+         np.int64(64),
+         rf"acq_candidates must be an integer in \[1, {MAX_COUNT}\], got 1000000000$"),
+        (lambda cfg, ens, grid, n: GridSpec(n, 3, grid.domain), 10**9, np.int64(3),
+         rf"nx must be an integer in \[1, {MAX_COUNT}\], got 1000000000$"),
+        # a ragged or non-numeric box failed inside numpy, without its name
+        (lambda cfg, ens, grid, box: BoConfig(domain=box), [[0, 1], [0]], [[0, 1], [0, 2]],
+         r"domain must be a \(dims, 2\) array of \(low, high\) bounds, got \[\[0, 1\], \[0\]\]$"),
+        (lambda cfg, ens, grid, box: BoConfig(domain=box), "ab", np.array([[0, 1]]),
+         r"domain must be a \(dims, 2\) array of \(low, high\) bounds, got 'ab'$"),
     ],
     ids=["grid_place", "greedy_place", "build_ensemble", "compare_placements",
-         "random_placements", "draw_conditions", "draw_conditions-bool", "simulate_ensemble"],
+         "random_placements", "draw_conditions", "draw_conditions-bool", "simulate_ensemble",
+         "ExperimentConfig-numpy-huge", "KnnConfig-huge", "BoConfig-huge", "GridSpec-huge",
+         "BoConfig-ragged-domain", "BoConfig-string-domain"],
 )
-def test_entry_points_refuse_non_integer_counts(tiny_config, call, message):
-    # a float count failed later, inside Python or numpy, without its name
+def test_entry_points_refuse_non_integer_counts(tiny_config, call, bad, good, message):
+    # a float count failed later, inside Python or numpy, without its name;
+    # an in-range numpy count is taken
     ens = placement.build_ensemble(tiny_config, tiny_config.placement_members, 0)
     grid = GridSpec(2, 2, [[100.0, 2000.0], [-500.0, 500.0]])
     with pytest.raises(ValueError, match=f"^{message}"):
-        call(tiny_config, ens, grid)
+        call(tiny_config, ens, grid, bad)
+    call(tiny_config, ens, grid, good)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from plumeplace import dispersion
-from plumeplace.config import ExperimentConfig
+from plumeplace.config import MAX_COUNT, ExperimentConfig
 from plumeplace.dispersion import (
     GridSpec,
     log_concentrations_at,
@@ -282,8 +282,8 @@ class TestSimulateEnsemble:
 
 
 UNIT = [[0.0, 1.0], [0.0, 1.0]]
-BOUNDS = r"domain must be a \(2, 2\) array of x and y bounds"
-BOX = "domain must be finite with x0 < x1 and y0 < y1"
+BOUNDS = r"domain must be a \(2, 2\) array of \(low, high\) bounds"
+BOX = "domain must be finite with low < high"
 
 
 class TestLatticeFootprint:
@@ -337,19 +337,19 @@ class TestLatticeFootprint:
     @pytest.mark.parametrize(
         "nx, ny, domain, message",
         [
-            (0, 3, UNIT, "nx must be an integer >= 1, got 0"),
-            (3, -1, UNIT, "ny must be an integer >= 1, got -1"),
-            (2.5, 3, UNIT, "nx must be an integer >= 1, got 2.5"),
-            (3, 3.0, UNIT, "ny must be an integer >= 1, got 3.0"),
-            (3, None, UNIT, "ny must be an integer >= 1, got None"),
+            (0, 3, UNIT, rf"nx must be an integer in \[1, {MAX_COUNT}\], got 0"),
+            (3, -1, UNIT, rf"ny must be an integer in \[1, {MAX_COUNT}\], got -1"),
+            (2.5, 3, UNIT, rf"nx must be an integer in \[1, {MAX_COUNT}\], got 2.5"),
+            (3, 3.0, UNIT, rf"ny must be an integer in \[1, {MAX_COUNT}\], got 3.0"),
+            (3, None, UNIT, rf"ny must be an integer in \[1, {MAX_COUNT}\], got None"),
             (3, 3, [0.0, 1.0], BOUNDS + r", got shape \(2,\)"),
             (3, 3, [[0.0, 1.0], [0.0]], BOUNDS + ", got"),
             (3, 3, [[0.0, np.nan], [0.0, 1.0]], BOX),
             (3, 3, [[0.0, 1.0], [-np.inf, 1.0]], BOX),
             (3, 3, [[1.0, 1.0], [0.0, 1.0]], BOX),
             (3, 3, [[0.0, 1.0], [2.0, 1.0]], BOX),
-            (True, 3, UNIT, "nx must be an integer >= 1, got True"),
-            (3, True, UNIT, "ny must be an integer >= 1, got True"),
+            (True, 3, UNIT, rf"nx must be an integer in \[1, {MAX_COUNT}\], got True"),
+            (3, True, UNIT, rf"ny must be an integer in \[1, {MAX_COUNT}\], got True"),
         ],
     )
     def test_grid_rejects_bad_fields(self, nx, ny, domain, message):

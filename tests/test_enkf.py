@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from plumeplace import dispersion
 from plumeplace.config import ExperimentConfig
 from plumeplace.enkf import (
+    THETA_DIM,
     AugmentedEnsemble,
     analysis,
     assimilate_conditions,
@@ -61,7 +62,7 @@ class TestForecast:
         theta = np.array([[0.0, 0.0], [500.0, 0.1]])
         ens = scenario_ensemble(theta, [(-8000.0, -8000.0)])
         out = forecast(ens, 60.0)
-        np.testing.assert_allclose(out.log_obs, np.log(1e-12))
+        np.testing.assert_allclose(out.members[..., THETA_DIM:], np.log(1e-12))
 
     def test_single_member_matches_dispersion_path(self):
         cfg = ExperimentConfig().with_profile("desk")
@@ -72,7 +73,7 @@ class TestForecast:
         ens = scenario_ensemble(truth[None, :], sensors, cfg)
         for j, t in enumerate(cfg.times()):
             ens = forecast(ens, t)
-            np.testing.assert_array_equal(ens.log_obs[0], reference[:, j])
+            np.testing.assert_array_equal(ens.members[..., THETA_DIM:][0], reference[:, j])
 
 
 class TestAnalysis:

@@ -196,25 +196,27 @@ class TestGridPlace:
     @pytest.mark.parametrize("n_sensors", [0, -1, 10])
     def test_rejects_bad_sensor_count(self, small_ensemble, n_sensors):
         grid = pl.GridSpec(nx=3, ny=3, domain=np.array([[0.0, 1.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match=r"n_sensors must be in \[1, 9\]"):
+        expected = rf"n_sensors must be an integer in \[1, 9\], got {n_sensors}"
+        with pytest.raises(ValueError, match=expected):
             pl.grid_place(small_ensemble, n_sensors, grid)
 
-    def test_keys_each_fixed_set_once(self, monkeypatch):
-        # the fixed sensors are keyed when the set changes, not on every
-        # objective call; a set of lists still goes through the key
+    def test_fixed_keys_skip_the_numpy_check(self, monkeypatch):
+        # a fixed set of keys passes without sensor_rows' numpy check; a set
+        # of lists goes through it on every objective call, to the same
+        # placement
         cfg = ExperimentConfig(placement_members=100, n_steps=5)
         grid = pl.GridSpec(nx=11, ny=21, domain=cfg.domain_m())
-        calls = []
-        key = pl._location_key
+        names = []
+        rows = dispersion.sensor_rows
 
-        def counting(location):
-            calls.append(location)
-            return key(location)
+        def counting(value, name):
+            names.append(name)
+            return rows(value, name)
 
-        monkeypatch.setattr(pl, "_location_key", counting)
+        monkeypatch.setattr(dispersion, "sensor_rows", counting)
         result = pl.grid_place(pl.build_ensemble(cfg, 100, seed=4), 3, grid)
-        keyed = len(calls)
-        calls.clear()
+        keyed = names.count("location")
+        names.clear()
         fixed_block = pl.PriorEnsemble.fixed_block
 
         def fixed_as_lists(ens, fixed):
@@ -222,7 +224,8 @@ class TestGridPlace:
 
         monkeypatch.setattr(pl.PriorEnsemble, "fixed_block", fixed_as_lists)
         as_lists = pl.grid_place(pl.build_ensemble(cfg, 100, seed=4), 3, grid)
-        assert keyed < 1000 < len(calls)
+        # steps 2 and 3 score 230 and 229 nodes against 1 and 2 fixed sensors
+        assert keyed == 0 and names.count("location") == 230 * 1 + 229 * 2
         assert result.locations == as_lists.locations
         assert result.bound_values == as_lists.bound_values
         for a, b in zip(result.traces, as_lists.traces, strict=True):
