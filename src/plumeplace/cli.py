@@ -27,7 +27,7 @@ import numpy as np
 
 from . import evaluate, placement as pl
 from .bo import ObjectiveError
-from .config import PROFILES, ExperimentConfig, json_int, json_number, json_pair, load_config
+from .config import PROFILES, ExperimentConfig, check_count, check_pair, check_real, load_config
 from .enkf import assimilate_run
 from .mi import knn_entropy
 
@@ -61,18 +61,16 @@ def _write_placement(path, method: str, result: pl.PlacementResult, cfg: Experim
 
 def load_placement(path) -> tuple[str, list[tuple[float, float]]]:
     """The method and the locations of a placement file. The file must be
-    JSON, locations, bound values and the seed take JSON numbers only,
-    locations must be finite and the method a string; anything else
-    raises a ValueError that names the file."""
+    JSON, with pairs of finite numbers as locations, finite numbers as
+    bound values, an integer seed >= 0 and a string method; anything
+    else raises a ValueError that names the file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        locations = [json_pair(loc, "locations_m") for loc in doc["locations_m"]]
-        if not np.all(np.isfinite(locations)):
-            raise ValueError(f"'locations_m' must be finite, got {doc['locations_m']!r}")
+        locations = [check_pair(loc, "locations_m") for loc in doc["locations_m"]]
         for value in doc["bound_values_nats"]:
-            json_number(value, "bound_values_nats")
-        json_int(doc.get("seed", 0), "seed")
+            check_real(value, "bound_values_nats")
+        check_count(doc.get("seed", 0), "seed", 0, None)
         method = doc.get("method", "")
         if not isinstance(method, str):
             raise ValueError(f"'method' must be a string, got {method!r}")
@@ -119,11 +117,10 @@ def _cmd_place(args) -> int:
 def _cmd_grid_surface(args) -> int:
     cfg = _load(args)
     grid = pl.GridSpec(nx=cfg.grid_nx, ny=cfg.grid_ny, domain=cfg.domain_m())
-    nodes = grid.nx * grid.ny
     if args.steps is None:
         cfg.check_grid_sensors()
-    elif not 1 <= args.steps <= nodes:
-        raise ValueError(f"n_sensors must be in [1, {nodes}] for this grid, got {args.steps} (--steps)")
+    else:
+        check_count(args.steps, "--steps", 1, grid.nx * grid.ny)
     ens = pl.build_ensemble(cfg, cfg.placement_members, cfg.seed)
     result = pl.grid_place(ens, cfg.n_sensors if args.steps is None else args.steps, grid)
     _write_csv(

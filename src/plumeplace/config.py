@@ -1,33 +1,32 @@
 """Experiment configuration: one JSON document drives every subcommand.
 
 The file speaks field units (kilometers, degrees, minutes); everything
-internal is meters, radians, seconds. Values are stored exactly as
-parsed so a parse -> serialize -> parse round trip is the identity, and
-unit conversion happens in the derived accessors.
+internal is meters, radians, seconds. Values are stored in file units,
+so a parse -> serialize -> parse round trip is the identity, and unit
+conversion happens in the derived accessors.
 
 The file layout is declared once, in LAYOUT, and drives both
-config_to_dict and config_from_dict. A malformed document, or one with
-a key LAYOUT does not declare, raises a ValueError that names the key:
-an integer setting takes only a JSON integer, and a real setting or pair
-only JSON numbers, never a bool or a string.
+config_to_dict and config_from_dict. The file parser only maps keys: an
+undeclared or a missing required key raises a ValueError that names it,
+and the values go to the constructor as the document holds them.
 
 Every setting and every input rule has one owner, and it is this
-module. The forward model (dispersion) reads the wind, diffusion, timing
-and observation settings from the ExperimentConfig itself, so
-ExperimentConfig checks them. The two sub-configs, KnnConfig (the
-neighbour settings of mi) and BoConfig (the domain box and loop sizes of
-bo), check their own values and hold the defaults ExperimentConfig
-shares with them. ExperimentConfig rejects non-finite floats, checks its
-own counts, builds the two, and checks what neither covers, including
-the counts it derives: the observation instants and the puffs. A range
-error names its file key, or the file sections of the sub-config that
-raised it.
+module. One rule per field type, picked by the type of the field's
+default, serves configs built in code and loaded from files alike: a
+count (check_count: a Python or numpy integer, not a bool, in [least,
+MAX_COUNT]), a real (check_real: a finite Python or numpy number, not a
+bool or a string), a pair (check_pair: two reals) and, for n_steps, None
+or a count. A field is stored as its rule returns it (int, float or a
+tuple of floats), so equal configs hash and digest alike. A box is a
+float (dims, 2) array of finite (low, high) bounds with low < high
+(check_box). Every entry point that takes a count or a box calls these.
 
-One rule decides what a count is (check_count): an integer, Python's or
-numpy's but not a bool, in [least, MAX_COUNT]. One rule decides what a
-box is (check_box): a float (dims, 2) array of finite (low, high) bounds
-with low < high. Every entry point of the library that takes a count or
-a box calls them, with the name of its argument.
+The sub-configs KnnConfig (mi's neighbour settings) and BoConfig (bo's
+box and loop sizes) check the values they own and hold their ranges and
+the defaults ExperimentConfig shares. ExperimentConfig checks the rest,
+builds the two, stores the values they checked, and checks the counts it
+derives (observation instants, puffs). An error names its file key, or
+the file sections of the sub-config that raised it.
 
 Defaults encode the reference scenario: a 10 x 20 km domain with the
 pipeline on the y axis from -3 to 3 km, westerly wind at 4 m/s with a
@@ -66,9 +65,10 @@ class KnnConfig:
     jitter_scale: float = 1e-10
 
     def __post_init__(self):
-        check_count(self.k, "k")
-        if not np.isfinite(self.jitter_scale) or self.jitter_scale < 0:
-            raise ValueError(f"jitter_scale must be finite and >= 0, got {self.jitter_scale!r}")
+        object.__setattr__(self, "k", check_count(self.k, "k"))
+        object.__setattr__(self, "jitter_scale", check_real(self.jitter_scale, "jitter_scale"))
+        if self.jitter_scale < 0:
+            raise ValueError(f"jitter_scale must be >= 0, got {self.jitter_scale!r}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class BoConfig:
     def __post_init__(self):
         object.__setattr__(self, "domain", check_box(self.domain, "domain"))
         for name, least in (("init_count", 2), ("iter_count", 0), ("acq_candidates", 1)):
-            check_count(getattr(self, name), name, least)
+            object.__setattr__(self, name, check_count(getattr(self, name), name, least))
 
 
 @dataclass(frozen=True)
@@ -131,29 +131,36 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # each field ExperimentConfig owns goes through the rule of its
+        # default's type and is stored as the rule returns it; its counts
+        # are in [1, MAX_COUNT], and the seed has no upper bound
         for f in fields(self):
+            if _SECTIONS[f.name] in _SUB_CONFIGS:
+                continue
             value = getattr(self, f.name)
-            if isinstance(value, (float, tuple)) and not np.all(np.isfinite(value)):
-                raise ValueError(f"{f.name} must be finite, got {value!r}{_where(f.name)}")
-        # the counts ExperimentConfig owns, and the seed, which has no upper
-        # bound; KnnConfig and BoConfig check the counts they own
-        for name in ("n_steps", "placement_members", "enkf_members", "grid_nx", "grid_ny",
-                     "n_sensors", "seed"):
-            value = getattr(self, name)
             try:
-                if name == "seed":
-                    check_count(value, name, 0, None)
-                elif value is not None:  # n_steps may be None
-                    check_count(value, name)
+                if isinstance(f.default, tuple):
+                    value = check_pair(value, f.name)
+                elif isinstance(f.default, float):
+                    value = check_real(value, f.name)
+                elif f.name == "seed":
+                    value = check_count(value, f.name, 0, None)
+                elif value is not None or f.default is not None:  # n_steps may be None
+                    value = check_count(value, f.name)
             except ValueError as exc:
-                raise ValueError(f"{exc}{_where(name)}") from None
-        # the sub-configs check the settings they own; an error names the
-        # file sections the sub-config is built from
-        for build, sections in ((self.knn, "'knn'"), (self.bo_config, "'domain_km' or 'bo'")):
+                raise ValueError(f"{exc}{_where(f.name)}") from None
+            object.__setattr__(self, f.name, value)
+        # the sub-configs check the fields they own, and each is stored as
+        # its sub-config holds it; an error names the file sections the
+        # sub-config is built from
+        for section, build in (("knn", self.knn), ("bo", self.bo_config)):
             try:
-                build()
+                sub = build()
             except ValueError as exc:
-                raise ValueError(f"{exc} (config section {sections})") from exc
+                raise ValueError(f"{exc} (config section {_SUB_CONFIGS[section]})") from exc
+            for part, key, name in LAYOUT:
+                if part == section:
+                    object.__setattr__(self, name, getattr(sub, key))
         if self.pipeline_y_km[1] <= self.pipeline_y_km[0]:
             raise ValueError(f"pipeline extent is degenerate{_where('pipeline_y_km')}")
         for name in ("wind_speed_m_s", "wind_dir_std_deg", "p_y", "total_min", "interval_min",
@@ -233,12 +240,9 @@ class ExperimentConfig:
         """A grid placement picks n_sensors distinct nodes of the
         grid_nx-by-grid_ny grid; a BO placement has no grid, so
         construction does not check this."""
-        nodes = self.grid_nx * self.grid_ny
-        if not 1 <= self.n_sensors <= nodes:
-            raise ValueError(
-                f"n_sensors must be in [1, {nodes}] for this grid, got {self.n_sensors} (config "
-                f"keys {_KEYS['n_sensors']!r}, {_KEYS['grid_nx']!r} and {_KEYS['grid_ny']!r})"
-            )
+        keys = f"{_KEYS['n_sensors']!r}, {_KEYS['grid_nx']!r} and {_KEYS['grid_ny']!r}"
+        check_count(self.n_sensors, f"n_sensors (config keys {keys})", 1,
+                    self.grid_nx * self.grid_ny)
 
     def domain_m(self) -> np.ndarray:
         return np.array(
@@ -290,14 +294,39 @@ def _where(name: str) -> str:
     return f" (config key {_KEYS[name]!r})"
 
 
-def check_count(value, name: str, least: int = 1, most: int | None = MAX_COUNT) -> None:
-    """Raise a ValueError that names the argument `name` unless value is
-    a count: an integer, Python's or numpy's but not a bool, in [least,
-    most]. most=None, for a seed, sets no upper bound."""
+def check_count(value, name: str, least: int = 1, most: int | None = MAX_COUNT) -> int:
+    """value as a Python int if it is a count: an integer, Python's or
+    numpy's but not a bool, in [least, most]; anything else raises a
+    ValueError that names the argument `name`. most=None, for a seed,
+    sets no upper bound."""
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if not integer or value < least or (most is not None and value > most):
         bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
         raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+    return int(value)
+
+
+def check_real(value, name: str) -> float:
+    """value as a Python float if it is a Python or numpy number, not a
+    bool or a string, and finite; anything else raises a ValueError that
+    names the argument `name`."""
+    number = isinstance(value, (int, float, np.integer, np.floating))
+    # NaN fails the comparison, and so does an integer beyond every float
+    if not number or isinstance(value, bool) or not abs(value) <= np.finfo(float).max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def check_pair(value, name: str) -> tuple[float, float]:
+    """value as a tuple of two Python floats if it is a list or tuple of
+    two reals (check_real); anything else raises a ValueError that names
+    the argument `name`."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        try:
+            return (check_real(value[0], name), check_real(value[1], name))
+        except ValueError:
+            pass
+    raise ValueError(f"{name} must be a pair of finite numbers, got {value!r}")
 
 
 def check_box(value, name: str, dims: int | None = None) -> np.ndarray:
@@ -316,30 +345,6 @@ def check_box(value, name: str, dims: int | None = None) -> np.ndarray:
     if not np.isfinite(box).all() or np.any(box[:, 1] <= box[:, 0]):
         raise ValueError(f"{name} must be finite with low < high, got {box.tolist()}")
     return box
-
-
-def json_int(value, key: str) -> int:
-    """value if it is a JSON integer; anything else, a bool or an integral
-    float such as 2.0 included, raises a ValueError that names key."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key!r} must be an integer, got {value!r}")
-    return value
-
-
-def json_number(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key!r} must be a number, got {value!r}")
-    return float(value)
-
-
-def json_pair(value, key: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"{key!r} must be a list of two numbers, got {value!r}")
-    return (json_number(value[0], key), json_number(value[1], key))
-
-
-def _optional_int(value, key: str) -> int | None:
-    return None if value is None else json_int(value, key)
 
 
 # The file layout, once: (section, key, field) in file order. Section None
@@ -367,16 +372,15 @@ LAYOUT = (
     (None, "seed", "seed"),
 )
 _KEYS = {name: key if section is None else f"{section}.{key}" for section, key, name in LAYOUT}
+_SECTIONS = {name: section for section, _, name in LAYOUT}
+# the file sections of each sub-config's fields, and how an error names them
+_SUB_CONFIGS = {"knn": "'knn'", "bo": "'domain_km' or 'bo'"}
 # section -> the keys it declares; the top level (None) also declares the sections
 _DECLARED = {
     part: {key for section, key, _ in LAYOUT if section == part}
     for part in {section for section, _, _ in LAYOUT}
 }
 _DECLARED[None] |= _DECLARED.keys() - {None}
-# a field's parser follows the type of its default; a field that defaults
-# to None (n_steps) may be absent or null
-_PARSERS = {tuple: json_pair, float: json_number, int: json_int, type(None): _optional_int}
-_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -389,9 +393,9 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_dict(doc) -> ExperimentConfig:
-    """Parse a config document; a malformed one, or one with a key or
-    section LAYOUT does not declare, raises a ValueError that names the
-    offending key."""
+    """The config a document describes. A document with a key or section
+    LAYOUT does not declare, or without a required key, raises a
+    ValueError that names the key; the constructor checks the values."""
     if not isinstance(doc, dict):
         raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
     undeclared = [key for key in doc if key not in _DECLARED[None]] + [
@@ -408,13 +412,10 @@ def config_from_dict(doc) -> ExperimentConfig:
             raise ValueError(f"config key {section!r} must be an object, got {part!r}")
         if name is None:
             continue
-        where = _KEYS[name]
-        if key not in part and _DEFAULTS[name] is not None:
-            raise ValueError(f"config is missing required key: {where!r}")
-        try:
-            values[name] = _PARSERS[type(_DEFAULTS[name])](part.get(key), where)
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"config key {where!r} has invalid value {part.get(key)!r}") from exc
+        # a field that defaults to None (n_steps) may be absent
+        if key not in part and getattr(ExperimentConfig, name) is not None:
+            raise ValueError(f"config is missing required key: {_KEYS[name]!r}")
+        values[name] = part.get(key)
     return ExperimentConfig(**values)
 
 

@@ -30,10 +30,11 @@ from source_scan import callers_of, library_modules
 SUB_CONFIG_SECTIONS = {"knn": "'knn'", "bo": "'domain_km' or 'bo'"}
 
 
-def count_error_names(field: str) -> tuple[str, str]:
-    """The name and the suffix of a count error of an ExperimentConfig
-    field: a count ExperimentConfig owns names the field and its file key,
-    a sub-config's count the sub-config's argument and its file sections."""
+def error_names(field: str) -> tuple[str, str]:
+    """The name and the suffix of an error in an ExperimentConfig field: a
+    field ExperimentConfig owns names the field and its file key, a
+    sub-config's field the sub-config's argument (its key in the file)
+    and its file sections."""
     section, key = next((s, k) for s, k, name in LAYOUT if name == field)
     if section in SUB_CONFIG_SECTIONS:
         return key, f"(config section {SUB_CONFIG_SECTIONS[section]})"
@@ -264,11 +265,15 @@ class TestLayout:
     )
     def test_takes_json_numbers_only(self, section, key, value):
         # integer keys take only JSON integers; real keys and pairs take
-        # JSON numbers, never bools or strings
+        # JSON numbers, never bools or strings; the error names the key
         doc = config_to_dict(ExperimentConfig())
         (doc if section is None else doc[section])[key] = value
-        where = key if section is None else f"{section}.{key}"
-        with pytest.raises(ValueError, match=f"^config key '{where}' has invalid value "):
+        field = next(name for s, k, name in LAYOUT if (s, k) == (section, key))
+        name, suffix = error_names(field)
+        with pytest.raises(
+            ValueError, match=rf"^{name} must be .*, got {re.escape(repr(value))} "
+            + re.escape(suffix) + "$"
+        ):
             config_from_dict(doc)
 
     @pytest.mark.parametrize(
@@ -292,7 +297,7 @@ class TestLayout:
         config_from_dict(doc)
         doc[section][key] = value
         field = next(name for s, k, name in LAYOUT if (s, k) == (section, key))
-        name, suffix = count_error_names(field)
+        name, suffix = error_names(field)
         with pytest.raises(
             ValueError,
             match=rf"^{name} must be an integer in \[[01], {MAX_COUNT}\], got {value} "
@@ -405,7 +410,7 @@ class TestValidation:
     )
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
     def test_counts_must_be_integers(self, name, value):
-        arg, suffix = count_error_names(name)
+        arg, suffix = error_names(name)
         with pytest.raises(
             ValueError, match=rf"^{arg} must be an integer (in|>=) .*, got .* " + re.escape(suffix)
         ):
@@ -420,8 +425,62 @@ class TestValidation:
                 bad = {f.name: (f.default[0], value)}
             else:
                 continue
-            with pytest.raises(ValueError, match=f"{f.name} must be finite"):
+            name, suffix = error_names(f.name)
+            with pytest.raises(
+                ValueError, match=rf"^{name} must be (a|a pair of) finite number.*"
+                + re.escape(suffix)
+            ):
                 ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            # each failed inside Python or numpy, without naming the field
+            ({"noise_std": "0.1"},
+             "noise_std must be a finite number, got '0.1' (config key 'observation.noise_std')"),
+            ({"domain_x_km": (0, "a")},
+             "domain_x_km must be a pair of finite numbers, got (0, 'a') "
+             "(config key 'domain_km.x')"),
+            # each was accepted
+            ({"wind_speed_m_s": True},
+             "wind_speed_m_s must be a finite number, got True "
+             "(config key 'meteo.wind_speed_m_s')"),
+            ({"pipeline_y_km": [0.0, float("nan")]},
+             "pipeline_y_km must be a pair of finite numbers, got [0.0, nan] "
+             "(config key 'pipeline_km.y')"),
+        ],
+        ids=["string-real", "string-in-pair", "bool-real", "nan-in-list-pair"],
+    )
+    def test_reals_and_pairs_take_finite_numbers_only(self, bad, message):
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig(**bad)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+    def test_a_string_in_any_field_names_its_key(self, name):
+        # "12" would unpack as a pair and "1" as a real under a looser rule
+        arg, suffix = error_names(name)
+        with pytest.raises(ValueError, match=rf"^{arg} must be .*, got '12' {re.escape(suffix)}$"):
+            ExperimentConfig(**{name: "12"})
+
+    def test_values_are_stored_as_python_numbers(self, tmp_path):
+        # numpy numbers and list pairs are stored as the file would load
+        # them, so the config equals, hashes, digests and saves alike
+        cfg = ExperimentConfig(
+            placement_members=np.int64(60), n_steps=np.int16(5), knn_k=np.int32(4),
+            bo_init=np.uint8(5), wind_speed_m_s=np.float32(4.0), knn_jitter=np.float64(0.0),
+            pipeline_y_km=[-3, np.int64(3)],
+        )
+        plain = ExperimentConfig(placement_members=60, n_steps=5, knn_k=4, bo_init=5,
+                                 knn_jitter=0.0)
+        assert cfg == plain and hash(cfg) == hash(plain)
+        assert type(cfg.pipeline_y_km) is tuple
+        reals = (*cfg.pipeline_y_km, cfg.wind_speed_m_s, cfg.knn_jitter)
+        counts = (cfg.placement_members, cfg.n_steps, cfg.knn_k, cfg.bo_init)
+        assert {type(v) for v in reals} == {float} and {type(v) for v in counts} == {int}
+        assert cfg.digest() == plain.digest()
+        save_config(cfg, tmp_path / "c.json")
+        assert load_config(tmp_path / "c.json") == cfg
 
     @pytest.mark.parametrize(
         "keys, value, suffix",
@@ -456,6 +515,8 @@ class TestValidation:
         c = ExperimentConfig(seed=99)
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
+        # an equal config spelled with an integer had its own digest
+        assert ExperimentConfig(wind_speed_m_s=4).digest() == a.digest()
 
 
 CONFIG_BUILT = {"BoConfig"}

@@ -324,12 +324,13 @@ class TestPlacementResultIo:
         assert doc["seed"] == 7
         assert doc["config_digest"] == ExperimentConfig(seed=7).digest()
 
-    @pytest.mark.parametrize("seed", [2.5, 2.0, "x", "7", True, None])
+    @pytest.mark.parametrize("seed", [2.5, 2.0, "x", "7", True, None, -1])
     def test_seed_must_be_an_integer(self, tmp_path, seed):
+        # the rule of a config's seed: a negative one is refused as well
         path = tmp_path / "placement.json"
         doc = {"locations_m": [[1000.0, 0.0]], "bound_values_nats": [0.5], "seed": seed}
         path.write_text(json.dumps(doc))
-        message = f"placement file {path} is malformed: 'seed' must be an integer, got {seed!r}"
+        message = f"placement file {path} is malformed: seed must be an integer >= 0, got {seed!r}"
         with pytest.raises(ValueError) as info:
             cli.load_placement(path)
         assert str(info.value) == message
