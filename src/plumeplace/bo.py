@@ -12,6 +12,22 @@ local coordinate search that scores the two steps along a coordinate,
 up then down, in one surrogate prediction. Everything is deterministic
 for a fixed seed.
 
+Only the candidates that can win are scored exactly. EI grows with the
+predictive sigma, and no computed variance exceeds the surrogate's
+`gp._variance_ceiling`: the signal variance plus a rounding bound, at
+most 8e-5 of it at the desk profile. So EI at that ceiling, widened by
+a rounding margin of EI_MARGIN = 1e-12 relative plus 1e-12 sigma
+(`_ei_bound` derives it), bounds every candidate's EI from above.
+Every candidate's kernel row and mean are computed once; the
+SCREEN_HEAD (64) candidates of highest bound are scored exactly (their
+variance is the costly part), then every other candidate whose bound
+reaches the best exact score. A candidate left out scores strictly
+below the best, so the argmax, its index among ties and its score are
+those of scoring all of them. At the desk profile (seed 0) the median
+proposal scores 5 % of its 2,048 candidates exactly and the mean one
+26 %, as early iterations' posteriors leave more candidates in reach.
+A flat zero-EI posterior leaves every candidate in reach.
+
 Both designs are drawn here in numpy: the candidates by Owen's
 randomized Halton algorithm (Owen 2017, arXiv:1706.02808), the initial
 design by a scrambled Latin hypercube. They equal, draw for draw, the
@@ -26,6 +42,7 @@ there.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +54,8 @@ from .config import BoConfig
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 REFIT_EVERY = 5  # iterations per maximum-likelihood refit of the surrogate
+SCREEN_HEAD = 64  # candidates scored exactly before the rest are screened
+EI_MARGIN = 1e-12  # relative and absolute rounding margin of the EI bound
 
 
 class ObjectiveError(RuntimeError):
@@ -63,12 +82,21 @@ def expected_improvement(mu, sigma, f_best: float):
     """Closed-form EI of a Gaussian belief over the incumbent f_best.
 
     Zero wherever sigma is zero; otherwise sigma*(z*Phi(z) + phi(z))
-    with z = (mu - f_best) / sigma. Never negative.
+    with z = (mu - f_best) / sigma. Never negative. Non-finite input and
+    a negative sigma raise ValueError naming the argument.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
+    for name, value in (("mu", mu), ("sigma", sigma), ("f_best", f_best)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
     if np.any(sigma < 0):
         raise ValueError("sigma must be >= 0")
+    out = _ei(mu, sigma, f_best)
+    return float(out) if out.ndim == 0 else out
+
+
+def _ei(mu, sigma, f_best):
     # (mu - f_best)*Phi(z) + sigma*phi(z): same closed form, but stays
     # finite when z overflows at extreme mu/sigma ratios. It runs on the
     # whole arrays; where sigma is zero it is 0/0 or inf * 0, and zeroed.
@@ -76,8 +104,7 @@ def expected_improvement(mu, sigma, f_best: float):
         diff = mu - f_best
         z = diff / sigma
         ei = diff * ndtr(z) + sigma * np.exp(-0.5 * z * z) / _SQRT_2PI
-    out = np.maximum(np.where(sigma > 0, ei, 0.0), 0.0)
-    return float(out) if out.ndim == 0 else out
+    return np.maximum(np.where(sigma > 0, ei, 0.0), 0.0)
 
 
 def _primes(count: int) -> list[int]:
@@ -91,6 +118,25 @@ def _primes(count: int) -> list[int]:
     return primes
 
 
+@functools.lru_cache(maxsize=1)
+def _digit_rows(dim: int, n: int) -> tuple[np.ndarray, ...]:
+    """Per base of `_halton(dim, n)`, the base-b digits of range(n) as
+    rows, least significant first, up to the last nonzero digit of
+    n - 1. Read-only, and kept for the last (dim, n) only: 0.3 MB at
+    the desk profile's (2, 2048)."""
+    out = []
+    for base in _primes(dim):
+        rows, quotient, top = [], np.arange(n), n - 1
+        while top:
+            rows.append(quotient % base)
+            quotient //= base
+            top //= base
+        digits = np.array(rows, dtype=np.intp).reshape(len(rows), n)
+        digits.setflags(write=False)
+        out.append(digits)
+    return tuple(out)
+
+
 def _halton(dim: int, n: int, seed: int) -> np.ndarray:
     """(n, dim) points of Owen's randomized Halton sequence in [0, 1).
 
@@ -102,18 +148,15 @@ def _halton(dim: int, n: int, seed: int) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     out = np.empty((dim, n))
-    for d, base in enumerate(_primes(dim)):
+    for d, (base, digits) in enumerate(zip(_primes(dim), _digit_rows(dim, n))):
         perms = np.tile(np.arange(base), (math.ceil(54 / math.log2(base)) - 1, 1))
-        for perm in perms:
-            rng.shuffle(perm)
-        quotient, top = np.arange(n), n - 1
+        # shuffles each row in turn, drawing what a per-row shuffle draws
+        rng.permuted(perms, axis=1, out=perms)
         seq, b2r = np.zeros(n), 1.0 / base
-        for perm in perms:
-            if top:
-                seq += perm[quotient % base] * b2r
-                quotient //= base
-                top //= base
-            else:  # every quotient is 0 from here on, so every digit is too
+        for j, perm in enumerate(perms):
+            if j < len(digits):
+                seq += (perm * b2r)[digits[j]]
+            else:  # every digit is 0 from here on
                 seq += perm[0] * b2r
             b2r /= base
         out[d] = seq
@@ -143,28 +186,79 @@ def _scale(unit: np.ndarray, box: np.ndarray) -> np.ndarray:
 
 
 def _ei_at(surrogate, pts, f_best):
-    mean, var = gp.predict(surrogate, pts)
-    return expected_improvement(mean, np.sqrt(var), f_best)
+    """EI at pts by `gp.predict`'s arithmetic, without its input checks."""
+    ks = gp._kernel_rows(surrogate, pts)
+    return _exact_ei(surrogate, ks, gp._mean(surrogate, ks), f_best)
+
+
+def _exact_ei(surrogate, ks, mean, f_best):
+    return _ei(mean, np.sqrt(gp._variance(surrogate, ks)), f_best)
+
+
+def _ei_bound(surrogate, mean, f_best):
+    """Upper bounds on the exact EI of points with means `mean`.
+
+    EI at sigma_max = sqrt(`gp._variance_ceiling`), the largest sigma a
+    prediction can return, widened to
+    EI(sigma_max) (1 + EI_MARGIN) + EI_MARGIN sigma_max, which covers the
+    rounding of both EI evaluations. The mean and the incumbent are the
+    same floats in both, so diff = mean - f_best is too. An evaluation
+    rounds each term by a few ulps, plus about z^2 u through
+    z = diff / sigma; with diff = z sigma, the Mills ratio
+    |z| Phi(z) <= phi(z) for z < 0, and z^2 phi(z) <= 0.3, its error is
+    at most c u (EI + sigma) with c well below 100. EI is nondecreasing
+    in sigma, so the exact EI is at most EI(sigma_max) plus both errors;
+    a margin of 2 * 100 u = 2.2e-14 would do, and EI_MARGIN is 45 times
+    that.
+    """
+    sigma_max = np.sqrt(gp._variance_ceiling(surrogate))
+    return _ei(mean, sigma_max, f_best) * (1.0 + EI_MARGIN) + EI_MARGIN * sigma_max
+
+
+def _screened_scores(surrogate, cand, f_best):
+    """Exact EI of each candidate that can hold the argmax, -inf for the
+    rest: the SCREEN_HEAD of highest `_ei_bound`, then every other one
+    whose bound reaches their best score. The means come from one product
+    over every candidate, as in `gp.predict`, because a subset's product
+    may round a row differently; a subset's variances are the floats of
+    computing them all."""
+    ks = gp._kernel_rows(surrogate, cand)
+    mean = gp._mean(surrogate, ks)
+    bound = _ei_bound(surrogate, mean, f_best)
+    scores = np.full(len(cand), -np.inf)
+    head = np.argsort(bound)[-SCREEN_HEAD:]
+    scores[head] = _exact_ei(surrogate, ks[head], mean[head], f_best)
+    rest = np.flatnonzero((bound >= scores.max()) & (scores == -np.inf))
+    if rest.size:
+        scores[rest] = _exact_ei(surrogate, ks[rest], mean[rest], f_best)
+    return scores
 
 
 def propose_next(surrogate: gp.GpSurrogate, cfg: BoConfig, f_best: float, seed: int) -> np.ndarray:
     """EI argmax over a Halton candidate set seeded by `seed`, plus local polish.
 
     The candidates are `_halton(dim, acq_candidates, seed)` scaled to the
-    box, the same points as scipy's `qmc.Halton(dim, seed=seed)`.
+    box, the same points as scipy's `qmc.Halton(dim, seed=seed)`. The
+    argmax and its EI are those of scoring every candidate with
+    `gp.predict`, but only the candidates whose EI bound reaches the best
+    exact score are scored exactly (see the module docstring): the
+    SCREEN_HEAD (64) of highest bound, then any other that could still
+    win. So a proposal makes one or two exact candidate passes.
 
     The polish makes 10 sweeps over the coordinates. At each coordinate
     it scores the step up and the step down (each clipped to the box) in
-    one `gp.predict` call, and moves to the step up if it strictly
-    improves EI, else to the step down if that does. A sweep without a
-    move halves the steps. So a proposal makes 1 + 10 * dim predictions.
-    Ties (e.g. a flat zero-EI posterior) resolve to the first candidate
-    in index order.
+    one prediction, and moves to the step up if it strictly improves EI,
+    else to the step down if that does. A sweep without a move halves
+    the steps. So a proposal makes 10 * dim polish predictions. Ties
+    (e.g. a flat zero-EI posterior) resolve to the first candidate in
+    index order. A non-finite f_best raises ValueError.
     """
+    if not np.isfinite(f_best):
+        raise ValueError(f"f_best must be finite, got {f_best!r}")
     box = cfg.domain
     dim = box.shape[0]
     cand = _scale(_halton(dim, cfg.acq_candidates, seed), box)
-    scores = _ei_at(surrogate, cand, f_best)
+    scores = _screened_scores(surrogate, cand, f_best)
     best = int(np.argmax(scores))
     x, val = cand[best].copy(), scores[best]
     step = 0.05 * (box[:, 1] - box[:, 0])

@@ -109,10 +109,11 @@ def extend(block: Block, x) -> Block:
     n1 = len(z) - 1
     l21 = (block.white @ (block.z.T @ z / n1)).T
     w22 = _inv_cholesky(z.T @ z / n1 - l21 @ l21.T)
-    white = np.block([
-        [block.white, np.zeros((len(block.white), len(w22)))],
-        [-w22 @ l21 @ block.white, w22],
-    ])
+    m = len(block.white)
+    white = np.zeros((m + len(w22), m + len(w22)))
+    white[:m, :m] = block.white
+    white[m:, :m] = -w22 @ l21 @ block.white
+    white[m:, m:] = w22
     return Block(
         np.hstack([block.data, x]),
         np.hstack([block.z, z]),

@@ -52,11 +52,22 @@ def _check_rows(x: np.ndarray, f: np.ndarray) -> None:
 def _kernel_matrix(xa: np.ndarray, xb: np.ndarray, ls, signal_var) -> np.ndarray:
     # one coordinate at a time, in coordinate order: the floats of summing
     # an (m, n, dim) stack over its last axis (numpy adds fewer than 8
-    # terms in order), at a cost that does not depend on the points' layout
-    d = (xa[:, 0, None] - xb[None, :, 0]) ** 2 / ls[0]
+    # terms in order), at a cost that does not depend on the points'
+    # layout; in place, by the operations of signal_var * exp(-sum of
+    # (xa_j - xb_j)**2 / ls_j) in that order
+    d = np.subtract(xa[:, 0, None], xb[None, :, 0])
+    np.square(d, out=d)
+    d /= ls[0]
+    term = np.empty_like(d)
     for j in range(1, xa.shape[1]):
-        d += (xa[:, j, None] - xb[None, :, j]) ** 2 / ls[j]
-    return signal_var * np.exp(-d)
+        np.subtract(xa[:, j, None], xb[None, :, j], out=term)
+        np.square(term, out=term)
+        term /= ls[j]
+        d += term
+    np.negative(d, out=d)
+    np.exp(d, out=d)
+    d *= signal_var
+    return d
 
 
 @dataclass
@@ -109,18 +120,75 @@ class GpSurrogate:
 def predict(g: GpSurrogate, x_new):
     """Predictive mean and variance at new points.
 
-    The variance is the latent-function (Schur-complement) variance,
-    clamped at zero against roundoff; it never exceeds signal_var.
+    The variance is the latent-function (Schur-complement) variance
+    signal_var - k' K^-1 k, clamped at zero against roundoff. In exact
+    arithmetic it never exceeds signal_var; in floats the subtracted
+    term can round below zero, and `_variance_ceiling(g)` bounds what
+    that can add. A point's variance is the same floats whichever other
+    points share the call; its mean need not be, as the matrix-vector
+    product may sum a row by another path at another position.
     """
     x_new = np.atleast_2d(np.asarray(x_new, dtype=float))
     if x_new.ndim != 2 or x_new.shape[1] != g.train_x.shape[1]:
         raise ValueError(
             f"x_new must have {g.train_x.shape[1]} columns like train_x, got shape {x_new.shape}"
         )
-    ks = _kernel_matrix(x_new, g.train_x, g.lengthscales, g.signal_var)
-    mean = g.mean_offset + ks @ g.weights
+    if not np.all(np.isfinite(x_new)):
+        raise ValueError("x_new must be finite")
+    ks = _kernel_rows(g, x_new)
+    return _mean(g, ks), _variance(g, ks)
+
+
+# The predictive core, without predict's input checks: bo's acquisition
+# calls it directly, once per proposal for the candidates' kernel rows
+# and means and once per exact scoring for the variances.
+
+
+def _kernel_rows(g: GpSurrogate, x: np.ndarray) -> np.ndarray:
+    """(m, n) prior covariances of m points with the n training points."""
+    return _kernel_matrix(x, g.train_x, g.lengthscales, g.signal_var)
+
+
+def _mean(g: GpSurrogate, ks: np.ndarray) -> np.ndarray:
+    """Predictive means of the points whose kernel rows are ks."""
+    return g.mean_offset + ks @ g.weights
+
+
+def _variance(g: GpSurrogate, ks: np.ndarray) -> np.ndarray:
+    """Predictive variances of the points whose kernel rows are ks."""
     var = g.signal_var - np.sum(ks * dpotrs(g.chol, ks.T, lower=1)[0].T, axis=1)
-    return mean, np.maximum(var, 0.0)
+    return np.maximum(var, 0.0)
+
+
+def _variance_ceiling(g: GpSurrogate) -> float:
+    """An upper bound on every variance `_variance` returns for g, at
+    any points: signal_var plus what rounding can add, or inf where this
+    analysis gives no bound.
+
+    With n training points, u = eps / 2 the unit roundoff, sv the signal
+    and nv the noise variance, K = kernel + nv I has eigenvalues >= nv.
+    - The matrix that was factored differs from K by at most
+      (dim + 8) u (sv + nv) per entry (the distance sum, exp, the product
+      with sv and the diagonal add), and the Cholesky solve returns x
+      with (K~ + E) x = k, |E| <= gamma_{3n+1} |L||L'| (Higham 2002,
+      Accuracy and Stability of Numerical Algorithms, Thm 10.4), where
+      each row of L has norm sqrt(sv + nv). So the symmetric part of
+      K~ + E has eigenvalues >= mu = nv - n (3n + dim + 10) u (sv + nv).
+    - For mu > 0 the exact k'x = x'(K~ + E)x is >= 0, and
+      ||x|| <= ||k|| / mu with ||k||^2 <= n sv^2.
+    - The rounded product-and-sum k'x is off by <= (n + 1) u ||k|| ||x||,
+      so it is >= -n eps n sv^2 / mu, and the variance, one rounded
+      subtraction, is <= (sv + n^2 eps sv^2 / mu) (1 + u).
+    The bound below doubles every rounding term, and its own rounding
+    is covered by the final factor. At the desk profile's surrogates
+    (n <= 40, nv >= 1e-8 sv) it is at most sv (1 + 8e-5).
+    """
+    n, dim = g.train_x.shape
+    eps = np.finfo(float).eps
+    mu = g.noise_var - n * (3 * n + dim + 10) * eps * (g.signal_var + g.noise_var)
+    if mu <= 0:
+        return np.inf
+    return (g.signal_var + 2 * n * n * eps * g.signal_var**2 / mu) * (1 + 2 * eps)
 
 
 def _coordinate_search(objective, p0, lo, hi, budget):

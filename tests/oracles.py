@@ -2,12 +2,13 @@
 
 Everything here is deliberately naive (quadratic scans, dense solves,
 the checked scipy.linalg wrappers, adaptive quadrature, scalar puff
-stepping) and shares no code with the library paths it checks. Two
+stepping) and shares no code with the library paths it checks. Three
 exceptions check that a reorganisation of the library's work changes
 nothing, so they run the library's smaller calls: per_job_compare runs
 each of a placement's conditions alone through the one-condition calls,
-and per_instant_trajectories makes one log_concentrations_at call per
-observation instant.
+per_instant_trajectories makes one log_concentrations_at call per
+observation instant, and full_scoring_proposal scores every EI candidate
+and every polish step with gp.predict and expected_improvement.
 """
 
 import math
@@ -18,10 +19,13 @@ from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import digamma as _digamma
 from scipy.special import ndtr
+from scipy.stats import qmc
 
+from plumeplace.bo import expected_improvement
 from plumeplace.dispersion import log_concentrations_at
 from plumeplace.enkf import assimilate_run
 from plumeplace.evaluate import draw_conditions
+from plumeplace.gp import predict
 from plumeplace.mi import knn_entropy
 
 
@@ -174,6 +178,21 @@ def sequential_polish(score, x, val, box):
         if not improved:
             step = step * 0.5
     return x
+
+
+def full_scoring_proposal(g, box, n_candidates, f_best, seed):
+    """bo.propose_next by its definition: EI of every point of
+    qmc.Halton(dim, seed=seed) scaled to box, the first argmax, then the
+    polish of sequential_polish scoring one point per predict call."""
+    cand = qmc.scale(qmc.Halton(len(box), seed=seed).random(n_candidates), box[:, 0], box[:, 1])
+
+    def score(points):
+        mean, var = predict(g, points)
+        return expected_improvement(mean, np.sqrt(var), f_best)
+
+    scores = score(cand)
+    start = int(np.argmax(scores))
+    return sequential_polish(lambda y: score(y[None, :])[0], cand[start], scores[start], box)
 
 
 def quad_expected_improvement(mu, sigma, f_best):

@@ -25,7 +25,7 @@ from plumeplace.bo import (
 from plumeplace.config import MAX_COUNT
 from plumeplace.gp import GpSurrogate, fit
 
-from oracles import masked_expected_improvement, sequential_polish
+from oracles import full_scoring_proposal, masked_expected_improvement, sequential_polish
 from source_scan import library_modules
 
 
@@ -47,6 +47,19 @@ class TestExpectedImprovement:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             expected_improvement(0.0, -1.0, 0.0)
+
+    @pytest.mark.parametrize("name, args", [
+        ("mu", ([0.5, np.nan], 1.0, 0.0)),
+        ("mu", (np.inf, 1.0, 0.0)),
+        ("sigma", (0.5, [1.0, np.nan], 0.0)),
+        ("sigma", (0.5, np.inf, 0.0)),
+        ("f_best", (0.5, 1.0, np.inf)),
+        ("f_best", (0.5, 1.0, np.nan)),
+    ])
+    def test_rejects_non_finite_input_by_name(self, name, args):
+        # these gave NaN, or 0 for a NaN sigma
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            expected_improvement(*args)
 
     @given(
         st.floats(-50, 50),
@@ -121,16 +134,27 @@ class TestProposeNext:
         cfg = BoConfig(domain=[[0.0, 4.0]], init_count=4, iter_count=0)
         assert np.array_equal(propose_next(g, cfg, -1.0, 11), propose_next(g, cfg, -1.0, 11))
 
+    @pytest.mark.parametrize("f_best", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_incumbent(self, f_best):
+        # a NaN score won the argmax, so this returned the first candidate
+        cfg = BoConfig(domain=[[0.0, 4.0]], init_count=4, iter_count=0)
+        with pytest.raises(ValueError, match="^f_best must be finite"):
+            propose_next(quadratic_surrogate(), cfg, f_best, 0)
 
-def random_surrogate(seed, box):
+
+def random_surrogate(seed, box, noise_var=1e-4):
     """A fixed-hyperparameter surrogate on 12 random points in box."""
     rng = np.random.default_rng(seed)
     x = box[:, 0] + rng.uniform(0.0, 1.0, (12, len(box))) * (box[:, 1] - box[:, 0])
     f = np.sin(x @ rng.normal(0.0, 0.5, len(box))) + rng.normal(0.0, 0.1, 12)
     ls = rng.uniform(0.05, 0.5, len(box)) * (box[:, 1] - box[:, 0]) ** 2
     return GpSurrogate(
-        train_x=x, train_f=f, lengthscales=ls, signal_var=1.0, noise_var=1e-4, mean_offset=f.mean()
+        train_x=x, train_f=f, lengthscales=ls, signal_var=1.0, noise_var=noise_var,
+        mean_offset=f.mean(),
     )
+
+
+BOX3 = np.array([[0.0, 10.0], [-5.0, 5.0], [1.0, 2.0]])
 
 
 class TestPolish:
@@ -155,19 +179,91 @@ class TestPolish:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("incumbent", ["max", "unreachable"])
     def test_one_predict_per_coordinate_and_sweep(self, monkeypatch, dim, incumbent):
-        box = np.array([[0.0, 10.0], [-5.0, 5.0], [1.0, 2.0]])[:dim]
+        # counted at the variance, the exact scoring that both the
+        # candidate passes and the polish steps go through
+        box = BOX3[:dim]
         g = random_surrogate(dim, box)
         f_best = g.train_f.max() if incumbent == "max" else 1e9
         calls = []
-        predict = gp.predict
+        variance = gp._variance
 
         def counting(*args):
             calls.append(1)
-            return predict(*args)
+            return variance(*args)
 
-        monkeypatch.setattr(gp, "predict", counting)
+        monkeypatch.setattr(gp, "_variance", counting)
         propose_next(g, BoConfig(domain=box, acq_candidates=64), f_best, 5)
-        assert len(calls) <= 1 + 10 * dim
+        assert 10 * dim < len(calls) <= 2 + 10 * dim
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("incumbent", ["max", "far", "unreachable"])
+    def test_screen_matches_full_scoring(self, monkeypatch, dim, incumbent):
+        # 2048 candidates, so that the screen leaves most of them out; "far"
+        # puts the incumbent 6 prior sigmas above the best value, where every
+        # EI is tiny but positive, and "unreachable" makes every EI exactly 0
+        box = BOX3[:dim]
+        cfg = BoConfig(domain=box, acq_candidates=2048)
+        rows = []
+        variance = gp._variance
+
+        def counting(g, ks):
+            rows.append(len(ks))
+            return variance(g, ks)
+
+        monkeypatch.setattr(gp, "_variance", counting)
+        pruned = 0
+        for seed in range(8):
+            g = random_surrogate(seed, box, noise_var=(1e-4, 1e-8)[seed % 2])
+            f_best = {"max": g.train_f.max(), "far": g.train_f.max() + 6.0, "unreachable": 1e9}[
+                incumbent]
+            rows.clear()
+            got = propose_next(g, cfg, f_best, seed)
+            # the candidate passes come before the polish's 10 * dim steps
+            pruned += sum(rows[: -10 * dim]) < cfg.acq_candidates
+            np.testing.assert_array_equal(got, full_scoring_proposal(g, box, 2048, f_best, seed))
+        if incumbent == "max":  # beyond reach, the prior-sigma bound reaches every candidate
+            assert pruned > 4
+
+
+class TestScreen:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.integers(2, 30),
+        st.floats(-8.0, 0.0),
+        st.floats(-3.0, 12.0),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bound_covers_every_exact_ei(self, seed, dim, n, log_ratio, lift, twins):
+        # near-duplicate training points at the noise floor make the
+        # variance's rounding largest; points 2 to 6 lengthscales from the
+        # data have a variance just below the prior, where an incumbent
+        # several sigmas up leaves EI to cancellation, and a bound without
+        # its margin falls below the exact EI at about 1 example in 15
+        rng = np.random.default_rng(seed)
+        box = BOX3[:dim]
+        span = box[:, 1] - box[:, 0]
+        x = box[:, 0] + rng.uniform(0.0, 1.0, (n, dim)) * span
+        if twins:
+            x[n // 2:] = x[: n - n // 2] + rng.normal(0.0, 1e-7, (n - n // 2, dim))
+        f = np.sin(x @ rng.normal(0.0, 0.5, dim))
+        sv = 10.0 ** rng.uniform(-3.0, 3.0)
+        ls = rng.uniform(0.05, 0.5, dim) * span**2
+        g = GpSurrogate(x, f, ls, sv, 10.0**log_ratio * sv, mean_offset=f.mean())
+        heading = rng.normal(0.0, 1.0, (600, dim))
+        heading /= np.linalg.norm(heading, axis=1, keepdims=True)
+        pts = np.vstack([
+            box[:, 0] + rng.uniform(-0.5, 1.5, (300, dim)) * span,
+            x[rng.integers(0, n, 600)] + heading * np.sqrt(ls) * rng.uniform(2.0, 6.0, (600, 1)),
+            x + rng.normal(0.0, 1e-6, x.shape),
+            x,
+        ])
+        mean, var = gp.predict(g, pts)
+        assert np.all(var <= gp._variance_ceiling(g))
+        f_best = f.max() + lift * np.sqrt(sv)
+        exact = expected_improvement(mean, np.sqrt(var), f_best)
+        assert np.all(bo._ei_bound(g, mean, f_best) >= exact)
 
 
 class TestMaximize:

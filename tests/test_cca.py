@@ -113,6 +113,7 @@ class TestCholeskyWhitening:
         fixed = factor(d[:, :5])
         grown = extend(fixed, d[:, 5:])
         assert np.array_equal(grown.white[:5, :5], fixed.white)
+        assert not np.any(grown.white[:5, 5:])
         assert np.array_equal(grown.data, d)
         np.testing.assert_allclose(grown.white, factor(d).white, rtol=0, atol=1e-12)
 

@@ -12,6 +12,7 @@ from oracles import (
     se_kernel,
     se_matrix,
 )
+from source_scan import callers_of, definitions_calling
 
 
 class TestSeKernel:
@@ -161,6 +162,29 @@ class TestPredict:
     def test_rejects_points_of_another_width(self, x_new):
         with pytest.raises(ValueError, match="x_new must have 1 columns"):
             predict(toy_surrogate(), x_new)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        # these gave a NaN mean and variance
+        with pytest.raises(ValueError, match="^x_new must be finite"):
+            predict(toy_surrogate(), [[bad]])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_each_variance_gets_the_floats_of_predicting_all(self, dim):
+        # bo's screen computes the variances of a subset of its candidates,
+        # on column-major points like these, and relies on the floats of
+        # computing them all. The mean has no such rule: on this BLAS a
+        # subset whose size is not a multiple of 4 can get other floats
+        # from the matrix-vector product, so the screen takes every
+        # candidate's mean from one product
+        rng = np.random.default_rng(20 + dim)
+        x = rng.uniform(0.0, 5.0, (30, dim))
+        g = fit(x, np.sin(x.sum(axis=1)), seed=dim)
+        pts = np.asfortranarray(np.vstack([rng.uniform(-1.0, 6.0, (2000, dim)), x + 1e-6]))
+        _, var = predict(g, pts)
+        for size in (1, 2, 3, 7, 64, 501, len(pts)):
+            idx = rng.choice(len(pts), size, replace=size > 501)
+            np.testing.assert_array_equal(predict(g, pts[idx])[1], var[idx])
 
     def test_variance_never_exceeds_prior(self):
         rng = np.random.default_rng(1)
@@ -418,3 +442,11 @@ class TestBuild:
         f[2] = bad
         with pytest.raises(ValueError, match="train_f"):
             build(x, f, kept)
+
+
+def test_predictive_moments_have_one_owner():
+    # the kernel and the Cholesky solves stay in gp, and the predictive
+    # variance in one function of it, so bo's EI screen scores through
+    # gp's core and cannot grow a second variance formula
+    assert callers_of({"dpotrs", "_kernel_matrix"}) == {"gp.py"}
+    assert definitions_calling("gp.py", {"dpotrs"}) == {"GpSurrogate", "_Likelihood", "_variance"}
