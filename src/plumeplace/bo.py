@@ -8,9 +8,15 @@ starting with the first; the iterations in between rebuild it on the
 grown data at the last refit's log parameters, with the signal variance
 in closed form (`gp.build`). Acquisition maximization scores a
 low-discrepancy candidate set and polishes the best candidate with a
-local coordinate search that scores the two steps along a coordinate,
-up then down, in one surrogate prediction. Everything is deterministic
-for a fixed seed.
+local coordinate search: at each coordinate the step up, then the step
+down. The points a sweep can reach are known before it starts (a
+coordinate's pair of steps from each point the coordinates before it may
+have moved to: 8 in the plane), so a sweep scores them all in one
+surrogate prediction and then walks its moves, 10 predictions per
+proposal. Each pair's mean is its own 2-row product, as the mean's
+rounding depends on the row count, so the walk reads the floats of
+predicting each pair in turn. Everything is deterministic for a fixed
+seed.
 
 Only the candidates that can win are scored exactly. EI grows with the
 predictive sigma, and no computed variance exceeds the surrogate's
@@ -43,6 +49,7 @@ there.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -246,12 +253,16 @@ def propose_next(surrogate: gp.GpSurrogate, cfg: BoConfig, f_best: float, seed: 
     win. So a proposal makes one or two exact candidate passes.
 
     The polish makes 10 sweeps over the coordinates. At each coordinate
-    it scores the step up and the step down (each clipped to the box) in
-    one prediction, and moves to the step up if it strictly improves EI,
-    else to the step down if that does. A sweep without a move halves
-    the steps. So a proposal makes 10 * dim polish predictions. Ties
-    (e.g. a flat zero-EI posterior) resolve to the first candidate in
-    index order. A non-finite f_best raises ValueError.
+    it takes the step up and the step down (each clipped to the box), and
+    moves to the step up if it strictly improves EI, else to the step
+    down if that does. A sweep without a move halves the steps. A sweep
+    first scores every point it can reach (`_sweep_moves`: 8 in the
+    plane, 3**dim - 1 in general) in one prediction, each pair's mean
+    from its own 2-row product, then walks the moves: the moves and the
+    point of predicting each coordinate's pair in turn, with 10 polish
+    predictions per proposal. Ties (e.g. a flat zero-EI posterior)
+    resolve to the first candidate in index order. A non-finite f_best
+    raises ValueError.
     """
     if not np.isfinite(f_best):
         raise ValueError(f"f_best must be finite, got {f_best!r}")
@@ -263,18 +274,48 @@ def propose_next(surrogate: gp.GpSurrogate, cfg: BoConfig, f_best: float, seed: 
     x, val = cand[best].copy(), scores[best]
     step = 0.05 * (box[:, 1] - box[:, 0])
     for _ in range(10):
-        improved = False
+        # each coordinate's value with no move, after its step up or down
+        choices = np.vstack([x, np.clip(x + np.array([step, -step]), box[:, 0], box[:, 1])])
+        pts = choices[_sweep_moves(dim), np.arange(dim)]
+        ks = gp._kernel_rows(surrogate, pts)
+        # matmul runs one matrix-vector product per stacked pair, so each
+        # pair's means are the floats of predicting that pair alone
+        mean = gp._mean(surrogate, ks.reshape(-1, 2, ks.shape[1])).ravel()
+        v = _exact_ei(surrogate, ks, mean, f_best)
+        improved, origin = False, 0
         for j in range(dim):
-            pair = np.array([x, x])
-            pair[:, j] = np.clip(x[j] + np.array([step[j], -step[j]]), box[j, 0], box[j, 1])
-            v = _ei_at(surrogate, pair, f_best)
-            gains = np.flatnonzero(v > val + 1e-15)
-            if gains.size:
-                x, val = pair[gains[0]], v[gains[0]]
-                improved = True
+            up = 3**j - 1 + 2 * origin  # the row of this origin's step up
+            move = 0
+            for r in (up, up + 1):
+                if v[r] > val + 1e-15:
+                    x, val = pts[r], v[r]
+                    move = 1 + r - up
+                    improved = True
+                    break
+            origin = 3 * origin + move
         if not improved:
             step = step * 0.5
     return x
+
+
+@functools.lru_cache(maxsize=1)
+def _sweep_moves(dim: int) -> np.ndarray:
+    """The moves behind every point a polish sweep in dim coordinates can
+    score, as read-only (3**dim - 1, dim) rows of 0 (no move), 1 (step
+    up) or 2 (step down) per coordinate: for each coordinate j in turn,
+    and for each of the 3**j moves o the coordinates before j may have
+    made, j's step up and then its step down. o is read in base 3,
+    coordinate 0 first, so its pair is rows 3**j - 1 + 2 o and the row
+    after."""
+    rows = []
+    for j in range(dim):
+        pair = np.zeros((2 * 3**j, dim), dtype=np.intp)
+        pair[:, :j] = np.repeat(list(itertools.product(range(3), repeat=j)), 2, axis=0)
+        pair[:, j] = np.tile([1, 2], 3**j)
+        rows.append(pair)
+    moves = np.concatenate(rows)
+    moves.setflags(write=False)
+    return moves
 
 
 def maximize(objective, cfg: BoConfig, seed: int) -> BoTrace:

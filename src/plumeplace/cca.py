@@ -76,10 +76,14 @@ def _columns(x) -> np.ndarray:
 
 def _standardize_columns(x: np.ndarray):
     """The columns centred and divided by their scales, and the scales:
-    the sample standard deviation, or 1 for a constant column."""
-    std = x.std(axis=0, ddof=1)
+    the sample standard deviation, or 1 for a constant column. The mean
+    is taken once; the deviation reuses the centred columns with the
+    operations of x.std(axis=0, ddof=1), so it has its bits."""
+    centred = x - x.mean(axis=0)
+    std = np.sqrt(np.square(centred).sum(axis=0) / (len(x) - 1))
     scale = np.where(std > 0, std, 1.0)
-    return (x - x.mean(axis=0)) / scale, scale
+    centred /= scale
+    return centred, scale
 
 
 def _inv_cholesky(cov: np.ndarray) -> np.ndarray:

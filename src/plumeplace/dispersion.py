@@ -28,7 +28,14 @@ spacing every age is a whole number of minutes). So _trajectories
 evaluates the footprint once per distinct age, then sums each instant's
 rows in release order: the floats of one evaluation per instant (at
 points, log_concentrations_at's), bit for bit, for far fewer
-exponentials.
+exponentials. Which rows those are depends on the config alone:
+_age_table holds the distinct ages and, per instant, its puffs' rows in
+release order, padded to the longest instant with the row number of an
+all-zero footprint row. It is built once per config and read-only. At
+points the footprint gains that zero row and _sum_rows adds the table's
+columns left to right, every instant at once; a pad adds +0.0 to a
+nonnegative sum, which leaves its bits. The grid reads each instant's
+rows without the pads.
 
 The point footprint is puff-major: centres and footprints are
 (K, n_members) arrays, one row per puff. A reading sums K <= 10 puffs
@@ -69,7 +76,9 @@ east (+x), pi/2 north (+y).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -243,14 +252,15 @@ def _puffs(cfg: ExperimentConfig, release_y, wind_dir, ages):
     return px, py, 2 * r2, cfg.release_mass / (2 * np.pi * r2)
 
 
-def _footprint(puffs, sx, sy) -> np.ndarray:
-    """Each puff's concentration at the point (sx, sy), a new (K,
-    n_members) array shaped like the centres: the joint footprint
-    amp * exp(-(dx**2 + dy**2) / 2r**2). The exponent is built in place
-    and divided by -2r**2, which gives the bits of negating it first:
-    IEEE division is sign-symmetric."""
+def _footprint(puffs, sx, sy, out=None) -> np.ndarray:
+    """Each puff's concentration at the point (sx, sy), a (K, n_members)
+    array shaped like the centres, new or written into `out`: the joint
+    footprint amp * exp(-(dx**2 + dy**2) / 2r**2). The exponent is built
+    in place and divided by -2r**2, which gives the bits of negating it
+    first: IEEE division is sign-symmetric."""
     px, py, two_r2, amp = puffs
-    x = (px - sx) ** 2
+    x = np.subtract(px, sx, out=out)
+    np.square(x, out=x)
     x += (py - sy) ** 2
     x /= -two_r2
     x = _exp(x)
@@ -258,15 +268,25 @@ def _footprint(puffs, sx, sy) -> np.ndarray:
     return x
 
 
-def _sum_rows(a: np.ndarray) -> np.ndarray:
+def _sum_rows(a: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
     """The sum of the K rows of a (K, n) array, added in release order:
     ((a[0] + a[1]) + a[2]) + ... for every K and n. Not np.sum(a,
     axis=0): numpy picks its order from the shape, and for n up to 3 it
     sums pairwise along K, so a member's reading would depend on how
-    many members share the call."""
-    out = a[0].copy()
-    for row in a[1:]:
-        out += row
+    many members share the call.
+
+    With a (T, J) table of row numbers of a, T such sums at once, shape
+    (T, n): row t adds a[table[t, 0]], a[table[t, 1]], ... left to right.
+    One column of the table is gathered at a time, so each temporary is
+    one (T, n) addend."""
+    if table is None:
+        out = a[0].copy()
+        for row in a[1:]:
+            out += row
+        return out
+    out = a[table[:, 0]]
+    for column in table.T[1:]:
+        out += a[column]
     return out
 
 
@@ -285,15 +305,42 @@ def _exp(x: np.ndarray) -> np.ndarray:
     return x
 
 
+class _AgeTable(NamedTuple):
+    """The puff ages of cfg.times(): `ages`, the distinct ages, ascending;
+    `rows`, an (n_times, J) table whose row k holds instant k's puffs'
+    rows in `ages`, in release order, padded with len(ages), the row
+    number of an all-zero footprint row; `counts`, each instant's number
+    of puffs. J is the largest count."""
+
+    ages: np.ndarray
+    rows: np.ndarray
+    counts: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _age_table(cfg: ExperimentConfig) -> _AgeTable:
+    """The _AgeTable of cfg, built once per config and read-only, since
+    every caller shares it."""
+    ages = [_ages(cfg, t) for t in cfg.times()]
+    counts = np.array([a.size for a in ages])
+    distinct, inverse = np.unique(np.concatenate(ages), return_inverse=True)
+    rows = np.full((len(ages), counts.max()), len(distinct))
+    for row, idx in zip(rows, np.split(inverse, np.cumsum(counts)[:-1])):
+        row[: len(idx)] = idx
+    for a in (distinct, rows, counts):
+        a.flags.writeable = False
+    return _AgeTable(distinct, rows, counts)
+
+
 def _trajectories(cfg, params, sensors):
     """Noise-free log-concentrations of the (n_members, 2) parameter rows
     at a sensor set at every instant of cfg.times(), shape (n_sensors,
     n_members, n_times), in one pass (module docstring).
 
-    Each instant gathers its puffs' rows of the per-age footprint in
-    release order. At points they are summed with _sum_rows, as
-    log_concentrations_at sums its own; on a GridSpec the gathered
-    (K, block, X) and (K, block, Y) factors of a block of members go
+    The footprint is evaluated once per distinct age of cfg's _age_table.
+    At points it gains the table's zero row and _sum_rows sums every
+    instant at once; on a GridSpec each instant's gathered (K, block, X)
+    and (K, block, Y) factors of a block of members, without pads, go
     into the batched matrix product, written into one (block, X, Y)
     buffer. A gather along the first axis copies no more than its rows.
     """
@@ -302,14 +349,11 @@ def _trajectories(cfg, params, sensors):
     if not grid:
         sensors = sensor_rows(sensors, "sensors")
     n = len(release_y)
-    times = cfg.times()
+    table = _age_table(cfg)
     n_sensors = sensors.nx * sensors.ny if grid else len(sensors)
     # every instant follows the puff released at onset, so each is written
-    out = np.empty((n_sensors, n, len(times)))
-    ages = [_ages(cfg, t) for t in times]
-    distinct, inverse = np.unique(np.concatenate(ages), return_inverse=True)
-    rows = np.split(inverse, np.cumsum([a.size for a in ages])[:-1])
-    puffs = _puffs(cfg, release_y, wind_dir, distinct)
+    out = np.empty((n_sensors, n, len(table.rows)))
+    puffs = _puffs(cfg, release_y, wind_dir, table.ages)
     if grid:
         px, py, two_r2, amp = (a[:, :, None] for a in puffs)
         gx = np.exp(-((px - sensors.xs) ** 2) / two_r2)  # (n_distinct, n, X)
@@ -317,7 +361,8 @@ def _trajectories(cfg, params, sensors):
         gx *= amp
         block = 128  # members per gather, which bounds the gathered copies
         buffer = np.empty((block, sensors.nx, sensors.ny))
-        for k, idx in enumerate(rows):
+        for k, (row, count) in enumerate(zip(table.rows, table.counts)):
+            idx = row[:count]
             for m in range(0, n, block):
                 x, y = gx[idx, m : m + block], gy[idx, m : m + block]
                 c = buffer[: x.shape[1]]
@@ -325,9 +370,9 @@ def _trajectories(cfg, params, sensors):
                 np.log(np.maximum(c, cfg.conc_floor, out=c), out=c)
                 out[:, m : m + len(c), k] = c.reshape(len(c), n_sensors).T
         return out
+    g = np.zeros((len(table.ages) + 1, n))  # the last row is the pads' zero
     for j, (sx, sy) in enumerate(sensors):
-        g = _footprint(puffs, sx, sy)  # (n_distinct, n_members)
-        for k, idx in enumerate(rows):
-            c = _sum_rows(np.take(g, idx, axis=0))
-            out[j, :, k] = np.log(np.maximum(c, cfg.conc_floor, out=c), out=c)
+        _footprint(puffs, sx, sy, out=g[:-1])
+        c = _sum_rows(g, table.rows)  # (n_times, n_members)
+        out[j] = np.log(np.maximum(c, cfg.conc_floor, out=c), out=c).T
     return out

@@ -54,17 +54,18 @@ def _kernel_matrix(xa: np.ndarray, xb: np.ndarray, ls, signal_var) -> np.ndarray
     # an (m, n, dim) stack over its last axis (numpy adds fewer than 8
     # terms in order), at a cost that does not depend on the points'
     # layout; in place, by the operations of signal_var * exp(-sum of
-    # (xa_j - xb_j)**2 / ls_j) in that order
+    # (xa_j - xb_j)**2 / ls_j) in that order, with each term divided by
+    # -ls_j instead of negating the sum: IEEE division and addition are
+    # sign-symmetric, so the bits are the same
     d = np.subtract(xa[:, 0, None], xb[None, :, 0])
     np.square(d, out=d)
-    d /= ls[0]
+    d /= -ls[0]
     term = np.empty_like(d)
     for j in range(1, xa.shape[1]):
         np.subtract(xa[:, j, None], xb[None, :, j], out=term)
         np.square(term, out=term)
-        term /= ls[j]
+        term /= -ls[j]
         d += term
-    np.negative(d, out=d)
     np.exp(d, out=d)
     d *= signal_var
     return d
@@ -225,7 +226,7 @@ def _training_data(train_x, train_f) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(f"{name} contains non-finite values")
     if x.shape[0] < 2:
         raise ValueError("need at least 2 training points")
-    if np.unique(x, axis=0).shape[0] < 2:
+    if not np.any(x != x[0]):
         raise ValueError("need at least 2 distinct training points")
     return x, f
 

@@ -8,7 +8,7 @@ nothing, so they run the library's smaller calls: per_job_compare runs
 each of a placement's conditions alone through the one-condition calls,
 per_instant_trajectories makes one log_concentrations_at call per
 observation instant, and full_scoring_proposal scores every EI candidate
-and every polish step with gp.predict and expected_improvement.
+and each polish pair of steps with gp.predict and expected_improvement.
 """
 
 import math
@@ -158,21 +158,24 @@ def gp_neg_log_likelihood(train_x, train_f, log_params, signal_var=None):
 
 
 def sequential_polish(score, x, val, box):
-    """Coordinate polish of a start point x with score val inside box,
-    scoring one point per call, in 10 sweeps: at each coordinate the
-    step up, then, if that does not strictly gain, the step down; a sweep
-    without a move halves the steps (first 5 % of each box side)."""
+    """Coordinate polish of a start point x with score val inside box, in
+    10 sweeps: at each coordinate the step up and the step down, scored
+    together by one call of score on the (2, dim) pair, then a move to
+    the step up if it strictly gains, else to the step down if that
+    does; a sweep without a move halves the steps (first 5 % of each box
+    side)."""
     x = np.array(x, dtype=float)
     step = 0.05 * (box[:, 1] - box[:, 0])
     for _ in range(10):
         improved = False
         for j in range(len(x)):
-            for sign in (1.0, -1.0):
-                y = x.copy()
+            pair = np.array([x, x])
+            for y, sign in zip(pair, (1.0, -1.0)):
                 y[j] = min(max(x[j] + sign * step[j], box[j, 0]), box[j, 1])
-                v = score(y)
-                if v > val + 1e-15:
-                    x, val = y, v
+            v = score(pair)
+            for y, value in zip(pair, v):
+                if value > val + 1e-15:
+                    x, val = y, value
                     improved = True
                     break
         if not improved:
@@ -183,7 +186,8 @@ def sequential_polish(score, x, val, box):
 def full_scoring_proposal(g, box, n_candidates, f_best, seed):
     """bo.propose_next by its definition: EI of every point of
     qmc.Halton(dim, seed=seed) scaled to box, the first argmax, then the
-    polish of sequential_polish scoring one point per predict call."""
+    polish of sequential_polish scoring each pair with one predict
+    call."""
     cand = qmc.scale(qmc.Halton(len(box), seed=seed).random(n_candidates), box[:, 0], box[:, 1])
 
     def score(points):
@@ -192,7 +196,7 @@ def full_scoring_proposal(g, box, n_candidates, f_best, seed):
 
     scores = score(cand)
     start = int(np.argmax(scores))
-    return sequential_polish(lambda y: score(y[None, :])[0], cand[start], scores[start], box)
+    return sequential_polish(score, cand[start], scores[start], box)
 
 
 def quad_expected_improvement(mu, sigma, f_best):

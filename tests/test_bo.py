@@ -170,7 +170,7 @@ class TestPolish:
             scores = _ei_at(g, cand, f_best)
             start = int(np.argmax(scores))
             expected = sequential_polish(
-                lambda y: _ei_at(g, y[None, :], f_best)[0], cand[start], scores[start], self.BOX
+                lambda pair: _ei_at(g, pair, f_best), cand[start], scores[start], self.BOX
             )
             np.testing.assert_array_equal(propose_next(g, cfg, f_best, seed), expected)
             moved += not np.array_equal(expected, cand[start])
@@ -178,7 +178,7 @@ class TestPolish:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("incumbent", ["max", "unreachable"])
-    def test_one_predict_per_coordinate_and_sweep(self, monkeypatch, dim, incumbent):
+    def test_one_predict_per_sweep(self, monkeypatch, dim, incumbent):
         # counted at the variance, the exact scoring that both the
         # candidate passes and the polish steps go through
         box = BOX3[:dim]
@@ -193,7 +193,30 @@ class TestPolish:
 
         monkeypatch.setattr(gp, "_variance", counting)
         propose_next(g, BoConfig(domain=box, acq_candidates=64), f_best, 5)
-        assert 10 * dim < len(calls) <= 2 + 10 * dim
+        assert 10 < len(calls) <= 12
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_each_pairs_mean_is_its_own_two_row_product(self, monkeypatch, dim):
+        # a mean's rounding depends on the row count, so a sweep's means
+        # come in stacked pairs, each the floats of a 2-row product
+        box = BOX3[:dim]
+        g = random_surrogate(dim, box)
+        stacks = []
+        mean = gp._mean
+
+        def recording(surrogate, ks):
+            out = mean(surrogate, ks)
+            if ks.ndim == 3:
+                stacks.append((ks, out))
+            return out
+
+        monkeypatch.setattr(gp, "_mean", recording)
+        propose_next(g, BoConfig(domain=box, acq_candidates=64), g.train_f.max(), 5)
+        assert len(stacks) == 10
+        for ks, out in stacks:
+            assert ks.shape == (3**dim // 2, 2, len(g.train_f))
+            for pair, got in zip(ks, out):
+                assert np.array_equal(got, mean(g, np.array(pair)))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("incumbent", ["max", "far", "unreachable"])
@@ -218,8 +241,8 @@ class TestPolish:
                 incumbent]
             rows.clear()
             got = propose_next(g, cfg, f_best, seed)
-            # the candidate passes come before the polish's 10 * dim steps
-            pruned += sum(rows[: -10 * dim]) < cfg.acq_candidates
+            # the candidate passes come before the polish's 10 sweeps
+            pruned += sum(rows[:-10]) < cfg.acq_candidates
             np.testing.assert_array_equal(got, full_scoring_proposal(g, box, 2048, f_best, seed))
         if incumbent == "max":  # beyond reach, the prior-sigma bound reaches every candidate
             assert pruned > 4

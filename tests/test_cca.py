@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plumeplace import cca
 from plumeplace.cca import extend, factor, first_canonical, mi_lower_bound
 from plumeplace.mi import KnnConfig, ksg_mi
 
@@ -128,6 +129,29 @@ class TestCholeskyWhitening:
         _, d = correlated_blocks(6)
         with pytest.raises(ValueError, match="same number of samples"):
             extend(factor(d), d[:-1])
+
+
+class TestStandardizeColumns:
+    @staticmethod
+    def two_pass(x):
+        """The standardisation as two numpy reductions: std, then mean."""
+        std = x.std(axis=0, ddof=1)
+        scale = np.where(std > 0, std, 1.0)
+        return (x - x.mean(axis=0)) / scale, scale
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_std_and_mean_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 700)), int(rng.integers(2, 12))
+        x = rng.normal(rng.normal(0.0, 1e3, m), 10.0 ** rng.uniform(-4, 4, m), (n, m))
+        x[:, rng.integers(m)] = 3.0  # a constant column, whose mean is exact
+        blocks = [x, x[:, :1], np.asfortranarray(x), x[:, ::2], x[::3]]
+        for block in blocks:
+            z, scale = cca._standardize_columns(block)
+            want_z, want_scale = self.two_pass(block)
+            assert np.array_equal(z.view(np.uint64), want_z.view(np.uint64))
+            assert np.array_equal(scale.view(np.uint64), want_scale.view(np.uint64))
+        assert np.sum(cca._standardize_columns(x)[1] == 1.0) >= 1
 
 
 class TestMiLowerBound:

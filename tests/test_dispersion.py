@@ -571,6 +571,62 @@ class TestSumRows:
             np.testing.assert_array_equal(bits(out), bits(expected), err_msg=f"K = {k}")
 
 
+    @pytest.mark.parametrize("n", [1, 3, 40])
+    def test_a_table_sums_each_row_left_to_right(self, n):
+        rng = np.random.default_rng(n)
+        for k in range(1, 30):
+            rows = rng.choice([-1.0, 1.0], (k, n)) * 10.0 ** rng.uniform(-100, 100, (k, n))
+            rows[rng.random((k, n)) < 0.2] = 0.0
+            table = rng.integers(0, k, (int(rng.integers(1, 12)), int(rng.integers(1, 12))))
+            out = dispersion._sum_rows(rows, table)
+            assert out.shape == (len(table), n)
+            for got, idx in zip(out, table):
+                expected = functools.reduce(operator.add, rows[idx])
+                np.testing.assert_array_equal(bits(got), bits(expected), err_msg=f"K = {k}")
+
+
+class TestAgeTable:
+    @TIMING_CASES
+    def test_each_instants_puffs_in_release_order_then_pads(self, interval, release, n_steps,
+                                                             total):
+        cfg = replace(
+            DESK, interval_min=interval, release_duration_min=release, n_steps=n_steps,
+            total_min=total,
+        )
+        ages, rows, counts = dispersion._age_table(cfg)
+        assert np.all(np.diff(ages) > 0)
+        assert rows.shape == (len(cfg.times()), counts.max())
+        for t, row, count in zip(cfg.times(), rows, counts):
+            assert np.array_equal(ages[row[:count]], dispersion._ages(cfg, t))
+            assert np.all(row[count:] == len(ages))
+
+    def test_built_once_per_config_and_read_only(self, monkeypatch):
+        calls = []
+        ages = dispersion._ages
+
+        def counting(cfg, t):
+            calls.append(t)
+            return ages(cfg, t)
+
+        monkeypatch.setattr(dispersion, "_ages", counting)
+        # a config no other test builds, so its table is not cached yet
+        cfg = replace(DESK, interval_min=0.6125, n_steps=7)
+        params = cfg.draw_prior(20, np.random.default_rng(0))
+        grid = GridSpec(3, 4, cfg.domain_m())
+        table = dispersion._age_table(cfg)
+        assert len(calls) == 7
+        for _ in range(2):
+            dispersion._trajectories(cfg, params, ON_PLUME)
+            dispersion._trajectories(cfg, params, grid)
+        # an equal config is the same key
+        assert dispersion._age_table(replace(cfg)) is table
+        assert len(calls) == 7
+        for a in table:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+
 # the edges of _exp's lanes: the vector path's floor, np.exp's last
 # subnormal (5e-324 just above -745.1332191019412) and its +0 region
 EDGES = [-700.0, -746.0, -745.1332191019412, -745.13321910194, 0.0, -0.0, math.inf,

@@ -226,6 +226,17 @@ class TestFit:
             hits += 0.5 <= g.lengthscales[0] <= 2.0
         assert hits >= 18
 
+    def test_signed_zero_rows_are_not_distinct(self):
+        # 0.0 == -0.0, so the two rows are one point
+        with pytest.raises(ValueError, match="^need at least 2 distinct training points$"):
+            fit([[0.0], [-0.0]], [1.0, 2.0])
+
+    def test_near_duplicate_rows_are_distinct(self):
+        x = np.array([[1.0, 2.0], [1.0, np.nextafter(2.0, 3.0)], [1.0, 2.0]])
+        got_x, got_f = gp._training_data(x, [1.0, 2.0, 3.0])
+        assert np.array_equal(got_x, x)
+        assert np.array_equal(got_f, [1.0, 2.0, 3.0])
+
     def test_constant_values_degenerate(self):
         x = np.linspace(0, 5, 10)[:, None]
         g = fit(x, np.full(10, 3.0))
