@@ -11,12 +11,13 @@ low-discrepancy candidate set and polishes the best candidate with a
 local coordinate search: at each coordinate the step up, then the step
 down. The points a sweep can reach are known before it starts (a
 coordinate's pair of steps from each point the coordinates before it may
-have moved to: 8 in the plane), so a sweep scores them all in one
-surrogate prediction and then walks its moves, 10 predictions per
-proposal. Each pair's mean is its own 2-row product, as the mean's
-rounding depends on the row count, so the walk reads the floats of
-predicting each pair in turn. Everything is deterministic for a fixed
-seed.
+have moved to: 3**dim - 1 of them, 8 in the plane), so a sweep scores them
+all in one surrogate prediction and then walks its moves, 10 predictions
+per proposal. That count grows threefold per coordinate, so a BoConfig
+box has at most MAX_BO_DIM = 3 coordinates (26 points per sweep). Each
+pair's mean is its own 2-row product, as the mean's rounding depends on
+the row count, so the walk reads the floats of predicting each pair in
+turn. Everything is deterministic for a fixed seed.
 
 Only the candidates that can win are scored exactly. EI grows with the
 predictive sigma, and no computed variance exceeds the surrogate's
@@ -192,12 +193,6 @@ def _scale(unit: np.ndarray, box: np.ndarray) -> np.ndarray:
     return unit * (box[:, 1] - box[:, 0]) + box[:, 0]
 
 
-def _ei_at(surrogate, pts, f_best):
-    """EI at pts by `gp.predict`'s arithmetic, without its input checks."""
-    ks = gp._kernel_rows(surrogate, pts)
-    return _exact_ei(surrogate, ks, gp._mean(surrogate, ks), f_best)
-
-
 def _exact_ei(surrogate, ks, mean, f_best):
     return _ei(mean, np.sqrt(gp._variance(surrogate, ks)), f_best)
 
@@ -256,8 +251,9 @@ def propose_next(surrogate: gp.GpSurrogate, cfg: BoConfig, f_best: float, seed: 
     it takes the step up and the step down (each clipped to the box), and
     moves to the step up if it strictly improves EI, else to the step
     down if that does. A sweep without a move halves the steps. A sweep
-    first scores every point it can reach (`_sweep_moves`: 8 in the
-    plane, 3**dim - 1 in general) in one prediction, each pair's mean
+    first scores every point it can reach (`_sweep_moves`: 3**dim - 1,
+    8 in the plane; BoConfig refuses a box of more than MAX_BO_DIM = 3
+    coordinates, 26 points) in one prediction, each pair's mean
     from its own 2-row product, then walks the moves: the moves and the
     point of predicting each coordinate's pair in turn, with 10 polish
     predictions per proposal. Ties (e.g. a flat zero-EI posterior)

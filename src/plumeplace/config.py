@@ -19,7 +19,8 @@ bool or a string), a pair (check_pair: two reals) and, for n_steps, None
 or a count. A field is stored as its rule returns it (int, float or a
 tuple of floats), so equal configs hash and digest alike. A box is a
 float (dims, 2) array of finite (low, high) bounds with low < high
-(check_box). Every entry point that takes a count or a box calls these.
+(check_box); a BO box has at most MAX_BO_DIM rows. Every entry point
+that takes a count or a box calls these.
 
 The sub-configs KnnConfig (mi's neighbour settings) and BoConfig (bo's
 box and loop sizes) check the values they own and hold their ranges and
@@ -49,6 +50,9 @@ PROFILES = ("full", "desk")
 # an entry point takes) is at most this, so no setting or argument asks
 # numpy for an allocation it cannot make.
 MAX_COUNT = 10**7
+# A BO box has at most this many coordinates: each sweep of bo's polish
+# scores every point it can reach, 3**dim - 1 of them (26 at this limit).
+MAX_BO_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,8 @@ class KnnConfig:
 
 @dataclass(frozen=True)
 class BoConfig:
-    """Search box and loop sizes for the optimization."""
+    """Search box and loop sizes for the optimization. The box has 1 to
+    MAX_BO_DIM rows."""
 
     domain: np.ndarray  # (dim, 2) box bounds
     init_count: int = 10
@@ -82,6 +87,11 @@ class BoConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "domain", check_box(self.domain, "domain"))
+        if len(self.domain) > MAX_BO_DIM:
+            raise ValueError(
+                f"domain must have at most {MAX_BO_DIM} rows, got {len(self.domain)}: "
+                "each polish sweep scores 3**dim - 1 points"
+            )
         for name, least in (("init_count", 2), ("iter_count", 0), ("acq_candidates", 1)):
             object.__setattr__(self, name, check_count(getattr(self, name), name, least))
 

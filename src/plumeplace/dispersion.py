@@ -32,8 +32,9 @@ exponentials. Which rows those are depends on the config alone:
 _age_table holds the distinct ages and, per instant, its puffs' rows in
 release order, padded to the longest instant with the row number of an
 all-zero footprint row. It is built once per config and read-only. At
-points the footprint gains that zero row and _sum_rows adds the table's
-columns left to right, every instant at once; a pad adds +0.0 to a
+points the footprint gains that zero row, one gather through the table
+stacks every instant's rows, (J, n_times, n_members), and _sum_rows adds
+them left to right, every instant at once; a pad adds +0.0 to a
 nonnegative sum, which leaves its bits. The grid reads each instant's
 rows without the pads.
 
@@ -268,25 +269,15 @@ def _footprint(puffs, sx, sy, out=None) -> np.ndarray:
     return x
 
 
-def _sum_rows(a: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
-    """The sum of the K rows of a (K, n) array, added in release order:
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """The sum of the K rows of a (K, ...) array, added in release order:
     ((a[0] + a[1]) + a[2]) + ... for every K and n. Not np.sum(a,
     axis=0): numpy picks its order from the shape, and for n up to 3 it
     sums pairwise along K, so a member's reading would depend on how
-    many members share the call.
-
-    With a (T, J) table of row numbers of a, T such sums at once, shape
-    (T, n): row t adds a[table[t, 0]], a[table[t, 1]], ... left to right.
-    One column of the table is gathered at a time, so each temporary is
-    one (T, n) addend."""
-    if table is None:
-        out = a[0].copy()
-        for row in a[1:]:
-            out += row
-        return out
-    out = a[table[:, 0]]
-    for column in table.T[1:]:
-        out += a[column]
+    many members share the call."""
+    out = a[0].copy()
+    for row in a[1:]:
+        out += row
     return out
 
 
@@ -338,11 +329,12 @@ def _trajectories(cfg, params, sensors):
     n_members, n_times), in one pass (module docstring).
 
     The footprint is evaluated once per distinct age of cfg's _age_table.
-    At points it gains the table's zero row and _sum_rows sums every
-    instant at once; on a GridSpec each instant's gathered (K, block, X)
-    and (K, block, Y) factors of a block of members, without pads, go
-    into the batched matrix product, written into one (block, X, Y)
-    buffer. A gather along the first axis copies no more than its rows.
+    At points it gains the table's zero row, and _sum_rows sums the rows
+    the table gathers, every instant at once; on a GridSpec each
+    instant's gathered (K, block, X) and (K, block, Y) factors of a block
+    of members, without pads, go into the batched matrix product,
+    written into one (block, X, Y) buffer. A gather along the first axis
+    copies no more than its rows.
     """
     release_y, wind_dir = _accident_rows(params, "params").T
     grid = isinstance(sensors, GridSpec)
@@ -373,6 +365,6 @@ def _trajectories(cfg, params, sensors):
     g = np.zeros((len(table.ages) + 1, n))  # the last row is the pads' zero
     for j, (sx, sy) in enumerate(sensors):
         _footprint(puffs, sx, sy, out=g[:-1])
-        c = _sum_rows(g, table.rows)  # (n_times, n_members)
+        c = _sum_rows(g[table.rows.T])  # (n_times, n_members)
         out[j] = np.log(np.maximum(c, cfg.conc_floor, out=c), out=c).T
     return out

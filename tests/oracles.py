@@ -8,7 +8,8 @@ nothing, so they run the library's smaller calls: per_job_compare runs
 each of a placement's conditions alone through the one-condition calls,
 per_instant_trajectories makes one log_concentrations_at call per
 observation instant, and full_scoring_proposal scores every EI candidate
-and each polish pair of steps with gp.predict and expected_improvement.
+and each polish pair of steps with predicted_ei: gp.predict and
+expected_improvement.
 """
 
 import math
@@ -183,20 +184,24 @@ def sequential_polish(score, x, val, box):
     return x
 
 
+def predicted_ei(g, points, f_best):
+    """EI over the incumbent f_best at points, from one gp.predict call
+    on all of them."""
+    mean, var = predict(g, points)
+    return expected_improvement(mean, np.sqrt(var), f_best)
+
+
 def full_scoring_proposal(g, box, n_candidates, f_best, seed):
-    """bo.propose_next by its definition: EI of every point of
+    """bo.propose_next by its definition: predicted_ei of every point of
     qmc.Halton(dim, seed=seed) scaled to box, the first argmax, then the
     polish of sequential_polish scoring each pair with one predict
     call."""
     cand = qmc.scale(qmc.Halton(len(box), seed=seed).random(n_candidates), box[:, 0], box[:, 1])
-
-    def score(points):
-        mean, var = predict(g, points)
-        return expected_improvement(mean, np.sqrt(var), f_best)
-
-    scores = score(cand)
+    scores = predicted_ei(g, cand, f_best)
     start = int(np.argmax(scores))
-    return sequential_polish(score, cand[start], scores[start], box)
+    return sequential_polish(
+        lambda pair: predicted_ei(g, pair, f_best), cand[start], scores[start], box
+    )
 
 
 def quad_expected_improvement(mu, sigma, f_best):

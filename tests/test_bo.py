@@ -15,17 +15,21 @@ from plumeplace import bo, gp
 from plumeplace.bo import (
     BoConfig,
     ObjectiveError,
-    _ei_at,
     _halton,
     _latin_hypercube,
     expected_improvement,
     maximize,
     propose_next,
 )
-from plumeplace.config import MAX_COUNT
+from plumeplace.config import MAX_BO_DIM, MAX_COUNT
 from plumeplace.gp import GpSurrogate, fit
 
-from oracles import full_scoring_proposal, masked_expected_improvement, sequential_polish
+from oracles import (
+    full_scoring_proposal,
+    masked_expected_improvement,
+    predicted_ei,
+    sequential_polish,
+)
 from source_scan import library_modules
 
 
@@ -118,8 +122,8 @@ class TestProposeNext:
         assert 1.0 <= x[0] <= 3.0
         # dense-grid oracle: the proposal's EI is essentially the global max
         grid = np.linspace(0.0, 4.0, 10_000)[:, None]
-        best_grid = np.max(_ei_at(g, grid, -1.0))
-        assert _ei_at(g, x[None, :], -1.0)[0] >= 0.999 * best_grid
+        best_grid = np.max(predicted_ei(g, grid, -1.0))
+        assert predicted_ei(g, x[None, :], -1.0)[0] >= 0.999 * best_grid
 
     def test_flat_zero_ei_returns_first_candidate(self):
         g = quadratic_surrogate()
@@ -167,10 +171,10 @@ class TestPolish:
             g = random_surrogate(seed, self.BOX)
             f_best = g.train_f.max()
             cand = qmc.scale(qmc.Halton(2, seed=seed).random(64), self.BOX[:, 0], self.BOX[:, 1])
-            scores = _ei_at(g, cand, f_best)
+            scores = predicted_ei(g, cand, f_best)
             start = int(np.argmax(scores))
             expected = sequential_polish(
-                lambda pair: _ei_at(g, pair, f_best), cand[start], scores[start], self.BOX
+                lambda pair: predicted_ei(g, pair, f_best), cand[start], scores[start], self.BOX
             )
             np.testing.assert_array_equal(propose_next(g, cfg, f_best, seed), expected)
             moved += not np.array_equal(expected, cand[start])
@@ -381,6 +385,14 @@ class TestConfigAndTrace:
     def test_rejects_non_finite_bounds(self, bad):
         with pytest.raises(ValueError, match="domain must be finite"):
             BoConfig(domain=[[0.0, 1.0], [0.0, bad]])
+
+    @pytest.mark.parametrize("rows", [MAX_BO_DIM + 1, 10])
+    def test_rejects_a_box_beyond_max_bo_dim(self, rows):
+        # a polish sweep scores 3**dim - 1 points: 80 at dim 4 and 59,048
+        # at dim 10
+        with pytest.raises(ValueError, match=rf"^domain must have at most 3 rows, got {rows}: "):
+            BoConfig(domain=[[0.0, 1.0]] * rows)
+        assert len(BoConfig(domain=[[0.0, 1.0]] * MAX_BO_DIM).domain) == 3
 
     def test_rejects_small_init(self):
         with pytest.raises(ValueError):

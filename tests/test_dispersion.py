@@ -571,20 +571,6 @@ class TestSumRows:
             np.testing.assert_array_equal(bits(out), bits(expected), err_msg=f"K = {k}")
 
 
-    @pytest.mark.parametrize("n", [1, 3, 40])
-    def test_a_table_sums_each_row_left_to_right(self, n):
-        rng = np.random.default_rng(n)
-        for k in range(1, 30):
-            rows = rng.choice([-1.0, 1.0], (k, n)) * 10.0 ** rng.uniform(-100, 100, (k, n))
-            rows[rng.random((k, n)) < 0.2] = 0.0
-            table = rng.integers(0, k, (int(rng.integers(1, 12)), int(rng.integers(1, 12))))
-            out = dispersion._sum_rows(rows, table)
-            assert out.shape == (len(table), n)
-            for got, idx in zip(out, table):
-                expected = functools.reduce(operator.add, rows[idx])
-                np.testing.assert_array_equal(bits(got), bits(expected), err_msg=f"K = {k}")
-
-
 class TestAgeTable:
     @TIMING_CASES
     def test_each_instants_puffs_in_release_order_then_pads(self, interval, release, n_steps,
