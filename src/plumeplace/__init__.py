@@ -1,7 +1,7 @@
 """plumeplace: information-driven sensor placement for release-source
 inference, verified by ensemble Kalman assimilation."""
 
-from .bo import BoTrace, expected_improvement, maximize, propose_next
+from .bo import BoTrace, maximize, propose_next
 from .cca import CanonicalPair, first_canonical, mi_lower_bound
 from .config import BoConfig, ExperimentConfig, KnnConfig, load_config, save_config
 from .dispersion import simulate_observations

@@ -86,24 +86,6 @@ class BoTrace:
         self.values = np.asarray(self.values, dtype=float)
 
 
-def expected_improvement(mu, sigma, f_best: float):
-    """Closed-form EI of a Gaussian belief over the incumbent f_best.
-
-    Zero wherever sigma is zero; otherwise sigma*(z*Phi(z) + phi(z))
-    with z = (mu - f_best) / sigma. Never negative. Non-finite input and
-    a negative sigma raise ValueError naming the argument.
-    """
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    for name, value in (("mu", mu), ("sigma", sigma), ("f_best", f_best)):
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite")
-    if np.any(sigma < 0):
-        raise ValueError("sigma must be >= 0")
-    out = _ei(mu, sigma, f_best)
-    return float(out) if out.ndim == 0 else out
-
-
 def _ei(mu, sigma, f_best):
     # (mu - f_best)*Phi(z) + sigma*phi(z): same closed form, but stays
     # finite when z overflows at extreme mu/sigma ratios. It runs on the

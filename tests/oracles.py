@@ -9,7 +9,8 @@ each of a placement's conditions alone through the one-condition calls,
 per_instant_trajectories makes one log_concentrations_at call per
 observation instant, and full_scoring_proposal scores every EI candidate
 and each polish pair of steps with predicted_ei: gp.predict and
-expected_improvement.
+expected_improvement, the library's closed-form EI (bo._ei) behind
+input checks.
 """
 
 import math
@@ -22,7 +23,7 @@ from scipy.special import digamma as _digamma
 from scipy.special import ndtr
 from scipy.stats import qmc
 
-from plumeplace.bo import expected_improvement
+from plumeplace.bo import _ei
 from plumeplace.dispersion import log_concentrations_at
 from plumeplace.enkf import assimilate_run
 from plumeplace.evaluate import draw_conditions
@@ -182,6 +183,24 @@ def sequential_polish(score, x, val, box):
         if not improved:
             step = step * 0.5
     return x
+
+
+def expected_improvement(mu, sigma, f_best: float):
+    """Closed-form EI of a Gaussian belief over the incumbent f_best.
+
+    Zero wherever sigma is zero; otherwise sigma*(z*Phi(z) + phi(z))
+    with z = (mu - f_best) / sigma. Never negative. Non-finite input and
+    a negative sigma raise ValueError naming the argument.
+    """
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    for name, value in (("mu", mu), ("sigma", sigma), ("f_best", f_best)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+    if np.any(sigma < 0):
+        raise ValueError("sigma must be >= 0")
+    out = _ei(mu, sigma, f_best)
+    return float(out) if out.ndim == 0 else out
 
 
 def predicted_ei(g, points, f_best):

@@ -17,7 +17,6 @@ from plumeplace.bo import (
     ObjectiveError,
     _halton,
     _latin_hypercube,
-    expected_improvement,
     maximize,
     propose_next,
 )
@@ -25,6 +24,7 @@ from plumeplace.config import MAX_BO_DIM, MAX_COUNT
 from plumeplace.gp import GpSurrogate, fit
 
 from oracles import (
+    expected_improvement,
     full_scoring_proposal,
     masked_expected_improvement,
     predicted_ei,

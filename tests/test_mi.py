@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,12 @@ class TestKnnEntropy:
         with pytest.raises(ValueError):
             knn_entropy(np.array([1.0, np.nan, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]))
 
+    @pytest.mark.parametrize("shape", [(50, 0), (2, 50, 0)])
+    def test_rejects_a_block_with_no_columns(self, shape):
+        # numpy's reshape failed on these
+        with pytest.raises(ValueError, match=rf"no columns, got shape \({shape[0]}, "):
+            knn_entropy(np.zeros(shape))
+
     def test_matches_brute_force(self):
         x = np.random.default_rng(3).standard_normal((300, 2))
         cfg = KnnConfig(k=4, jitter_scale=0.0)
@@ -128,6 +136,14 @@ class TestKsgMi:
         with pytest.raises(ValueError, match="need at least k\\+1=7 samples, got 5"):
             ksg_mi(np.arange(5.0), np.arange(5.0) ** 2, KnnConfig(k=6))
 
+    @pytest.mark.parametrize("empty", ["x", "y"])
+    def test_rejects_a_block_with_no_columns(self, empty):
+        # an IndexError deep in the window pass did
+        blocks = {"x": np.zeros((50, 1)), "y": np.arange(50.0)}
+        blocks[empty] = np.zeros((50, 0))
+        with pytest.raises(ValueError, match=r"no columns, got shape \(50, 0\)"):
+            ksg_mi(blocks["x"], blocks["y"])
+
     def test_sample_count_mismatch(self):
         with pytest.raises(ValueError):
             ksg_mi(np.arange(10.0), np.arange(11.0))
@@ -137,7 +153,7 @@ class TestKsgMi:
             ksg_mi(np.zeros(50), np.zeros(50))
 
     def test_k_wider_than_the_window_matches_brute_force(self):
-        # k = 70 needs more than the 32 rows a side the joint's window takes
+        # k = 70 needs more than the 48 rows a side of the joint's first window
         rng = np.random.default_rng(8)
         x = rng.standard_normal(300)
         y = x + 0.3 * rng.standard_normal(300)
@@ -219,14 +235,22 @@ class TestStackedKnnEntropy:
     def test_each_entry_of_a_stack_of_2d_sets_is_its_sets_estimate(self, monkeypatch):
         x = np.round(np.random.default_rng(10).standard_normal((2, 3, 200, 2)), 2)
         x[0, :, :, 1] *= 1e3  # the first row's sets are certified, the second's need windows
-        builds, queried = _counting_trees(monkeypatch)
+        builds = _counting_trees(monkeypatch)
         stacked = knn_entropy(x)
         jittered = _jittered(x[1], KnnConfig.jitter_scale)
-        assert queried == [rows for rows in (_path(b, 6)[1] for b in jittered) if rows]
-        assert builds == [200] * len(queried)
+        # columns alike in spread: a window of k rows a side, the widest
+        # column first, certifies almost no row, and wider ones take the rest
+        widest_first = [np.roll(b, -np.argmax(np.ptp(b, axis=0)), axis=1) for b in jittered]
+        assert [_uncertified_rows(b, 6, 6) for b in widest_first] == [200, 199, 200]
+        assert builds == []
         assert stacked.shape == (2, 3)
         for idx in np.ndindex(2, 3):
             assert stacked[idx] == knn_entropy(x[idx])
+            block = _jittered(x[idx], KnnConfig.jitter_scale)
+            assert stacked[idx] == pytest.approx(brute_knn_entropy(block, 6), abs=1e-12)
+        np.testing.assert_array_equal(
+            _knn_radii(jittered, 6), [brute_knn_radii(b, 6) for b in jittered]
+        )
 
     def test_names_the_stack_it_takes(self):
         with pytest.raises(ValueError, match=r"or an \(\.\.\., n, d\) stack, got shape \(\)"):
@@ -258,27 +282,23 @@ class TestJitterDraw:
         assert knn_entropy(y) == knn_entropy(y)
 
 
-def _counting_trees(mp) -> tuple[list, list]:
-    """Patch mi.cKDTree to record the rows of each tree it builds and of
-    each kNN query made of one; returns both records."""
-    builds, queried = [], []
+def _counting_trees(mp) -> list:
+    """Patch mi.cKDTree to record the rows of each tree it builds;
+    returns the record."""
+    builds = []
 
     class Tree(cKDTree):
         def __init__(self, data, *args, **kwargs):
             builds.append(len(data))
             super().__init__(data, *args, **kwargs)
 
-        def query(self, x, *args, **kwargs):
-            queried.append(len(x))
-            return super().query(x, *args, **kwargs)
-
     mp.setattr(mi, "cKDTree", Tree)
-    return builds, queried
+    return builds
 
 
-def _tree_rows(block, k, w) -> int:
+def _uncertified_rows(block, k, w) -> int:
     """How many rows of one (n, d) set a window of w rows a side leaves
-    to the tree, by brute force: in the first column's stable order, the
+    uncertified, by brute force: in the first column's stable order, the
     rows whose k-th distance to the rows within w places exceeds the
     first-column gap to the nearest row beyond them on either side."""
     n = len(block)
@@ -293,17 +313,13 @@ def _tree_rows(block, k, w) -> int:
     return left
 
 
-def _path(block, k) -> tuple[bool, int]:
-    """(passes the whole-set certificate, rows left to the tree) for one
-    (n, d) set: its next widest spread is at most its widest column's
-    least 1D radius; otherwise the rows a window of k rows a side, the
-    widest column first, leaves to the tree."""
+def _certified(block, k) -> bool:
+    """Whether one (n, d) set passes the whole-set certificate: its next
+    widest spread is at most its widest column's least 1D radius."""
     spans = np.ptp(block, axis=0)
     w = np.argmax(spans)
     other = np.max(np.delete(spans, w), initial=0.0)
-    if other <= brute_knn_radii(block[:, [w]], k).min():
-        return True, 0
-    return False, _tree_rows(np.roll(block, -w, axis=1), k, k)
+    return bool(other <= brute_knn_radii(block[:, [w]], k).min())
 
 
 def _dominated(data, n, d, k):
@@ -336,19 +352,20 @@ def _dominated(data, n, d, k):
 def _check_radii(stack, k):
     """_knn_radii of an (..., n, d) stack equals brute force and cKDTree
     for every set, bit for bit, takes the 1D radii of every set's widest
-    column in one pass, and queries a tree at exactly the rows that
-    neither the whole-set certificate nor a window certifies; a zero
-    radius anywhere is an error."""
+    column in one pass, sends exactly the sets that fail the whole-set
+    certificate to the windows, and builds no tree; a zero radius
+    anywhere is an error."""
     n, d = stack.shape[-2:]
     sets = stack.reshape(-1, n, d)
     expected = np.stack([brute_knn_radii(block, k) for block in sets])
     tree = np.stack([cKDTree(block).query(block, k=k + 1, p=np.inf)[0][:, k] for block in sets])
     np.testing.assert_array_equal(tree, expected)
     with pytest.MonkeyPatch.context() as mp:
-        builds, queried = _counting_trees(mp)
-        sorted_sets = []
-        sorted_radii = mi._sorted_radii
+        builds = _counting_trees(mp)
+        sorted_sets, window_sets = [], []
+        sorted_radii, window_radii = mi._sorted_radii, mi._window_radii
         mp.setattr(mi, "_sorted_radii", lambda v, k: (sorted_sets.append(len(v)), sorted_radii(v, k))[1])
+        mp.setattr(mi, "_window_radii", lambda b, *a: (window_sets.append(len(b)), window_radii(b, *a))[1])
         if np.any(expected == 0):
             with pytest.raises(ValueError, match="duplicate"):
                 _knn_radii(stack, k)
@@ -356,8 +373,8 @@ def _check_radii(stack, k):
         radii = _knn_radii(stack, k)
     np.testing.assert_array_equal(radii, expected.reshape(stack.shape[:-1]))
     assert sorted_sets == [len(sets)]
-    assert queried == [rows for _, rows in map(_path, sets, [k] * len(sets)) if rows]
-    assert builds == [n] * len(queried)
+    assert len(window_sets) == sum(not _certified(block, k) for block in sets)
+    assert builds == []
 
 
 @settings(max_examples=300, deadline=None)
@@ -399,8 +416,8 @@ class TestCertifiedRadii:
         with pytest.raises(ValueError, match="duplicate"):
             _knn_radii(np.full((3, 50, 2), other), 4)
 
-    def test_ksg_mi_on_standardised_data_builds_one_tree_and_no_1d_radii(self, monkeypatch):
-        builds, queried = _counting_trees(monkeypatch)
+    def test_ksg_mi_on_standardised_data_builds_no_tree_and_no_1d_radii(self, monkeypatch):
+        builds = _counting_trees(monkeypatch)
 
         def unreachable(*args):
             raise AssertionError("ksg_mi reached the 1D radii")
@@ -408,12 +425,12 @@ class TestCertifiedRadii:
         monkeypatch.setattr(mi, "_sorted_radii", unreachable)
         z = np.random.default_rng(11).multivariate_normal([0, 0], [[1, 0.9], [0.9, 1]], size=500)
         z = (z - z.mean(axis=0)) / z.std(axis=0)
-        ksg_mi(z[:, 0], z[:, 1])
-        joint = np.hstack([_jittered(z[:, [0]], 1e-10), _jittered(z[:, [1]], 1e-10)])
-        left = _tree_rows(joint, 6, 32)
-        assert 0 < left < 100
-        assert builds == [500]
-        assert queried == [left]
+        cfg = KnnConfig(jitter_scale=0.0)
+        assert ksg_mi(z[:, 0], z[:, 1], cfg) == pytest.approx(
+            brute_ksg_mi(z[:, 0], z[:, 1], 6), abs=1e-12
+        )
+        assert 0 < _uncertified_rows(z, 6, mi._KSG_WIDTH) < 100  # some rows take wider windows
+        assert builds == []
 
 
 def _window_case(data):
@@ -445,31 +462,76 @@ def _window_case(data):
     return block, k, w
 
 
+def _check_window(block, k, w, x_dim):
+    """_window_radii of one set equals brute force and cKDTree, bit for
+    bit, and with x_dim its counts equal the brute-force strict counts
+    of the first x_dim columns; a zero radius is an error."""
+    expected = brute_knn_radii(block, k)
+    if np.any(expected == 0):
+        with pytest.raises(ValueError, match="duplicate"):
+            _window_radii(block, k, w, x_dim)
+        return
+    tree = cKDTree(block).query(block, k=k + 1, p=np.inf)[0][:, k]
+    np.testing.assert_array_equal(tree, expected)
+    radii, counts = _window_radii(block, k, w, x_dim)
+    np.testing.assert_array_equal(radii, expected)
+    if x_dim:
+        np.testing.assert_array_equal(counts, brute_strict_counts(block[:, :x_dim], expected))
+    else:
+        assert counts is None
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_window_radii_match_brute_force_and_the_tree(data):
     block, k, w = _window_case(data)
-    expected = brute_knn_radii(block, k)
-    if np.any(expected == 0):
-        with pytest.raises(ValueError, match="duplicate"):
-            _window_radii(block, k, w)
-        return
-    tree = cKDTree(block).query(block, k=k + 1, p=np.inf)[0][:, k]
-    np.testing.assert_array_equal(tree, expected)
-    np.testing.assert_array_equal(_window_radii(block, k, w), expected)
+    x_dim = data.draw(st.integers(min_value=0, max_value=block.shape[1] - 1), label="x_dim")
+    _check_window(block, k, w, x_dim)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_a_rows_tree_radius_does_not_depend_on_the_other_rows_queried(data):
-    block, k, _ = _window_case(data)
-    rows = data.draw(
-        st.lists(st.integers(0, len(block) - 1), min_size=1, unique=True), label="rows"
-    )
-    tree = cKDTree(block)
-    whole = tree.query(block, k=k + 1, p=np.inf)[0][:, k]
-    np.testing.assert_array_equal(tree.query(block[rows], k=k + 1, p=np.inf)[0][:, k], whole[rows])
+def test_windows_widened_to_the_whole_set_match_brute_force(data):
+    """Sets whose first window certifies no row: a near-constant first
+    column beside wide ones, so that every first-column gap is far below
+    every radius and the windows widen until they reach the pads; or
+    tie-heavy isotropic columns. Some are made duplicate-saturated."""
+    k = data.draw(st.integers(min_value=1, max_value=7), label="k")
+    w = data.draw(st.integers(min_value=k, max_value=12), label="w")
+    n = data.draw(st.integers(min_value=k + 1, max_value=2 * w + 40), label="n")
+    d = data.draw(st.integers(min_value=2, max_value=3), label="d")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="near-constant first column"):
+        block = 1e3 * rng.standard_normal((n, d))
+        block[:, 0] = 5.0 + 1e-9 * rng.standard_normal(n)
+        if n > 2 * w + 1:
+            assert _uncertified_rows(block, k, w) == n
+    else:
+        decimals = data.draw(st.integers(min_value=0, max_value=2), label="decimals")
+        block = np.round(rng.standard_normal((n, d)), decimals)
+    if data.draw(st.booleans(), label="saturated"):
+        block[: k + 1] = block[0]  # k + 1 equal rows: a k-th distance of 0
+    x_dim = data.draw(st.integers(min_value=0, max_value=d - 1), label="x_dim")
+    _check_window(block, k, w, x_dim)
 
 
-def test_only_the_window_and_the_strict_counts_build_trees():
-    assert definitions_calling("mi.py", {"cKDTree"}) == {"_window_radii", "_strict_counts"}
+def test_wider_passes_go_in_blocks_of_the_first_passs_size():
+    # every row widens to n - 1 rows a side: unblocked, the last pass
+    # would hold (400, 799) arrays of 2.6 MB each; the first pass's are
+    # (400, 3), 9.6 kB
+    rng = np.random.default_rng(12)
+    block = 1e3 * rng.standard_normal((400, 2))
+    block[:, 0] = 5.0 + 1e-9 * rng.standard_normal(400)
+    tracemalloc.start()
+    try:
+        radii, counts = _window_radii(block, 1, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+    np.testing.assert_array_equal(radii, brute_knn_radii(block, 1))
+    np.testing.assert_array_equal(counts, brute_strict_counts(block[:, :1], radii))
+
+
+def test_only_the_strict_counts_build_trees():
+    assert definitions_calling("mi.py", {"cKDTree"}) == {"_strict_counts"}
